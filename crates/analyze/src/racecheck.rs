@@ -3,7 +3,7 @@
 //! [`pardis_core::race`] records, behind the `analyze` feature, every
 //! application access to a distributed sequence's local buffer and
 //! every one-sided window access, each stamped with the per-rank
-//! vector clock of [`pardis_rts::clock`]. This pass replays seeded
+//! causal stamp of [`pardis_rts::clock`]. This pass replays seeded
 //! SPMD programs on the [`World`] testbed:
 //!
 //! * a **racy** client that writes `local_data_mut` while a multi-port
@@ -47,7 +47,7 @@ pub struct RaceCheckReport {
     /// Reports drained from the first racy run, sorted.
     pub racy: Vec<RaceReport>,
     /// Reports drained from the second run of the same seed; must
-    /// equal `racy` bit-for-bit (clocks, buffer ids, details).
+    /// equal `racy` bit-for-bit (stamps, buffer ids, details).
     pub replay: Vec<RaceReport>,
     /// Reports from the clean run; must be empty.
     pub clean: Vec<RaceReport>,
@@ -144,7 +144,7 @@ pub fn run_transfers(seed: u64, racy: bool, client: &str) -> Result<Vec<RaceRepo
 
 /// Run the unfenced-window program: both threads write the same
 /// element of rank 0's part with no fence between the writes, then
-/// fence. The two writes carry concurrent clocks — PA202.
+/// fence. The two writes carry concurrent stamps — PA202.
 pub fn run_window(client: &str) -> Result<Vec<RaceReport>, String> {
     let world = World::new(LinkSpec::unlimited());
     let handle = world.spawn_machine(client, THREADS, |ctx| -> Result<(), String> {

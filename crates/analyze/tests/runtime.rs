@@ -6,6 +6,11 @@
 use pardis_analyze::{lockcheck, scenarios};
 use pardis_core::PardisError;
 use scenarios::Scenario;
+use std::sync::Mutex;
+
+/// The wait-for graph is process-global and each lockcheck pass resets
+/// it, so the tests that read it take turns.
+static LOCKGRAPH: Mutex<()> = Mutex::new(());
 
 #[test]
 fn mismatched_order_is_rejected_with_both_sites() {
@@ -90,6 +95,7 @@ fn scenario_checker_agrees_with_the_assertions() {
 #[test]
 fn lockcheck_rts_workload_is_cycle_free_and_inversion_is_caught() {
     use lockcheck::Node;
+    let _graph = LOCKGRAPH.lock().unwrap_or_else(|p| p.into_inner());
     let report = lockcheck::check_rts_locks().unwrap();
     assert!(
         report.cycles.is_empty(),
@@ -114,6 +120,7 @@ fn lockcheck_rts_workload_is_cycle_free_and_inversion_is_caught() {
 #[test]
 fn lock_vs_collective_inversion_is_pa203_and_invisible_to_the_old_graph() {
     use lockcheck::Node;
+    let _graph = LOCKGRAPH.lock().unwrap_or_else(|p| p.into_inner());
     let mixed = lockcheck::seeded_collective_inversion();
     assert_eq!(mixed.cycles.len(), 1, "{:?}", mixed.cycles);
     assert!(mixed.cycles[0].contains(&Node::Lock("analyze::demo_state")));

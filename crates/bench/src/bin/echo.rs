@@ -4,7 +4,7 @@
 //! argument, timed over an unlimited link so the wire contributes
 //! nothing and every microsecond is CPU: stubs, CDR, gather/scatter —
 //! plus, depending on features, the happens-before instrumentation
-//! (`analyze`: vector-clock ticks, access-interval recording) or the
+//! (`analyze`: causal-stamp ticks, access-interval recording) or the
 //! observability instrumentation (`obs`: span recording, per-rank
 //! metrics, service-context propagation). Running the binary under
 //! each configuration against the featureless baseline measures the

@@ -7,7 +7,7 @@
 //! in-flight until `wait`, and an exposed sequence accepts one-sided
 //! reads and writes from any rank between fences. Neither the type
 //! system nor the RTS orders those accesses — this module does, using
-//! the per-rank vector clocks of [`pardis_rts::clock`]:
+//! the per-rank causal stamps of [`pardis_rts::clock`]:
 //!
 //! * **PA201 — data race on a dsequence buffer.** Each transfer engine
 //!   opens an epoch-scoped *access interval* per distributed argument
@@ -17,24 +17,24 @@
 //!   (`local_data`/`local_data_mut`/`redistribute`) while a conflicting
 //!   interval is open has no happens-before edge from the transfer's
 //!   completion — a race, reported with both access kinds and both
-//!   clock stamps.
+//!   stamps.
 //!
 //! * **PA202 — RMA window accessed outside a synchronizing exposure
 //!   epoch.** Every one-sided access through an `ExposedSeq` is logged
 //!   against the window's collective identity. At each fence the log
 //!   is drained and overlapping accesses from different origins with
-//!   concurrent vector clocks (neither ≤ the other — i.e. no fence
-//!   separated them) are reported when at least one is a write.
+//!   concurrent stamps (the same generation — no fence separated them)
+//!   are reported when at least one is a write.
 //!
 //! Reports accumulate **without deduplication** in a process-global
-//! log drained by [`take_reports`]; because clocks, buffer identities,
+//! log drained by [`take_reports`]; because stamps, buffer identities,
 //! and the fault plan are all deterministic, two replays of the same
 //! seed drain bit-for-bit identical reports. Each report is also
 //! mirrored (deduplicated) into the [`crate::analyze`] finding sink for
 //! the `pardis-analyze` CLI.
 
 use crate::request::ArgDir;
-use pardis_rts::clock::{ClockWitness, VClock};
+use pardis_rts::clock::{ClockWitness, Stamp};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -90,10 +90,10 @@ pub struct RaceReport {
     pub first: AccessKind,
     /// Kind of the later, conflicting access.
     pub second: AccessKind,
-    /// Vector clock stamped on the earlier access.
-    pub first_clock: VClock,
-    /// Vector clock stamped on the later access.
-    pub second_clock: VClock,
+    /// Causal stamp of the earlier access.
+    pub first_stamp: Stamp,
+    /// Causal stamp of the later access.
+    pub second_stamp: Stamp,
     /// Human-readable account of the pair.
     pub detail: String,
 }
@@ -107,7 +107,7 @@ struct OpenInterval {
     buf: u64,
     req_id: u64,
     kind: AccessKind,
-    clock: VClock,
+    stamp: Stamp,
     epoch: u64,
     op: String,
     mode: &'static str,
@@ -209,13 +209,13 @@ pub(crate) fn open_transfer(
         AccessKind::TransferRead
     };
     ClockWitness::tick();
-    let clock = ClockWitness::snapshot();
+    let stamp = ClockWitness::snapshot();
     INTERVALS.with(|iv| {
         iv.borrow_mut().push(OpenInterval {
             buf,
             req_id,
             kind,
-            clock,
+            stamp,
             epoch,
             op: op.to_string(),
             mode,
@@ -248,8 +248,8 @@ pub(crate) fn on_access(buf: u64, kind: AccessKind, what: &str) {
                     buffer: buf,
                     first: i.kind,
                     second: kind,
-                    first_clock: i.clock.clone(),
-                    second_clock: now.clone(),
+                    first_stamp: i.stamp,
+                    second_stamp: now,
                     detail: format!(
                         "{what} ({}) on dsequence buffer {buf} while a {} {} interval of \
                          op `{}` (request {:#x}, epoch {}) is open; no happens-before \
@@ -276,7 +276,7 @@ struct WinAccess {
     offset: usize,
     len: usize,
     write: bool,
-    clock: VClock,
+    stamp: Stamp,
     actor: String,
 }
 
@@ -289,7 +289,7 @@ fn win_log() -> &'static Mutex<HashMap<u64, Vec<WinAccess>>> {
 /// `[offset, offset+len)`).
 pub(crate) fn on_window_access(win: u64, target: usize, offset: usize, len: usize, write: bool) {
     ClockWitness::tick();
-    let clock = ClockWitness::snapshot();
+    let stamp = ClockWitness::snapshot();
     let (actor, origin) = actor_parts();
     let seq = WIN_SEQ.with(|s| {
         let v = s.get();
@@ -308,13 +308,13 @@ pub(crate) fn on_window_access(win: u64, target: usize, offset: usize, len: usiz
             offset,
             len,
             write,
-            clock,
+            stamp,
             actor,
         });
 }
 
 /// Drain window `win`'s access log at an exposure-epoch boundary and
-/// report every conflicting pair left unordered by the clocks (PA202).
+/// report every conflicting pair left unordered by the stamps (PA202).
 /// Called by one rank per fence, after a barrier has made all pre-fence
 /// accesses visible.
 pub(crate) fn window_fence(win: u64) {
@@ -338,8 +338,9 @@ pub(crate) fn window_fence(win: u64) {
             if a.offset + a.len <= b.offset || b.offset + b.len <= a.offset {
                 continue;
             }
-            // A fence between them would have ordered the clocks.
-            if a.clock.leq(&b.clock) || b.clock.leq(&a.clock) {
+            // A fence between them would have ordered the stamps.
+            if a.stamp.leq(a.origin, b.stamp, b.origin) || b.stamp.leq(b.origin, a.stamp, a.origin)
+            {
                 continue;
             }
             let kind = |w: bool| {
@@ -356,8 +357,8 @@ pub(crate) fn window_fence(win: u64) {
                 buffer: win,
                 first: kind(a.write),
                 second: kind(b.write),
-                first_clock: a.clock.clone(),
-                second_clock: b.clock.clone(),
+                first_stamp: a.stamp,
+                second_stamp: b.stamp,
                 detail: format!(
                     "one-sided {} of [{}..{}) and {} of [{}..{}) on rank {}'s part of \
                      window {win} by ranks {} and {} fall outside any synchronizing \
@@ -434,25 +435,25 @@ mod tests {
 
     #[test]
     fn window_fence_reports_unordered_overlap_only() {
-        // Two origins with concurrent clocks overlapping a write: race.
-        // A third access ordered by clock (≤ both): clean.
+        // Two origins with concurrent stamps overlapping a write: race.
+        // A disjoint range, or a later generation: clean.
         let win = 0xFEED_0001;
-        let h1 = std::thread::spawn(move || {
-            set_actor("race-unit-c", 1);
-            pardis_rts::clock::ClockWitness::init(1, 3);
-            pardis_rts::clock::ClockWitness::tick();
-            on_window_access(win, 0, 0, 4, true);
+        pardis_rts::Domain::run(3, move |ep| {
+            set_actor("race-unit-c", ep.rank());
+            ep.barrier();
+            match ep.rank() {
+                1 => on_window_access(win, 0, 0, 4, true),
+                2 => {
+                    on_window_access(win, 0, 2, 4, false);
+                    on_window_access(win, 0, 100, 4, true);
+                }
+                _ => {}
+            }
+            ep.barrier();
+            if ep.rank() == 2 {
+                on_window_access(win, 0, 0, 4, true);
+            }
         });
-        let h2 = std::thread::spawn(move || {
-            set_actor("race-unit-c", 2);
-            pardis_rts::clock::ClockWitness::init(2, 3);
-            pardis_rts::clock::ClockWitness::tick();
-            on_window_access(win, 0, 2, 4, false);
-            // Disjoint range: no conflict with anyone.
-            on_window_access(win, 0, 100, 4, true);
-        });
-        h1.join().unwrap();
-        h2.join().unwrap();
         window_fence(win);
         let r = take_reports("race-unit-c/");
         assert_eq!(r.len(), 1, "{r:?}");
@@ -471,8 +472,8 @@ mod tests {
             buffer: 9,
             first: AccessKind::TransferRead,
             second: AccessKind::Write,
-            first_clock: VClock::default(),
-            second_clock: VClock::default(),
+            first_stamp: Stamp::default(),
+            second_stamp: Stamp::default(),
             detail: "b".into(),
         });
         report(RaceReport {
@@ -482,8 +483,8 @@ mod tests {
             buffer: 3,
             first: AccessKind::TransferRead,
             second: AccessKind::Write,
-            first_clock: VClock::default(),
-            second_clock: VClock::default(),
+            first_stamp: Stamp::default(),
+            second_stamp: Stamp::default(),
             detail: "a".into(),
         });
         report(RaceReport {
@@ -493,8 +494,8 @@ mod tests {
             buffer: 1,
             first: AccessKind::TransferRead,
             second: AccessKind::Write,
-            first_clock: VClock::default(),
-            second_clock: VClock::default(),
+            first_stamp: Stamp::default(),
+            second_stamp: Stamp::default(),
             detail: "keep".into(),
         });
         let mine = take_reports("race-unit-d/");

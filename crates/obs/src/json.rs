@@ -1,10 +1,9 @@
 //! A minimal JSON codec for the span-log format.
 //!
 //! The workspace carries no serde, and the span log only ever uses
-//! flat objects whose values are strings, unsigned integers, or
-//! arrays of unsigned integers — so this module implements exactly
-//! that subset, with typed errors instead of panics on malformed
-//! input.
+//! flat objects whose values are strings or unsigned integers — so
+//! this module implements exactly that subset, with typed errors
+//! instead of panics on malformed input.
 
 use std::fmt;
 
@@ -15,8 +14,6 @@ pub enum JsonVal {
     Str(String),
     /// An unsigned integer.
     Num(u64),
-    /// An array of unsigned integers.
-    Arr(Vec<u64>),
 }
 
 impl JsonVal {
@@ -32,14 +29,6 @@ impl JsonVal {
     pub fn as_num(&self) -> Option<u64> {
         match self {
             JsonVal::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The array payload, if this is an array.
-    pub fn as_arr(&self) -> Option<&[u64]> {
-        match self {
-            JsonVal::Arr(a) => Some(a),
             _ => None,
         }
     }
@@ -220,31 +209,6 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonVal, JsonError> {
         match self.peek() {
             Some(b'"') => Ok(JsonVal::Str(self.string()?)),
-            Some(b'[') => {
-                self.expect(b'[', "'['")?;
-                let mut arr = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonVal::Arr(arr));
-                }
-                loop {
-                    arr.push(self.number()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JsonVal::Arr(arr));
-                        }
-                        Some(_) => {
-                            return Err(JsonError::Expected {
-                                what: "',' or ']'",
-                                at: self.pos,
-                            })
-                        }
-                        None => return Err(JsonError::Truncated),
-                    }
-                }
-            }
             Some(_) => Ok(JsonVal::Num(self.number()?)),
             None => Err(JsonError::Truncated),
         }
@@ -288,12 +252,17 @@ mod tests {
 
     #[test]
     fn parses_the_span_line_shape() {
-        let line = "{\"machine\":\"m0\",\"rank\":2,\"clock\":[1,0,3],\"empty\":[]}";
+        let line = "{\"machine\":\"m0\",\"rank\":2,\"gen\":7,\"tick\":0}";
         let kv = parse_flat_object(line).unwrap();
         assert_eq!(kv[0], ("machine".into(), JsonVal::Str("m0".into())));
         assert_eq!(kv[1], ("rank".into(), JsonVal::Num(2)));
-        assert_eq!(kv[2], ("clock".into(), JsonVal::Arr(vec![1, 0, 3])));
-        assert_eq!(kv[3], ("empty".into(), JsonVal::Arr(vec![])));
+        assert_eq!(kv[2], ("gen".into(), JsonVal::Num(7)));
+        assert_eq!(kv[3], ("tick".into(), JsonVal::Num(0)));
+        // Arrays are not part of the span-log subset.
+        assert!(matches!(
+            parse_flat_object("{\"clock\":[1]}"),
+            Err(JsonError::Expected { what: "digit", .. })
+        ));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   epoch) that rides a GIOP service-context slot, so the server's
 //!   per-rank spans link under the client's invocation root;
 //! * [`recorder`] — per-rank span logs. Every record carries the
-//!   rank's vector clock ([`pardis_rts::clock::ClockWitness`]) and a
+//!   rank's causal stamp ([`pardis_rts::clock::ClockWitness`]) and a
 //!   per-rank sequence number, so a seeded run's log replays
 //!   **bit-for-bit** (wall-clock durations are carried but quarantined
 //!   in one volatile field);

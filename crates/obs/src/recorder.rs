@@ -8,8 +8,9 @@
 //!
 //! Determinism contract: everything in a record except `wait_ns`
 //! derives from the seeded execution — ids, sequence numbers, byte
-//! counts, vector clocks ([`ClockWitness`] advances only on
-//! collectives and epoch changes). `wait_ns` is wall-clock and is
+//! counts, causal stamps ([`ClockWitness`] advances only on
+//! collectives, epoch changes and recorded accesses). `wait_ns` is
+//! wall-clock and is
 //! quarantined: the per-rank log carries it (the straggler report
 //! needs it) but the merged timeline excludes it.
 
@@ -48,8 +49,10 @@ pub struct SpanRecord {
     pub epoch: u64,
     /// Payload bytes moved (0 when not applicable).
     pub bytes: u64,
-    /// The rank's vector clock when the span completed.
-    pub clock: Vec<u64>,
+    /// The rank's collective generation when the span completed.
+    pub gen: u64,
+    /// Local ordering events since that generation began.
+    pub tick: u64,
     /// Wall-clock duration — the ONLY non-deterministic field.
     pub wait_ns: u64,
 }
@@ -63,7 +66,8 @@ impl SpanRecord {
             s,
             "{{\"machine\":\"{}\",\"host\":{},\"rank\":{},\"seq\":{},\
              \"trace\":{},\"span\":{},\"parent\":{},\"kind\":\"{}\",\
-             \"name\":\"{}\",\"epoch\":{},\"bytes\":{},\"clock\":[",
+             \"name\":\"{}\",\"epoch\":{},\"bytes\":{},\"gen\":{},\"tick\":{},\
+             \"wait_ns\":{}}}",
             json::escape(&self.machine),
             self.host,
             self.rank,
@@ -75,14 +79,10 @@ impl SpanRecord {
             json::escape(&self.name),
             self.epoch,
             self.bytes,
+            self.gen,
+            self.tick,
+            self.wait_ns,
         );
-        for (i, c) in self.clock.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{c}");
-        }
-        let _ = write!(s, "],\"wait_ns\":{}}}", self.wait_ns);
         s
     }
 
@@ -98,7 +98,7 @@ impl SpanRecord {
 }
 
 /// The fields a caller supplies to [`record`]; rank identity, the
-/// sequence number, and the vector clock are filled in by the
+/// sequence number, and the causal stamp are filled in by the
 /// recorder.
 #[derive(Debug, Clone)]
 pub struct SpanEvent {
@@ -198,6 +198,7 @@ pub fn current() -> Option<(u64, u64)> {
 pub fn record(ev: SpanEvent) {
     STATE.with(|s| {
         if let Some(st) = s.borrow_mut().as_mut() {
+            let stamp = ClockWitness::snapshot();
             let rec = SpanRecord {
                 machine: st.machine.clone(),
                 host: st.host,
@@ -210,7 +211,8 @@ pub fn record(ev: SpanEvent) {
                 name: ev.name,
                 epoch: ev.epoch,
                 bytes: ev.bytes,
-                clock: ClockWitness::snapshot().0,
+                gen: stamp.gen,
+                tick: stamp.tick,
                 wait_ns: ev.wait_ns,
             };
             st.next_seq += 1;

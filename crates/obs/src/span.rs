@@ -58,7 +58,7 @@ impl Decode for SpanContext {
 
 /// What a span covers. The discriminants order the phases of one
 /// invocation, which the timeline uses as a cross-machine tie-break
-/// (vector clocks only order events within one machine's domain).
+/// (causal stamps only order events within one machine's domain).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpanKind {
     /// `bind` / `spmd_bind` resolving an object reference.

@@ -10,9 +10,9 @@
 //!   (bind < marshal < transfer < dispatch < reply < invoke) — the
 //!   only ordering that holds across machines, since client and
 //!   server clock domains are disjoint;
-//! * then by vector-clock sum, which is monotone along every
+//! * then by causal stamp `(gen, tick)`, which is monotone along every
 //!   happens-before edge inside one machine (a cross-rank edge passes
-//!   through a collective join, which strictly increases the sum);
+//!   through a collective, which strictly increases the generation);
 //! * ties break deterministically on `(machine, rank, seq)`.
 //!
 //! The guarantee: if span A happens-before span B, A appears first;
@@ -125,13 +125,8 @@ pub fn parse_log(text: &str) -> Result<Vec<SpanRecord>, TimelineError> {
             name: str_field(&kv, line_no, "name")?,
             epoch: num(&kv, line_no, "epoch")?,
             bytes: num(&kv, line_no, "bytes")?,
-            clock: field(&kv, line_no, "clock")?
-                .as_arr()
-                .ok_or(TimelineError::MissingKey {
-                    line_no,
-                    key: "clock",
-                })?
-                .to_vec(),
+            gen: num(&kv, line_no, "gen")?,
+            tick: num(&kv, line_no, "tick")?,
             // Absent in stable (merged) logs: treat as zero.
             wait_ns: kv
                 .iter()
@@ -143,17 +138,14 @@ pub fn parse_log(text: &str) -> Result<Vec<SpanRecord>, TimelineError> {
     Ok(out)
 }
 
-fn clock_sum(r: &SpanRecord) -> u64 {
-    r.clock.iter().fold(0u64, |a, &c| a.saturating_add(c))
-}
-
 /// Sort records into the causal timeline order (see module docs).
 pub fn merge(mut records: Vec<SpanRecord>) -> Vec<SpanRecord> {
     records.sort_by(|a, b| {
         (
             a.trace_id,
             a.kind.phase(),
-            clock_sum(a),
+            a.gen,
+            a.tick,
             &a.machine,
             a.rank,
             a.seq,
@@ -161,7 +153,8 @@ pub fn merge(mut records: Vec<SpanRecord>) -> Vec<SpanRecord> {
             .cmp(&(
                 b.trace_id,
                 b.kind.phase(),
-                clock_sum(b),
+                b.gen,
+                b.tick,
                 &b.machine,
                 b.rank,
                 b.seq,
@@ -293,7 +286,7 @@ mod tests {
         seq: u64,
         trace: u64,
         kind: SpanKind,
-        clock: Vec<u64>,
+        (gen, tick): (u64, u64),
     ) -> SpanRecord {
         SpanRecord {
             machine: machine.into(),
@@ -307,7 +300,8 @@ mod tests {
             name: "op".into(),
             epoch: 0,
             bytes: 0,
-            clock,
+            gen,
+            tick,
             wait_ns: 0,
         }
     }
@@ -315,17 +309,19 @@ mod tests {
     #[test]
     fn merge_orders_phases_then_clocks() {
         let recs = vec![
-            rec("srv", 0, 0, 5, SpanKind::Dispatch, vec![1]),
-            rec("cli", 0, 1, 5, SpanKind::Invoke, vec![3]),
-            rec("cli", 0, 0, 5, SpanKind::Marshal, vec![2]),
-            rec("cli", 1, 0, 5, SpanKind::Marshal, vec![1]),
+            rec("srv", 0, 0, 5, SpanKind::Dispatch, (1, 0)),
+            rec("cli", 0, 1, 5, SpanKind::Invoke, (3, 0)),
+            rec("cli", 0, 0, 5, SpanKind::Marshal, (2, 0)),
+            rec("cli", 1, 2, 5, SpanKind::Marshal, (1, 1)),
+            rec("cli", 1, 1, 5, SpanKind::Marshal, (1, 0)),
         ];
         let merged = merge(recs);
         let kinds: Vec<_> = merged.iter().map(|r| (r.kind, r.rank)).collect();
         assert_eq!(
             kinds,
             vec![
-                (SpanKind::Marshal, 1), // lower clock sum first
+                (SpanKind::Marshal, 1), // lower generation first,
+                (SpanKind::Marshal, 1), // then lower tick
                 (SpanKind::Marshal, 0),
                 (SpanKind::Dispatch, 0),
                 (SpanKind::Invoke, 0),
@@ -336,8 +332,8 @@ mod tests {
     #[test]
     fn render_parse_roundtrip_is_stable() {
         let recs = vec![
-            rec("m", 0, 0, 1, SpanKind::Invoke, vec![1, 2]),
-            rec("m", 1, 0, 1, SpanKind::Invoke, vec![2, 1]),
+            rec("m", 0, 0, 1, SpanKind::Invoke, (1, 2)),
+            rec("m", 1, 0, 1, SpanKind::Invoke, (2, 1)),
         ];
         let rendered = render(&merge(recs));
         let reparsed = parse_log(&rendered).unwrap();
@@ -347,7 +343,7 @@ mod tests {
     #[test]
     fn stragglers_need_a_dominating_wait() {
         let mut recs: Vec<SpanRecord> = (0..4)
-            .map(|r| rec("m", r, 0, 9, SpanKind::Invoke, vec![1]))
+            .map(|r| rec("m", r, 0, 9, SpanKind::Invoke, (1, 0)))
             .collect();
         recs[3].wait_ns = 1000;
         for r in recs.iter_mut().take(3) {
@@ -361,7 +357,7 @@ mod tests {
 
     #[test]
     fn diff_reports_divergence_and_identity() {
-        let a = vec![rec("m", 0, 0, 1, SpanKind::Invoke, vec![1])];
+        let a = vec![rec("m", 0, 0, 1, SpanKind::Invoke, (1, 0))];
         let mut b = a.clone();
         assert!(diff(a.clone(), b.clone()).identical());
         b[0].name = "other".into();

@@ -1,251 +1,81 @@
-//! Per-rank vector clocks for happens-before analysis (the `analyze`
+//! Per-rank causal stamps for happens-before analysis (the `analyze`
 //! feature) and causal span ordering (the `obs` feature).
 //!
-//! Every collective a rank completes — barrier, broadcast, gather,
-//! scatter, all-to-all, survivor barrier — advances that rank's
-//! component of a domain-wide vector clock and joins it with every
-//! other participant's clock (the exchange rides dedicated reserved
-//! tags, raw sends only, so it cannot recurse into the collectives it
-//! observes). A membership epoch change also ticks the clock: crossing
-//! an epoch is an ordering event even when no data moves.
-//!
-//! The clock state lives in a thread-local [`ClockWitness`], matching
-//! the SPMD model (each computing thread owns exactly one rank). The
-//! witness is what instrumented code above the RTS consults: an access
-//! stamped with the witness's snapshot is happens-before-ordered after
-//! everything that preceded the rank's last completed collective, and
-//! concurrent with anything not yet joined. Because clocks advance
-//! only on collectives and epoch changes — both deterministic under a
-//! seeded fault plan — every snapshot replays bit-for-bit.
+//! Every live rank completes the same collectives in the same order
+//! (paper §2.2), so the count of collectives completed — the
+//! *generation* — agrees across ranks without any message. A rank's
+//! [`Stamp`] is `(gen, tick)`: completing a collective bumps `gen` and
+//! resets `tick`; an epoch crossing or a recorded access bumps `tick`.
+//! This orders events exactly as a vector clock joined at every
+//! collective would (DESIGN.md §11). The state is thread-local, one
+//! rank per computing thread, and replays bit-for-bit.
 
-use crate::endpoint::Endpoint;
-use crate::error::RtsResult;
-use crate::{Tag, RESERVED_TAG_BASE};
-use bytes::Bytes;
-use std::cell::RefCell;
+use std::cell::Cell;
 
-/// Clock snapshots travel rank → 0 on this tag.
-pub const CLOCK_IN: Tag = RESERVED_TAG_BASE + 9;
-/// The joined clock travels 0 → rank on this tag.
-pub const CLOCK_OUT: Tag = RESERVED_TAG_BASE + 10;
-
-/// A vector clock: component `r` counts rank `r`'s completed ordering
-/// events (collectives + epoch transitions).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct VClock(pub Vec<u64>);
-
-impl VClock {
-    /// The zero clock for a domain of `size` ranks.
-    pub fn zero(size: usize) -> VClock {
-        VClock(vec![0; size])
-    }
-
-    /// Advance `rank`'s component by one.
-    pub fn tick(&mut self, rank: usize) {
-        if rank >= self.0.len() {
-            self.0.resize(rank + 1, 0);
-        }
-        self.0[rank] += 1;
-    }
-
-    /// Component-wise maximum with `other` (the happens-before join).
-    pub fn join(&mut self, other: &VClock) {
-        if other.0.len() > self.0.len() {
-            self.0.resize(other.0.len(), 0);
-        }
-        for (mine, &theirs) in self.0.iter_mut().zip(&other.0) {
-            *mine = (*mine).max(theirs);
-        }
-    }
-
-    /// Whether `self` happens-before-or-equals `other` (every component
-    /// ≤; missing components count as 0).
-    pub fn leq(&self, other: &VClock) -> bool {
-        self.0
-            .iter()
-            .enumerate()
-            .all(|(i, &c)| c <= other.0.get(i).copied().unwrap_or(0))
-    }
-
-    /// Little-endian `u64` wire encoding.
-    pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(self.0.len() * 8);
-        for &c in &self.0 {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        Bytes::from(out)
-    }
-
-    /// Inverse of [`VClock::encode`]; trailing partial words are
-    /// dropped.
-    pub fn decode(payload: &[u8]) -> VClock {
-        let mut out = Vec::with_capacity(payload.len() / 8);
-        for chunk in payload.chunks_exact(8) {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(chunk);
-            out.push(u64::from_le_bytes(a));
-        }
-        VClock(out)
-    }
+/// A rank's causal stamp. The derived order is the timeline order;
+/// [`Stamp::leq`] is happens-before.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Stamp {
+    /// Collectives this rank has completed.
+    pub gen: u64,
+    /// Local ordering events since the last completed collective.
+    pub tick: u64,
 }
 
-struct WitnessState {
-    rank: usize,
-    clock: VClock,
-    last_epoch: u64,
+impl Stamp {
+    /// Whether `self`, taken on rank `origin`, happens-before-or-equals
+    /// `other`, taken on rank `other_origin`. A tick-0 stamp is the
+    /// generation's common start and precedes the whole generation.
+    pub fn leq(self, origin: usize, other: Stamp, other_origin: usize) -> bool {
+        self.gen < other.gen
+            || (self.gen == other.gen
+                && (self.tick == 0 || (origin == other_origin && self.tick <= other.tick)))
+    }
 }
 
 thread_local! {
-    static WITNESS: RefCell<Option<WitnessState>> = const { RefCell::new(None) };
+    /// The calling rank's stamp and the last membership epoch it saw.
+    static WITNESS: Cell<(Stamp, u64)> = const { Cell::new((Stamp { gen: 0, tick: 0 }, 0)) };
 }
 
-/// The calling thread's clock witness. All methods are static: the
-/// state is thread-local, lazily initialized by the rank's first
-/// completed collective (or an explicit [`ClockWitness::init`]).
+/// The calling thread's stamp witness. Before the rank's first
+/// collective, ticks and epochs are ignored and the snapshot is the
+/// zero stamp, which orders before every other stamp.
 pub struct ClockWitness;
 
 impl ClockWitness {
-    /// Bind the calling thread to `rank` in a domain of `size` ranks,
-    /// starting from the zero clock if the thread had no witness yet.
-    pub fn init(rank: usize, size: usize) {
-        WITNESS.with(|w| {
-            let mut w = w.borrow_mut();
-            match &mut *w {
-                Some(s) => {
-                    s.rank = rank;
-                    if s.clock.0.len() < size {
-                        s.clock.0.resize(size, 0);
-                    }
-                }
-                None => {
-                    *w = Some(WitnessState {
-                        rank,
-                        clock: VClock::zero(size),
-                        last_epoch: 0,
-                    });
-                }
-            }
-        });
+    /// The calling thread's current stamp.
+    pub fn snapshot() -> Stamp {
+        WITNESS.get().0
     }
 
-    /// Snapshot of the calling thread's clock; empty if the thread has
-    /// not completed any ordering event yet.
-    pub fn snapshot() -> VClock {
-        WITNESS.with(|w| {
-            w.borrow()
-                .as_ref()
-                .map(|s| s.clock.clone())
-                .unwrap_or_default()
-        })
-    }
-
-    /// Advance the calling thread's own component (one ordering event).
+    /// Record one local ordering event.
     pub fn tick() {
-        WITNESS.with(|w| {
-            if let Some(s) = w.borrow_mut().as_mut() {
-                let r = s.rank;
-                s.clock.tick(r);
-            }
-        });
+        let (mut s, epoch) = WITNESS.get();
+        s.tick += u64::from(s.gen > 0);
+        WITNESS.set((s, epoch));
     }
 
-    /// Observe the domain membership epoch; a change since the last
-    /// observation is an ordering event and ticks the clock. Returns
-    /// whether this observation crossed an epoch boundary.
+    /// Observe the membership epoch; a change since the last
+    /// observation ticks the stamp. Returns whether it crossed one.
     pub fn observe_epoch(epoch: u64) -> bool {
-        WITNESS.with(|w| {
-            if let Some(s) = w.borrow_mut().as_mut() {
-                if s.last_epoch != epoch {
-                    s.last_epoch = epoch;
-                    let r = s.rank;
-                    s.clock.tick(r);
-                    return true;
-                }
-            }
-            false
-        })
-    }
-
-    /// Join `other` into the calling thread's clock (a receive).
-    pub fn join(other: &VClock) {
-        WITNESS.with(|w| {
-            if let Some(s) = w.borrow_mut().as_mut() {
-                s.clock.join(other);
-            }
-        });
-    }
-
-    /// Replace the calling thread's clock (adopting a collective join).
-    fn set(clock: VClock) {
-        WITNESS.with(|w| {
-            if let Some(s) = w.borrow_mut().as_mut() {
-                s.clock = clock;
-            }
-        });
-    }
-
-    /// Encoded snapshot for stamping an outgoing message.
-    pub fn stamp_bytes() -> Bytes {
-        ClockWitness::snapshot().encode()
-    }
-
-    /// Join an incoming message's clock stamp.
-    pub fn join_bytes(payload: &[u8]) {
-        ClockWitness::join(&VClock::decode(payload));
-    }
-}
-
-#[inline]
-fn is_live(dead: u64, rank: usize) -> bool {
-    rank >= 64 || dead & (1u64 << rank) == 0
-}
-
-impl Endpoint {
-    /// Advance and exchange vector clocks after a completed collective:
-    /// every live rank ticks its own component, rank 0 joins all live
-    /// clocks and re-distributes the join, and every live rank adopts
-    /// it. Built on raw reserved-tag sends (like [`crate::verify`]) so
-    /// it cannot recurse into the collectives it instruments. Lockstep:
-    /// a rank has at most one clock exchange outstanding, so rounds
-    /// cannot cross-match.
-    pub fn clock_sync(&self, dead: u64) -> RtsResult<()> {
-        let rank = self.rank();
-        if !is_live(dead, rank) {
-            return Ok(());
-        }
-        ClockWitness::init(rank, self.size());
-        let epoch = self.membership().epoch();
-        let crossed = ClockWitness::observe_epoch(epoch);
-        #[cfg(feature = "obs")]
+        let (mut s, last) = WITNESS.get();
+        let crossed = s.gen > 0 && last != epoch;
         if crossed {
-            crate::obs::notify_epoch(rank, epoch);
+            s.tick += 1;
+            WITNESS.set((s, epoch));
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = crossed;
-        ClockWitness::tick();
-        let live_others: Vec<usize> = (0..self.size())
-            .filter(|&r| r != rank && is_live(dead, r))
-            .collect();
-        if live_others.is_empty() {
-            return Ok(());
-        }
-        if rank == 0 {
-            let mut joined = ClockWitness::snapshot();
-            for _ in 0..live_others.len() {
-                let m = self.recv_filtered(|m| m.tag == CLOCK_IN)?;
-                joined.join(&VClock::decode(&m.payload));
-            }
-            let payload = joined.encode();
-            for &to in &live_others {
-                self.send_internal(to, CLOCK_OUT, payload.clone())?;
-            }
-            ClockWitness::set(joined);
-        } else {
-            self.send_internal(0, CLOCK_IN, ClockWitness::stamp_bytes())?;
-            let m = self.recv_filtered(|m| m.from == 0 && m.tag == CLOCK_OUT)?;
-            ClockWitness::set(VClock::decode(&m.payload));
-        }
-        Ok(())
+        crossed
+    }
+
+    /// Complete a collective under membership `epoch`: advance to the
+    /// next generation. Returns whether `epoch` was a crossing.
+    pub(crate) fn complete_collective(epoch: u64) -> bool {
+        let (mut s, last) = WITNESS.get();
+        s.gen += 1;
+        s.tick = 0;
+        WITNESS.set((s, epoch));
+        last != epoch
     }
 }
 
@@ -253,29 +83,45 @@ impl Endpoint {
 mod tests {
     use super::*;
     use crate::{Domain, ReduceOp};
+    use bytes::Bytes;
+    use proptest::prelude::*;
+
+    fn st(gen: u64, tick: u64) -> Stamp {
+        Stamp { gen, tick }
+    }
 
     #[test]
-    fn join_is_componentwise_max() {
-        let mut a = VClock(vec![3, 0, 5]);
-        a.join(&VClock(vec![1, 4]));
-        assert_eq!(a.0, vec![3, 4, 5]);
-        let mut short = VClock(vec![1]);
-        short.join(&VClock(vec![0, 0, 9]));
-        assert_eq!(short.0, vec![1, 0, 9]);
+    fn completing_a_collective_is_the_join() {
+        assert!(!ClockWitness::complete_collective(0));
+        ClockWitness::tick();
+        ClockWitness::tick();
+        assert_eq!(ClockWitness::snapshot(), st(1, 2));
+        // An epoch crossing is reported; the new generation absorbs it.
+        assert!(ClockWitness::complete_collective(2));
+        assert_eq!(ClockWitness::snapshot(), st(2, 0));
     }
 
     #[test]
     fn leq_orders_clocks() {
-        assert!(VClock(vec![1, 2]).leq(&VClock(vec![1, 2, 0])));
-        assert!(!VClock(vec![2, 0]).leq(&VClock(vec![1, 9])));
-        assert!(VClock::default().leq(&VClock(vec![0])));
+        // An earlier generation precedes everything later, on any rank.
+        assert!(st(1, 5).leq(0, st(2, 0), 1));
+        assert!(!st(2, 0).leq(1, st(1, 5), 0));
+        // Same generation: the common start precedes every rank; own
+        // ticks are ordered, other ranks' ticks are concurrent.
+        assert!(st(2, 0).leq(0, st(2, 3), 1));
+        assert!(st(2, 1).leq(1, st(2, 3), 1));
+        assert!(!st(2, 3).leq(1, st(2, 1), 1));
+        assert!(!st(2, 1).leq(0, st(2, 3), 1));
     }
 
     #[test]
-    fn encode_decode_roundtrips() {
-        let c = VClock(vec![7, 0, u64::MAX]);
-        assert_eq!(VClock::decode(&c.encode()), c);
-        assert_eq!(VClock::decode(b""), VClock::default());
+    fn zero_stamp_orders_before_every_stamp() {
+        ClockWitness::tick(); // ignored before the first collective
+        assert!(!ClockWitness::observe_epoch(3));
+        assert_eq!(ClockWitness::snapshot(), Stamp::default());
+        for other in [st(0, 0), st(7, 0), st(7, 2)] {
+            assert!(Stamp::default().leq(0, other, 3));
+        }
     }
 
     #[test]
@@ -286,11 +132,9 @@ mod tests {
             ep.barrier();
             ClockWitness::snapshot()
         });
-        // barrier + (reduce→broadcast sync) + barrier = 3 syncs; every
-        // rank adopted the same join each time.
-        for r in &results {
-            assert_eq!(r.0, vec![3, 3, 3], "{results:?}");
-        }
+        // barrier + (reduce→broadcast) + barrier: generation 3 on
+        // every rank.
+        assert_eq!(results, vec![st(3, 0); 3]);
     }
 
     #[test]
@@ -314,14 +158,119 @@ mod tests {
         let results = Domain::run(2, |ep| {
             ep.barrier();
             let before = ClockWitness::snapshot();
-            if true {
-                // Observe a synthetic epoch bump without a collective.
-                ClockWitness::observe_epoch(ep.membership().epoch() + 1);
-            }
+            // Observe a synthetic epoch bump without a collective.
+            ClockWitness::observe_epoch(ep.membership().epoch() + 1);
             (before, ClockWitness::snapshot())
         });
-        for (rank, (before, after)) in results.into_iter().enumerate() {
-            assert_eq!(after.0[rank], before.0[rank] + 1);
+        for (before, after) in results {
+            assert_eq!(after, st(before.gen, before.tick + 1));
+        }
+    }
+
+    /// One step of an SPMD schedule: every rank completes a collective
+    /// (0), rank `r` records an access (1), or the epoch moves on and
+    /// the ranks in `mask` observe it now, the rest at their next
+    /// collective (2).
+    type Op = (u8, usize, u8);
+
+    /// The reference the stamps replace: a vector clock per rank
+    /// (`None` before its first collective) and its last epoch, ticked
+    /// and joined at every collective. Every rank's clock after every
+    /// step.
+    fn reference(n: usize, ops: &[Op]) -> Vec<Vec<Vec<u64>>> {
+        let mut ranks: Vec<(Option<Vec<u64>>, u64)> = vec![(None, 0); n];
+        let (mut epoch, mut out) = (0, vec![Vec::new(); n]);
+        for &(kind, r, mask) in ops {
+            if kind == 0 {
+                let mut join = vec![0; n];
+                for (me, (clock, last)) in ranks.iter_mut().enumerate() {
+                    let c = clock.get_or_insert_with(|| vec![0; n]);
+                    c[me] += 1 + u64::from(*last != epoch);
+                    *last = epoch;
+                    join.iter_mut()
+                        .zip(c.iter())
+                        .for_each(|(j, &v)| *j = v.max(*j));
+                }
+                ranks.iter_mut().for_each(|(c, _)| *c = Some(join.clone()));
+            } else if kind == 1 {
+                if let Some(c) = &mut ranks[r].0 {
+                    c[r] += 1;
+                }
+            } else {
+                epoch += 1;
+                for (me, (clock, last)) in ranks.iter_mut().enumerate() {
+                    if let (Some(c), true) = (clock, mask >> me & 1 == 1) {
+                        c[me] += 1;
+                        *last = epoch;
+                    }
+                }
+            }
+            for (me, (clock, _)) in ranks.iter().enumerate() {
+                out[me].push(clock.clone().unwrap_or_default());
+            }
+        }
+        out
+    }
+
+    /// Run `ops` with the real witness on rank `me`'s own thread, which
+    /// sees no other rank's state: its stamp after every step.
+    fn witnessed(me: usize, ops: Vec<Op>) -> Vec<Stamp> {
+        let rank_step = move || {
+            let mut epoch = 0;
+            let step = |&(kind, r, mask): &Op| {
+                match kind {
+                    0 => drop(ClockWitness::complete_collective(epoch)),
+                    1 if r == me => ClockWitness::tick(),
+                    1 => {}
+                    _ => {
+                        epoch += 1;
+                        if mask >> me & 1 == 1 {
+                            ClockWitness::observe_epoch(epoch);
+                        }
+                    }
+                }
+                ClockWitness::snapshot()
+            };
+            ops.iter().map(step).collect()
+        };
+        std::thread::spawn(rank_step).join().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn stamps_order_like_the_exchanged_vector_clock(
+            n in 2usize..5,
+            raw in prop::collection::vec((0u8..10, 0usize..4, any::<u8>()), 0..40),
+        ) {
+            let ops: Vec<Op> = raw
+                .iter()
+                .map(|&(k, r, mask)| (u8::from(k > 2) + u8::from(k > 7), r % n, mask))
+                .collect();
+            // Every (rank, stamp, reference clock) sample of the run.
+            let samples: Vec<(usize, Stamp, Vec<u64>)> = reference(n, &ops)
+                .into_iter()
+                .enumerate()
+                .flat_map(|(me, clocks)| {
+                    let stamps = witnessed(me, ops.clone());
+                    stamps.into_iter().zip(clocks).map(move |(s, c)| (me, s, c))
+                })
+                .collect();
+            for (ra, sa, ca) in &samples {
+                for (rb, sb, cb) in &samples {
+                    // Missing components (an empty clock) count as 0.
+                    let reference_leq =
+                        ca.iter().enumerate().all(|(i, &c)| c <= cb.get(i).map_or(0, |&v| v));
+                    prop_assert_eq!(sa.leq(*ra, *sb, *rb), reference_leq, "{:?} {:?}", ca, cb);
+                }
+            }
+            let sum = |i: usize| samples[i].2.iter().sum::<u64>();
+            let mut by_stamp: Vec<usize> = (0..samples.len()).collect();
+            let mut by_sum = by_stamp.clone();
+            by_stamp.sort_by_key(|&i| (samples[i].1, samples[i].0, i));
+            by_sum.sort_by_key(|&i| (sum(i), samples[i].0, i));
+            prop_assert_eq!(by_stamp, by_sum);
         }
     }
 }

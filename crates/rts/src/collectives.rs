@@ -16,29 +16,12 @@
 use crate::endpoint::Endpoint;
 use crate::error::{RtsError, RtsResult};
 use crate::reduce::ReduceOp;
-use crate::Tag;
+use crate::{tags, Tag};
 use bytes::Bytes;
 // The byte-view reinterpretation and its inverse live in pardis-cdr
 // (one documented unsafe block for the whole workspace); intra-machine
 // transfers are native order, so no translation is applied here.
 use pardis_cdr::byteswap::{bytes_to_f64, f64_slice_as_bytes as pardis_bytes_of};
-
-/// Internal tags for the collective algorithms (above
-/// [`crate::RESERVED_TAG_BASE`]). Distinct tags per collective kind keep
-/// a mis-nested program failing loudly instead of cross-matching.
-mod tags {
-    use crate::{Tag, RESERVED_TAG_BASE};
-    pub const BCAST: Tag = RESERVED_TAG_BASE + 1;
-    pub const GATHER: Tag = RESERVED_TAG_BASE + 2;
-    pub const SCATTER: Tag = RESERVED_TAG_BASE + 3;
-    pub const ALLGATHER: Tag = RESERVED_TAG_BASE + 4;
-    pub const REDUCE: Tag = RESERVED_TAG_BASE + 5;
-    pub const ALLTOALL: Tag = RESERVED_TAG_BASE + 6;
-    /// Survivor-barrier token (live rank -> rank 0).
-    pub const MBAR_IN: Tag = RESERVED_TAG_BASE + 7;
-    /// Survivor-barrier release (rank 0 -> live ranks).
-    pub const MBAR_OUT: Tag = RESERVED_TAG_BASE + 8;
-}
 
 /// Whether `rank` is alive under `dead` (the membership bitmask).
 /// Ranks beyond the mask width are untracked and treated as alive.
@@ -47,7 +30,52 @@ fn live(dead: u64, rank: usize) -> bool {
     rank >= 64 || dead & (1u64 << rank) == 0
 }
 
+/// What a collective carries from [`Endpoint::collective_enter`] to
+/// [`Endpoint::collective_done`]: the wait-for-graph token (`analyze`)
+/// and the start time (`obs`). Zero-sized without either feature.
+pub(crate) struct CollectiveScope {
+    #[cfg(feature = "analyze")]
+    _wait: crate::lockgraph::CollectiveToken,
+    #[cfg(feature = "obs")]
+    started: (&'static str, std::time::Instant),
+}
+
 impl Endpoint {
+    #[inline(always)]
+    pub(crate) fn collective_enter(&self, name: &'static str) -> CollectiveScope {
+        let _ = name;
+        CollectiveScope {
+            #[cfg(feature = "analyze")]
+            _wait: crate::lockgraph::collective_enter(name),
+            #[cfg(feature = "obs")]
+            started: (name, std::time::Instant::now()),
+        }
+    }
+
+    /// The per-collective epilogue, run once the collective succeeded:
+    /// a live rank advances its causal stamp to the next generation
+    /// (reporting an epoch crossing to the observer), then the observer
+    /// hears of the completion. No messages; nothing featureless.
+    #[inline(always)]
+    pub(crate) fn collective_done(&self, scope: CollectiveScope, dead: u64) {
+        #[cfg(any(feature = "analyze", feature = "obs"))]
+        if live(dead, self.rank()) {
+            let epoch = self.membership().epoch();
+            let crossed = crate::clock::ClockWitness::complete_collective(epoch);
+            #[cfg(feature = "obs")]
+            if crossed {
+                crate::obs::notify_epoch(self.rank(), epoch);
+            }
+            let _ = crossed;
+        }
+        #[cfg(feature = "obs")]
+        {
+            let (name, start) = scope.started;
+            crate::obs::notify_collective(name, self.rank(), start.elapsed().as_nanos() as u64);
+        }
+        let _ = (scope, dead);
+    }
+
     /// Broadcast `data` from `root` to every rank; returns the payload on
     /// every rank (on the root it is the input, refcounted).
     pub fn broadcast(&self, root: usize, data: Option<Bytes>) -> RtsResult<Bytes> {
@@ -59,10 +87,7 @@ impl Endpoint {
         }
         let dead = self.dead_mask();
         self.check_participants(dead, root)?;
-        #[cfg(feature = "analyze")]
-        let _wait = crate::lockgraph::collective_enter("broadcast");
-        #[cfg(feature = "obs")]
-        let obs_start = std::time::Instant::now();
+        let scope = self.collective_enter("broadcast");
         let out = if self.rank() == root {
             let data =
                 data.ok_or_else(|| RtsError::Internal("root must supply broadcast data".into()))?;
@@ -75,17 +100,8 @@ impl Endpoint {
         } else {
             self.recv_internal(root, tags::BCAST)
         };
-        #[cfg(any(feature = "analyze", feature = "obs"))]
         if out.is_ok() {
-            let _ = self.clock_sync(dead);
-        }
-        #[cfg(feature = "obs")]
-        if out.is_ok() {
-            crate::obs::notify_collective(
-                "broadcast",
-                self.rank(),
-                obs_start.elapsed().as_nanos() as u64,
-            );
+            self.collective_done(scope, dead);
         }
         out
     }
@@ -101,10 +117,7 @@ impl Endpoint {
         }
         let dead = self.dead_mask();
         self.check_participants(dead, root)?;
-        #[cfg(feature = "analyze")]
-        let _wait = crate::lockgraph::collective_enter("gather");
-        #[cfg(feature = "obs")]
-        let obs_start = std::time::Instant::now();
+        let scope = self.collective_enter("gather");
         let out = if self.rank() == root {
             // Dead ranks contribute an empty chunk; stale messages they
             // sent before dying are discarded, not counted.
@@ -130,17 +143,8 @@ impl Endpoint {
             self.send_internal(root, tags::GATHER, bytes)?;
             Ok(None)
         };
-        #[cfg(any(feature = "analyze", feature = "obs"))]
         if out.is_ok() {
-            let _ = self.clock_sync(dead);
-        }
-        #[cfg(feature = "obs")]
-        if out.is_ok() {
-            crate::obs::notify_collective(
-                "gather",
-                self.rank(),
-                obs_start.elapsed().as_nanos() as u64,
-            );
+            self.collective_done(scope, dead);
         }
         out
     }
@@ -175,10 +179,7 @@ impl Endpoint {
         }
         let dead = self.dead_mask();
         self.check_participants(dead, root)?;
-        #[cfg(feature = "analyze")]
-        let _wait = crate::lockgraph::collective_enter("scatter");
-        #[cfg(feature = "obs")]
-        let obs_start = std::time::Instant::now();
+        let scope = self.collective_enter("scatter");
         let out = if self.rank() == root {
             let chunks = chunks
                 .ok_or_else(|| RtsError::Internal("root must supply scatter chunks".into()))?;
@@ -200,17 +201,8 @@ impl Endpoint {
         } else {
             self.recv_internal(root, tags::SCATTER)
         };
-        #[cfg(any(feature = "analyze", feature = "obs"))]
         if out.is_ok() {
-            let _ = self.clock_sync(dead);
-        }
-        #[cfg(feature = "obs")]
-        if out.is_ok() {
-            crate::obs::notify_collective(
-                "scatter",
-                self.rank(),
-                obs_start.elapsed().as_nanos() as u64,
-            );
+            self.collective_done(scope, dead);
         }
         out
     }
@@ -360,10 +352,7 @@ impl Endpoint {
         if !live(dead, self.rank()) {
             return Err(RtsError::DeadRank { rank: self.rank() });
         }
-        #[cfg(feature = "analyze")]
-        let _wait = crate::lockgraph::collective_enter("alltoall");
-        #[cfg(feature = "obs")]
-        let obs_start = std::time::Instant::now();
+        let scope = self.collective_enter("alltoall");
         let mut incoming: Vec<Option<Bytes>> = vec![None; self.size()];
         for (to, chunk) in outgoing.into_iter().enumerate() {
             if to == self.rank() {
@@ -385,14 +374,7 @@ impl Endpoint {
             }
             incoming[m.from] = Some(m.payload);
         }
-        #[cfg(any(feature = "analyze", feature = "obs"))]
-        let _ = self.clock_sync(dead);
-        #[cfg(feature = "obs")]
-        crate::obs::notify_collective(
-            "alltoall",
-            self.rank(),
-            obs_start.elapsed().as_nanos() as u64,
-        );
+        self.collective_done(scope, dead);
         Ok(incoming
             .into_iter()
             .map(Option::unwrap_or_default)

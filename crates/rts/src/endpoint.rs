@@ -219,10 +219,7 @@ impl Endpoint {
     /// assumed alive (its death is machine death at the layer above).
     pub fn barrier(&self) {
         let dead = self.membership.dead_mask();
-        #[cfg(feature = "analyze")]
-        let _wait = crate::lockgraph::collective_enter("barrier");
-        #[cfg(feature = "obs")]
-        let obs_start = std::time::Instant::now();
+        let scope = self.collective_enter("barrier");
         if dead == 0 {
             self.barrier.wait();
         } else {
@@ -232,14 +229,7 @@ impl Endpoint {
             // the disconnect as a typed error.
             let _ = self.survivor_barrier(dead);
         }
-        #[cfg(any(feature = "analyze", feature = "obs"))]
-        let _ = self.clock_sync(dead);
-        #[cfg(feature = "obs")]
-        crate::obs::notify_collective(
-            "barrier",
-            self.rank(),
-            obs_start.elapsed().as_nanos() as u64,
-        );
+        self.collective_done(scope, dead);
     }
 }
 

@@ -77,6 +77,44 @@ pub type Tag = u32;
 /// collective algorithms; user code must stay below it.
 pub const RESERVED_TAG_BASE: Tag = 0xF000_0000;
 
+macro_rules! reserved_tags {
+    ($($(#[$doc:meta])* $name:ident = $offset:literal;)*) => {
+        $($(#[$doc])* pub const $name: Tag = RESERVED_TAG_BASE + $offset;)*
+        #[cfg(test)]
+        pub(crate) const ALL: &[(&str, Tag)] = &[$((stringify!($name), $name)),*];
+    };
+}
+
+/// Every reserved tag, in one table. Each internal protocol gets its
+/// own tags, so a mis-nested program fails loudly instead of
+/// cross-matching another protocol's messages.
+pub mod tags {
+    use super::{Tag, RESERVED_TAG_BASE};
+
+    reserved_tags! {
+        /// Broadcast payload (root → rank).
+        BCAST = 1;
+        /// Gather chunk (rank → root).
+        GATHER = 2;
+        /// Scatter chunk (root → rank).
+        SCATTER = 3;
+        /// All-gather re-broadcast (rank 0 → rank).
+        ALLGATHER = 4;
+        /// Reduction contribution (rank → 0).
+        REDUCE = 5;
+        /// Personalized all-to-all chunk.
+        ALLTOALL = 6;
+        /// Survivor-barrier token (live rank → 0).
+        MBAR_IN = 7;
+        /// Survivor-barrier release (0 → live ranks).
+        MBAR_OUT = 8;
+        /// Collective-verify fingerprint (rank → 0).
+        VERIFY = 9;
+        /// Collective-verify verdict (0 → rank).
+        VERDICT = 10;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,5 +122,15 @@ mod tests {
     #[test]
     fn reserved_base_leaves_user_space() {
         const { assert!(RESERVED_TAG_BASE > 1_000_000) };
+    }
+
+    #[test]
+    fn reserved_tags_are_distinct() {
+        for (i, &(name, tag)) in tags::ALL.iter().enumerate() {
+            assert!(tag >= RESERVED_TAG_BASE, "{name} is a user tag");
+            for &(other, other_tag) in &tags::ALL[i + 1..] {
+                assert_ne!(tag, other_tag, "{name} and {other} collide");
+            }
+        }
     }
 }

@@ -20,8 +20,8 @@ pub trait RtsObserver: Send + Sync {
     }
 
     /// `rank` observed a membership-epoch transition to `epoch` (each
-    /// live rank observes each transition exactly once, during its
-    /// next clock sync).
+    /// live rank observes each transition exactly once, when it next
+    /// completes a collective).
     fn epoch_changed(&self, rank: usize, epoch: u64) {
         let _ = (rank, epoch);
     }

@@ -18,17 +18,12 @@
 //!
 //! The agreement itself must not use the high-level collectives (they
 //! would re-enter verification); it uses raw tagged sends on
-//! `VERIFY_TAG` / `VERDICT_TAG`.
+//! [`tags::VERIFY`] / [`tags::VERDICT`].
 
 use crate::endpoint::Endpoint;
 use crate::error::{RtsError, RtsResult};
-use crate::{Tag, RESERVED_TAG_BASE};
+use crate::tags;
 use bytes::Bytes;
-
-/// Fingerprints travel rank → 0 on this tag.
-pub const VERIFY_TAG: Tag = RESERVED_TAG_BASE + 7;
-/// Verdicts travel 0 → rank on this tag.
-pub const VERDICT_TAG: Tag = RESERVED_TAG_BASE + 8;
 
 /// FNV-1a offset basis (64-bit).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -75,7 +70,7 @@ impl Endpoint {
             // Collect every other rank's fingerprint and compare.
             let mut divergent: Option<(usize, String)> = None;
             for _ in 0..self.size() - 1 {
-                let m = self.recv_filtered(|m| m.tag == VERIFY_TAG)?;
+                let m = self.recv_filtered(|m| m.tag == tags::VERIFY)?;
                 let (their_hash, their_seq, their_site) = decode_fingerprint(&m.payload)?;
                 if (their_hash, their_seq) != (fp.hash, seq) && divergent.is_none() {
                     divergent = Some((m.from, their_site));
@@ -87,7 +82,7 @@ impl Endpoint {
                 Some((rank, theirs)) => encode_mismatch(*rank, &fp.site, theirs),
             };
             for to in 1..self.size() {
-                self.send_internal(to, VERDICT_TAG, verdict.clone())?;
+                self.send_internal(to, tags::VERDICT, verdict.clone())?;
             }
             match divergent {
                 None => Ok(()),
@@ -98,8 +93,8 @@ impl Endpoint {
                 }),
             }
         } else {
-            self.send_internal(0, VERIFY_TAG, encode_fingerprint(fp, seq))?;
-            let m = self.recv_filtered(|m| m.from == 0 && m.tag == VERDICT_TAG)?;
+            self.send_internal(0, tags::VERIFY, encode_fingerprint(fp, seq))?;
+            let m = self.recv_filtered(|m| m.from == 0 && m.tag == tags::VERDICT)?;
             decode_verdict(&m.payload)
         }
     }

@@ -535,7 +535,7 @@ fn thread_death_multiport_demotes_and_completes() {
 // Race-replay chaos (the `analyze` feature): the happens-before
 // detector's findings are part of the run's observable outcome, so two
 // replays of one seed must drain bit-for-bit identical `RaceReport`
-// lists — clocks, buffer ids, request ids, and details included.
+// lists — stamps, buffer ids, request ids, and details included.
 
 #[cfg(feature = "analyze")]
 mod race_replay {
@@ -605,7 +605,7 @@ mod race_replay {
             assert_eq!(r.second, pardis_core::AccessKind::Write);
         }
         // Bit-for-bit: every field of every report, including both
-        // vector clocks and the detail strings.
+        // causal stamps and the detail strings.
         assert_eq!(r1, r2, "race replay diverged");
     }
 
