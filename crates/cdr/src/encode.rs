@@ -90,10 +90,41 @@ impl CdrWriter {
         }
     }
 
+    /// Make room for at least `additional` more bytes, so that writing
+    /// a body of known size into the buffer does not reallocate it.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Append raw bytes without alignment.
     #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Append `bytes` with every `word`-byte element byte-reversed, in
+    /// one pass (data translation while marshaling). `word` must be 4
+    /// or 8 and divide `bytes.len()`.
+    pub fn put_swapped(&mut self, bytes: &[u8], word: usize) {
+        debug_assert!(word == 4 || word == 8);
+        debug_assert_eq!(bytes.len() % word, 0);
+        self.buf.reserve(bytes.len());
+        for w in bytes.chunks_exact(word) {
+            self.buf.extend(w.iter().rev());
+        }
+    }
+
+    /// Overwrite the `u32` at buffer offset `at` (written earlier, e.g.
+    /// as a length placeholder) in this writer's byte order.
+    ///
+    /// # Panics
+    /// Panics if `at + 4` exceeds the bytes written so far.
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        let b = match self.endian {
+            Endian::Big => v.to_be_bytes(),
+            Endian::Little => v.to_le_bytes(),
+        };
+        self.buf[at..at + 4].copy_from_slice(&b);
     }
 
     /// Append a single octet (1-byte aligned by definition).
@@ -304,6 +335,32 @@ mod tests {
                 one.put_f64(x);
             }
             assert_eq!(bulk.as_slice(), one.as_slice(), "endian {endian:?}");
+        }
+    }
+
+    #[test]
+    fn swapped_append_reverses_each_word() {
+        let mut w = CdrWriter::new(Endian::Big);
+        w.put_u8(9);
+        w.put_swapped(&[1, 2, 3, 4, 5, 6, 7, 8], 4);
+        w.put_swapped(&[1, 2, 3, 4, 5, 6, 7, 8], 8);
+        assert_eq!(
+            w.as_slice(),
+            &[9, 4, 3, 2, 1, 8, 7, 6, 5, 8, 7, 6, 5, 4, 3, 2, 1]
+        );
+    }
+
+    #[test]
+    fn patched_u32_lands_in_writer_order() {
+        for endian in [Endian::Big, Endian::Little] {
+            let mut w = CdrWriter::new(endian);
+            w.put_u32(0);
+            w.put_u32(7);
+            w.patch_u32(0, 0x0102_0304);
+            let mut want = CdrWriter::new(endian);
+            want.put_u32(0x0102_0304);
+            want.put_u32(7);
+            assert_eq!(w.as_slice(), want.as_slice());
         }
     }
 

@@ -112,3 +112,16 @@ pub(crate) fn record_phase(kind: SpanKind, name: &str, epoch: u64, bytes: u64, w
         );
     }
 }
+
+/// Record the marshal span of the request the calling rank is sending:
+/// the measured time to build its frame and the frame's body bytes.
+/// Marshal spans carry epoch 0: the body format is epoch-blind.
+pub(crate) fn record_marshal(body_len: usize, took: std::time::Duration) {
+    record_phase(
+        SpanKind::Marshal,
+        "request-body",
+        0,
+        body_len as u64,
+        took.as_nanos() as u64,
+    );
+}

@@ -15,7 +15,8 @@
 use crate::dist::DistTempl;
 use crate::error::{PardisError, PardisResult};
 use bytes::Bytes;
-use pardis_cdr::{CdrReader, CdrWriter};
+use pardis_cdr::{CdrReader, CdrWriter, Endian};
+use pardis_net::giop::{FrameHeader, FrameWriter};
 use std::time::Duration;
 
 /// IDL parameter passing mode.
@@ -107,11 +108,22 @@ impl DistArgMeta {
         Ok(meta)
     }
 
-    /// Consistency checks applied on decode: both templates must cover
-    /// exactly `total_len` elements.
+    /// Consistency checks applied on decode: both templates must name
+    /// at least one thread and cover exactly `total_len` elements, and
+    /// the sequence's byte size must be representable. Every length the
+    /// transfer engines later derive from the metadata is then bounded
+    /// by `total_len * elem_size`.
     pub fn validate(&self) -> PardisResult<()> {
-        let c: usize = self.client_counts.iter().sum();
-        let s: usize = self.server_counts.iter().sum();
+        if self.client_counts.is_empty() || self.server_counts.is_empty() {
+            return Err(PardisError::BadDistArg("template names no threads".into()));
+        }
+        let sum = |counts: &[usize]| {
+            counts
+                .iter()
+                .try_fold(0usize, |acc, &c| acc.checked_add(c))
+                .ok_or_else(|| PardisError::BadDistArg("template counts overflow".into()))
+        };
+        let (c, s) = (sum(&self.client_counts)?, sum(&self.server_counts)?);
         if c != self.total_len || s != self.total_len {
             return Err(PardisError::BadDistArg(format!(
                 "templates cover {c}/{s} elements, sequence has {}",
@@ -121,8 +133,161 @@ impl DistArgMeta {
         if self.elem_size == 0 {
             return Err(PardisError::BadDistArg("zero element size".into()));
         }
+        byte_len(self.total_len, self.elem_size)?;
         Ok(())
     }
+
+    /// An upper bound on the encoded size of this metadata.
+    fn encoded_len_bound(&self) -> usize {
+        48 + 8 * (self.client_counts.len() + self.server_counts.len())
+    }
+}
+
+/// Bytes taken by `count` elements of `elem_size` bytes: a typed error,
+/// never a wrapped value, when the product overflows or exceeds what
+/// one buffer can hold.
+pub(crate) fn byte_len(count: usize, elem_size: usize) -> PardisResult<usize> {
+    count
+        .checked_mul(elem_size)
+        .filter(|&n| n <= isize::MAX as usize)
+        .ok_or_else(|| {
+            PardisError::BadDistArg(format!(
+                "{count} elements of {elem_size} bytes overflow a buffer"
+            ))
+        })
+}
+
+/// One distributed argument's inline data on its way into a body: its
+/// pieces in element order (the per-thread chunks a communicating
+/// thread gathered, or one whole buffer), marshaled with
+/// [`crate::transfer::pack`] straight into the frame.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Inline<'a> {
+    pub parts: &'a [Bytes],
+    pub elem_size: usize,
+    pub translate: bool,
+}
+
+impl<'a> Inline<'a> {
+    /// Already-marshaled data, copied in verbatim.
+    fn whole(data: &'a Bytes) -> Inline<'a> {
+        Inline {
+            parts: std::slice::from_ref(data),
+            elem_size: 1,
+            translate: false,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.parts.iter().map(|p| p.len()).sum()
+    }
+}
+
+/// Write an optional inline-data section.
+fn put_inline(w: &mut CdrWriter, data: Option<Inline<'_>>) {
+    match data {
+        None => w.put_bool(false),
+        Some(d) => {
+            w.put_bool(true);
+            w.put_u64(d.len() as u64);
+            w.align(8);
+            for p in d.parts {
+                crate::transfer::pack(w, p, d.elem_size, d.translate);
+            }
+        }
+    }
+}
+
+/// Capacity that holds an inline-data section without reallocating.
+fn inline_bound(data: Option<Inline<'_>>) -> usize {
+    16 + data.map_or(0, |d| d.len())
+}
+
+/// A request or reply body about to be written into a frame.
+pub(crate) trait BodyWriter {
+    /// An upper bound on the encoded size.
+    fn capacity(&self) -> usize;
+    /// Write the body at the writer's (8-aligned) position.
+    fn write(&self, w: &mut CdrWriter);
+}
+
+/// Build one frame: `header`, then `body` written straight into the same
+/// buffer. Returns the frame and its body length.
+pub(crate) fn frame<H: FrameHeader>(
+    endian: Endian,
+    header: &H,
+    body: &impl BodyWriter,
+) -> PardisResult<(Bytes, usize)> {
+    let mut f = FrameWriter::new(endian, header, body.capacity())?;
+    body.write(f.body());
+    let body_len = f.body_len();
+    Ok((f.finish(), body_len))
+}
+
+/// The fields of a Request body, borrowing its inline data.
+pub(crate) struct RequestParts<'a> {
+    pub nondist: &'a [u8],
+    pub dist: Vec<(&'a DistArgMeta, Option<Inline<'a>>)>,
+}
+
+impl BodyWriter for RequestParts<'_> {
+    fn capacity(&self) -> usize {
+        16 + self.nondist.len()
+            + self
+                .dist
+                .iter()
+                .map(|(m, d)| m.encoded_len_bound() + inline_bound(*d))
+                .sum::<usize>()
+    }
+
+    fn write(&self, w: &mut CdrWriter) {
+        w.put_u32(self.dist.len() as u32);
+        w.put_u32(self.nondist.len() as u32);
+        w.align(8);
+        w.put_bytes(self.nondist);
+        for (meta, data) in &self.dist {
+            meta.encode(w);
+            put_inline(w, *data);
+        }
+    }
+}
+
+/// The fields of a Reply body, borrowing its inline data.
+pub(crate) struct ReplyParts<'a> {
+    pub nondist: &'a [u8],
+    /// Per returning argument: request dist-arg index, global length,
+    /// inline data (centralized mode).
+    pub dist_out: Vec<(u32, usize, Option<Inline<'a>>)>,
+}
+
+impl BodyWriter for ReplyParts<'_> {
+    fn capacity(&self) -> usize {
+        16 + self.nondist.len()
+            + self
+                .dist_out
+                .iter()
+                .map(|(_, _, d)| 16 + inline_bound(*d))
+                .sum::<usize>()
+    }
+
+    fn write(&self, w: &mut CdrWriter) {
+        w.put_u32(self.dist_out.len() as u32);
+        w.put_u32(self.nondist.len() as u32);
+        w.align(8);
+        w.put_bytes(self.nondist);
+        for (idx, total_len, data) in &self.dist_out {
+            w.put_u32(*idx);
+            w.put_u64(*total_len as u64);
+            put_inline(w, *data);
+        }
+    }
+}
+
+/// Encode a body into a fresh, exactly sized buffer.
+fn body_bytes(endian: Endian, body: &impl BodyWriter) -> Bytes {
+    let mut w = CdrWriter::with_capacity(endian, body.capacity());
+    body.write(&mut w);
+    w.into_shared()
 }
 
 fn encode_counts(w: &mut CdrWriter, counts: &[usize]) {
@@ -156,55 +321,30 @@ pub struct RequestBody {
 }
 
 impl RequestBody {
-    /// Encode into a CDR stream (body of a Request message).
-    /// Infallible: every CDR write into memory succeeds.
-    pub fn encode(&self, w: &mut CdrWriter) {
-        w.put_u32(self.dist.len() as u32);
-        w.put_u32(self.nondist.len() as u32);
-        w.align(8);
-        w.put_bytes(&self.nondist);
-        for (meta, data) in &self.dist {
-            meta.encode(w);
-            match data {
-                None => w.put_bool(false),
-                Some(d) => {
-                    w.put_bool(true);
-                    w.put_u64(d.len() as u64);
-                    w.align(8);
-                    w.put_bytes(d);
-                }
-            }
+    fn parts(&self) -> RequestParts<'_> {
+        RequestParts {
+            nondist: &self.nondist,
+            dist: self
+                .dist
+                .iter()
+                .map(|(m, d)| (m, d.as_ref().map(Inline::whole)))
+                .collect(),
         }
     }
 
+    /// Encode into a CDR stream (body of a Request message).
+    /// Infallible: every CDR write into memory succeeds.
+    pub fn encode(&self, w: &mut CdrWriter) {
+        self.parts().write(w);
+    }
+
     /// Encode to bytes in the given byte order.
-    pub fn to_bytes(&self, endian: pardis_cdr::Endian) -> Bytes {
-        let cap = 64
-            + self.nondist.len()
-            + self
-                .dist
-                .iter()
-                .map(|(_, d)| d.as_ref().map_or(64, |b| b.len() + 64))
-                .sum::<usize>();
-        let mut w = CdrWriter::with_capacity(endian, cap);
-        self.encode(&mut w);
-        let out = w.into_shared();
-        // Client-side marshal phase of the active invocation; no-op on
-        // threads (e.g. the server's) with no invocation in flight.
-        // Marshal spans carry epoch 0: the body format is epoch-blind.
-        #[cfg(feature = "obs")]
-        crate::obs::record_phase(
-            pardis_obs::SpanKind::Marshal,
-            "request-body",
-            0,
-            out.len() as u64,
-            0,
-        );
-        out
+    pub fn to_bytes(&self, endian: Endian) -> Bytes {
+        body_bytes(endian, &self.parts())
     }
 
     /// Decode from the body bytes of a Request message.
-    pub fn decode(buf: &Bytes, endian: pardis_cdr::Endian) -> PardisResult<RequestBody> {
+    pub fn decode(buf: &Bytes, endian: Endian) -> PardisResult<RequestBody> {
         let mut r = CdrReader::new(buf, endian);
         let ndist = r.get_u32()? as usize;
         if ndist > r.remaining() {
@@ -252,44 +392,30 @@ pub struct ReplyBody {
 }
 
 impl ReplyBody {
-    /// Encode into a CDR stream (body of a Reply message).
-    /// Infallible: every CDR write into memory succeeds.
-    pub fn encode(&self, w: &mut CdrWriter) {
-        w.put_u32(self.dist_out.len() as u32);
-        w.put_u32(self.nondist.len() as u32);
-        w.align(8);
-        w.put_bytes(&self.nondist);
-        for (idx, total_len, data) in &self.dist_out {
-            w.put_u32(*idx);
-            w.put_u64(*total_len as u64);
-            match data {
-                None => w.put_bool(false),
-                Some(d) => {
-                    w.put_bool(true);
-                    w.put_u64(d.len() as u64);
-                    w.align(8);
-                    w.put_bytes(d);
-                }
-            }
+    fn parts(&self) -> ReplyParts<'_> {
+        ReplyParts {
+            nondist: &self.nondist,
+            dist_out: self
+                .dist_out
+                .iter()
+                .map(|(i, l, d)| (*i, *l, d.as_ref().map(Inline::whole)))
+                .collect(),
         }
     }
 
+    /// Encode into a CDR stream (body of a Reply message).
+    /// Infallible: every CDR write into memory succeeds.
+    pub fn encode(&self, w: &mut CdrWriter) {
+        self.parts().write(w);
+    }
+
     /// Encode to bytes in the given byte order.
-    pub fn to_bytes(&self, endian: pardis_cdr::Endian) -> Bytes {
-        let cap = 64
-            + self.nondist.len()
-            + self
-                .dist_out
-                .iter()
-                .map(|(_, _, d)| d.as_ref().map_or(32, |b| b.len() + 32))
-                .sum::<usize>();
-        let mut w = CdrWriter::with_capacity(endian, cap);
-        self.encode(&mut w);
-        w.into_shared()
+    pub fn to_bytes(&self, endian: Endian) -> Bytes {
+        body_bytes(endian, &self.parts())
     }
 
     /// Decode from the body bytes of a Reply message.
-    pub fn decode(buf: &Bytes, endian: pardis_cdr::Endian) -> PardisResult<ReplyBody> {
+    pub fn decode(buf: &Bytes, endian: Endian) -> PardisResult<ReplyBody> {
         let mut r = CdrReader::new(buf, endian);
         let nout = r.get_u32()? as usize;
         if nout > r.remaining() {
@@ -451,8 +577,8 @@ pub struct ReplyResult {
     pub nondist_body: Bytes,
     /// For each request dist-arg index that returns data: this thread's
     /// new local part (native order), keyed by position in the request's
-    /// dist-arg list.
-    pub dist_out: Vec<(u32, Vec<u8>)>,
+    /// dist-arg list. Usually a view of the received frame.
+    pub dist_out: Vec<(u32, Bytes)>,
     /// Phase timings on this thread.
     pub timing: InvokeTiming,
 }
@@ -463,7 +589,7 @@ impl ReplyResult {
         self.dist_out
             .iter()
             .find(|(i, _)| *i == idx)
-            .map(|(_, v)| v.as_slice())
+            .map(|(_, v)| v.as_ref())
     }
 }
 

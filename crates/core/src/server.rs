@@ -59,8 +59,10 @@ pub struct DistIn {
     /// `server_templ.range(rank)`).
     pub server_templ: DistTempl,
     /// This thread's local part, native byte order. Zero-filled for
-    /// `out` arguments.
-    pub local: Vec<u8>,
+    /// `out` arguments. Usually a view of the received frame: the one
+    /// copy happens when a servant materializes it with
+    /// [`ServerRequest::dist_seq`].
+    pub local: Bytes,
 }
 
 /// One invocation as presented to a servant.
@@ -71,7 +73,7 @@ pub struct ServerRequest<'a> {
     nondist: Bytes,
     dist_in: Vec<DistIn>,
     reply_nondist: Bytes,
-    reply_dist: Vec<Option<Vec<u8>>>,
+    reply_dist: Vec<Option<Bytes>>,
 }
 
 impl<'a> ServerRequest<'a> {
@@ -152,7 +154,7 @@ impl<'a> ServerRequest<'a> {
                 d.server_templ.len()
             )));
         }
-        self.reply_dist[idx] = Some(T::to_native_bytes(seq.local_data()).to_vec());
+        self.reply_dist[idx] = Some(T::to_native_bytes(seq.local_data()));
         Ok(())
     }
 
@@ -164,10 +166,10 @@ impl<'a> ServerRequest<'a> {
     /// Final reply bytes for a returning argument: what the servant
     /// stored, falling back to the (unmodified) request data for `inout`
     /// and zeros for `out`.
-    pub(crate) fn reply_local(&self, idx: usize) -> &[u8] {
+    pub(crate) fn reply_local(&self, idx: usize) -> Bytes {
         match &self.reply_dist[idx] {
-            Some(v) => v,
-            None => &self.dist_in[idx].local,
+            Some(v) => v.clone(),
+            None => self.dist_in[idx].local.clone(),
         }
     }
 }

@@ -17,10 +17,13 @@
 use crate::client::{PendingInvoke, Proxy};
 use crate::error::{PardisError, PardisResult};
 use crate::orb::OrbCtx;
-use crate::request::{ReplyBody, ReplyResult, RequestBody, RequestSpec};
+use crate::request::{
+    byte_len, frame, Inline, ReplyBody, ReplyParts, ReplyResult, RequestBody, RequestParts,
+    RequestSpec,
+};
 use crate::server::{DistIn, ServerRequest};
 use crate::transfer::{
-    pack_into, service_context_entries, status_to_result, synthetic_status, unpack_copy,
+    service_context_entries, status_to_result, synthetic_status, unpack, zeroed_local,
 };
 use bytes::Bytes;
 use pardis_net::giop::{GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferMode};
@@ -64,24 +67,26 @@ pub(crate) fn client_send(
     }
     pending.timing.gather = tg.elapsed();
 
-    // The communicating thread marshals and sends.
+    // The communicating thread marshals every gathered chunk straight
+    // into the Request frame and sends it.
     if let Some(conn) = proxy.conn.as_ref() {
         let tp = Instant::now();
-        let mut dist = Vec::with_capacity(spec.dist_args.len());
-        for (arg, chunks) in spec.dist_args.iter().zip(&gathered) {
-            let data = chunks.as_ref().map(|cs| {
-                let total: usize = cs.iter().map(|c| c.len()).sum();
-                let mut buf = Vec::with_capacity(total);
-                for c in cs {
-                    pack_into(&mut buf, c, arg.elem_size, ctx.translate);
-                }
-                Bytes::from(buf)
-            });
-            dist.push((arg.meta(), data));
-        }
-        let body = RequestBody {
-            nondist: spec.nondist_body.clone(),
-            dist,
+        let metas: Vec<_> = spec.dist_args.iter().map(|a| a.meta()).collect();
+        let body = RequestParts {
+            nondist: &spec.nondist_body,
+            dist: metas
+                .iter()
+                .zip(&spec.dist_args)
+                .zip(&gathered)
+                .map(|((meta, arg), chunks)| {
+                    let data = chunks.as_deref().map(|parts| Inline {
+                        parts,
+                        elem_size: arg.elem_size,
+                        translate: ctx.translate,
+                    });
+                    (meta, data)
+                })
+                .collect(),
         };
         let header = RequestHeader {
             request_id: pending.req_id,
@@ -99,23 +104,22 @@ pub(crate) fn client_send(
             client_data_ports: vec![],
             service_context: service_context_entries(ctx),
         };
-        let body_bytes = body.to_bytes(ctx.endian);
-        #[cfg(feature = "obs")]
-        let body_len = body_bytes.len() as u64;
-        let msg = GiopMessage::Request(header, body_bytes);
+        let (wire, _body_len) = frame(ctx.endian, &header, &body)?;
         pending.timing.pack = tp.elapsed();
+        #[cfg(feature = "obs")]
+        crate::obs::record_marshal(_body_len, pending.timing.pack);
 
         let ts = Instant::now();
-        conn.send(&msg, ctx.endian)?;
+        conn.send_frame(wire)?;
         pending.timing.send = ts.elapsed();
         #[cfg(feature = "obs")]
         {
-            pardis_obs::metrics::add("xfer.centralized.bytes", body_len);
+            pardis_obs::metrics::add("xfer.centralized.bytes", _body_len as u64);
             crate::obs::record_phase(
                 pardis_obs::SpanKind::XferCentralized,
                 &spec.operation,
                 ctx.rts.membership().epoch(),
-                body_len,
+                _body_len as u64,
                 ts.elapsed().as_nanos() as u64,
             );
         }
@@ -238,7 +242,7 @@ pub(crate) fn client_recv(
             data.clone()
         };
         let tu = Instant::now();
-        let local = unpack_copy(&my_bytes, d.elem_size, ctx.translate);
+        let local = unpack(&[my_bytes], d.elem_size, ctx.translate);
         timing.recv_unpack += tu.elapsed();
         dist_out.push((*arg_idx, local));
     }
@@ -256,11 +260,11 @@ fn split_by_templ(
     templ: &crate::dist::DistTempl,
     elem_size: usize,
 ) -> PardisResult<Vec<Bytes>> {
-    if data.len() != templ.len() * elem_size {
+    let want = byte_len(templ.len(), elem_size)?;
+    if data.len() != want {
         return Err(PardisError::BadDistArg(format!(
-            "inline data {} bytes, template covers {}",
-            data.len(),
-            templ.len() * elem_size
+            "inline data {} bytes, template covers {want}",
+            data.len()
         )));
     }
     Ok((0..templ.nthreads())
@@ -309,11 +313,11 @@ pub(crate) fn server_receive_args(
             let mine = ctx.rts.scatterv_bytes(0, chunks)?;
             timing.scatter += ts.elapsed();
             let tu = Instant::now();
-            let local = unpack_copy(&mine, meta.elem_size, ctx.translate);
+            let local = unpack(&[mine], meta.elem_size, ctx.translate);
             timing.recv_unpack += tu.elapsed();
             local
         } else {
-            vec![0u8; server_templ.count(ctx.rank()) * meta.elem_size]
+            zeroed_local(&server_templ, ctx.rank(), meta.elem_size)?
         };
         out.push(DistIn {
             dir: meta.dir,
@@ -327,7 +331,8 @@ pub(crate) fn server_receive_args(
 }
 
 /// Server side: gather the returning arguments at the communicating
-/// thread and send one Reply message.
+/// thread and send one Reply message, each gathered chunk marshaled
+/// straight into the frame.
 pub(crate) fn server_send_reply(
     ctx: &OrbCtx,
     header: &RequestHeader,
@@ -335,43 +340,45 @@ pub(crate) fn server_send_reply(
     endian: pardis_cdr::Endian,
     timing: &mut crate::request::InvokeTiming,
 ) -> PardisResult<()> {
-    let mut dist_out = Vec::new();
+    let mut gathered = Vec::new();
     for i in 0..sreq.dist_count() {
         let d = sreq.dist_raw(i)?;
         if !d.dir.returns() {
             continue;
         }
         let tg = Instant::now();
-        let gathered = ctx
-            .rts
-            .gather_bytes(0, Bytes::copy_from_slice(sreq.reply_local(i)))?;
+        let chunks = ctx.rts.gather_bytes(0, sreq.reply_local(i))?;
         timing.gather += tg.elapsed();
-        if let Some(chunks) = gathered {
-            let tp = Instant::now();
-            let mut buf = Vec::with_capacity(d.server_templ.len() * d.elem_size);
-            for c in &chunks {
-                pack_into(&mut buf, c, d.elem_size, ctx.translate);
-            }
-            timing.pack += tp.elapsed();
-            dist_out.push((i as u32, d.server_templ.len(), Some(Bytes::from(buf))));
+        if let Some(chunks) = chunks {
+            gathered.push((i as u32, d.server_templ.len(), d.elem_size, chunks));
         }
     }
 
     if ctx.is_comm_thread() {
-        let body = ReplyBody {
-            nondist: sreq.reply_nondist_bytes(),
-            dist_out,
+        let tp = Instant::now();
+        let body = ReplyParts {
+            nondist: &sreq.reply_nondist_bytes(),
+            dist_out: gathered
+                .iter()
+                .map(|(i, len, elem_size, parts)| {
+                    let data = Inline {
+                        parts,
+                        elem_size: *elem_size,
+                        translate: ctx.translate,
+                    };
+                    (*i, *len, Some(data))
+                })
+                .collect(),
         };
-        let reply = GiopMessage::Reply(
-            ReplyHeader {
-                request_id: header.request_id,
-                status: ReplyStatus::NoException,
-            },
-            body.to_bytes(endian),
-        );
+        let reply = ReplyHeader {
+            request_id: header.request_id,
+            status: ReplyStatus::NoException,
+        };
+        let (wire, _) = frame(endian, &reply, &body)?;
+        timing.pack += tp.elapsed();
         let ts = Instant::now();
         ctx.host
-            .send_to(header.reply_host, header.reply_port, reply.encode(endian)?)?;
+            .send_to(header.reply_host, header.reply_port, wire)?;
         timing.send += ts.elapsed();
     }
     Ok(())

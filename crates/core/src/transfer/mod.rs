@@ -12,17 +12,19 @@
 //!   thread-to-thread according to the overlap of the two distribution
 //!   templates (figure 3).
 //!
-//! This module holds the pieces both engines share: marshaling copies
-//! (with optional data translation), fragment reassembly, and phase
-//! timing.
+//! This module holds the pieces both engines share: the one marshaling
+//! copy (with optional data translation), fragment reassembly, and
+//! phase timing.
 
 pub mod centralized;
 pub mod multiport;
 
 use crate::error::{PardisError, PardisResult};
 use crate::orb::OrbCtx;
+use crate::request::byte_len;
 use bytes::Bytes;
-use pardis_net::giop::{GiopMessage, ReplyStatus, TransferHeader};
+use pardis_cdr::{CdrWriter, Endian};
+use pardis_net::giop::{FrameWriter, GiopMessage, ReplyStatus, TransferHeader};
 use std::time::Instant;
 
 /// Prefix used when the communicating thread converts a local receive
@@ -84,40 +86,59 @@ pub(crate) fn synthetic_status(e: &PardisError) -> ReplyStatus {
     }
 }
 
-/// Marshal `src` into a fresh buffer. This is the "pack" cost of the
-/// paper's measurements: a full copy of the data, with an extra per-word
-/// byte swap when data translation is enabled (the §3.3 remark about
-/// heterogeneous encodings).
-pub(crate) fn pack_copy(src: &[u8], elem_size: usize, translate: bool) -> Vec<u8> {
-    let mut out = src.to_vec();
-    if translate {
-        swap_in_place(&mut out, elem_size);
-    }
-    out
-}
-
-/// Append `src` into `dst`, translating if asked. Used when packing
-/// several gathered chunks into one message body.
-pub(crate) fn pack_into(dst: &mut Vec<u8>, src: &[u8], elem_size: usize, translate: bool) {
-    let start = dst.len();
-    dst.extend_from_slice(src);
-    if translate {
-        swap_in_place(&mut dst[start..], elem_size);
+/// Marshal `src` (native byte order) into `w`: one copy, with every
+/// element byte-swapped in the same pass when data translation is on
+/// (the §3.3 remark about heterogeneous encodings). This is the "pack"
+/// cost of the paper's measurements. Translating twice restores the
+/// original, so receivers unmarshal translated data through it too.
+pub(crate) fn pack(w: &mut CdrWriter, src: &[u8], elem_size: usize, translate: bool) {
+    if translate && matches!(elem_size, 4 | 8) {
+        w.put_swapped(src, elem_size);
+    } else {
+        w.put_bytes(src);
     }
 }
 
-/// Unmarshal: copy `src` out of a message, undoing translation.
-pub(crate) fn unpack_copy(src: &[u8], elem_size: usize, translate: bool) -> Vec<u8> {
-    // Symmetric swap: translating twice restores the original.
-    pack_copy(src, elem_size, translate)
+/// This thread's native-order local part from the received pieces that
+/// tile it, in element order. A single piece that needs no translation
+/// is the local part as it is, a view of the frame it arrived in;
+/// otherwise the pieces are unmarshaled into one new buffer.
+pub(crate) fn unpack(parts: &[Bytes], elem_size: usize, translate: bool) -> Bytes {
+    if let [only] = parts {
+        if !translate || !matches!(elem_size, 4 | 8) {
+            return only.clone();
+        }
+    }
+    let len = parts.iter().map(|p| p.len()).sum();
+    let mut w = CdrWriter::with_capacity(Endian::native(), len);
+    for p in parts {
+        pack(&mut w, p, elem_size, translate);
+    }
+    w.into_shared()
 }
 
-fn swap_in_place(buf: &mut [u8], elem_size: usize) {
-    match elem_size {
-        8 => pardis_cdr::byteswap::swap_f64_bytes_in_place(buf),
-        4 => pardis_cdr::byteswap::swap_i32_bytes_in_place(buf),
-        _ => {} // octets need no translation
-    }
+/// Build a DataTransfer frame, marshaling the fragment `src` straight
+/// into it.
+pub(crate) fn transfer_frame(
+    endian: Endian,
+    header: &TransferHeader,
+    src: &[u8],
+    elem_size: usize,
+    translate: bool,
+) -> PardisResult<Bytes> {
+    let mut f = FrameWriter::new(endian, header, src.len())?;
+    pack(f.body(), src, elem_size, translate);
+    Ok(f.finish())
+}
+
+/// A zero-filled local part for an `out` argument.
+pub(crate) fn zeroed_local(
+    templ: &crate::dist::DistTempl,
+    rank: usize,
+    elem_size: usize,
+) -> PardisResult<Bytes> {
+    let len = byte_len(templ.count(rank), elem_size)?;
+    Ok(Bytes::from(vec![0u8; len]))
 }
 
 impl OrbCtx {
@@ -177,41 +198,44 @@ impl OrbCtx {
 
     /// Assemble received fragments into this thread's local part of a
     /// sequence laid out by `templ`. Fragments carry global element
-    /// offsets; the local buffer covers `templ.range(self.rank())`.
+    /// offsets; together they must tile `templ.range(self.rank())`
+    /// exactly. Every header is checked against its body and the range
+    /// before anything is allocated.
     pub(crate) fn assemble_local(
         &self,
-        frags: &[(TransferHeader, Bytes)],
+        frags: &mut [(TransferHeader, Bytes)],
         templ: &crate::dist::DistTempl,
         elem_size: usize,
-    ) -> PardisResult<Vec<u8>> {
+    ) -> PardisResult<Bytes> {
         let my = templ.range(self.rank());
-        let mut local = vec![0u8; (my.end - my.start) * elem_size];
-        for (h, body) in frags {
-            let off = h.offset as usize;
-            let count = h.count as usize;
-            if off < my.start || off + count > my.end {
+        frags.sort_by_key(|(h, _)| h.offset);
+        let mut next = my.start;
+        for (h, body) in frags.iter() {
+            let off = usize::try_from(h.offset).unwrap_or(usize::MAX);
+            let count = usize::try_from(h.count).unwrap_or(usize::MAX);
+            if off != next || count > my.end - next {
                 return Err(PardisError::BadDistArg(format!(
-                    "fragment [{off}, {}) outside local range [{}, {})",
-                    off + count,
-                    my.start,
-                    my.end
+                    "fragment at {} (+{}) does not continue local range [{}, {}) at {next}",
+                    h.offset, h.count, my.start, my.end
                 )));
             }
-            if body.len() != count * elem_size {
+            let want = byte_len(count, elem_size)?;
+            if body.len() != want {
                 return Err(PardisError::BadDistArg(format!(
-                    "fragment body {} bytes, header promises {}",
-                    body.len(),
-                    count * elem_size
+                    "fragment body {} bytes, header promises {want}",
+                    body.len()
                 )));
             }
-            let lo = (off - my.start) * elem_size;
-            let dst = &mut local[lo..lo + body.len()];
-            dst.copy_from_slice(body);
-            if self.translate {
-                swap_in_place(dst, elem_size);
-            }
+            next += count;
         }
-        Ok(local)
+        if next != my.end {
+            return Err(PardisError::BadDistArg(format!(
+                "fragments cover [{}, {next}) of local range [{}, {})",
+                my.start, my.start, my.end
+            )));
+        }
+        let bodies: Vec<Bytes> = frags.iter().map(|(_, b)| b.clone()).collect();
+        Ok(unpack(&bodies, elem_size, self.translate))
     }
 }
 
@@ -219,31 +243,50 @@ impl OrbCtx {
 mod tests {
     use super::*;
 
+    fn packed(src: &[u8], elem_size: usize, translate: bool) -> Vec<u8> {
+        let mut w = CdrWriter::new(Endian::native());
+        pack(&mut w, src, elem_size, translate);
+        w.into_bytes()
+    }
+
     #[test]
     fn pack_without_translation_is_copy() {
         let src = [1u8, 2, 3, 4, 5, 6, 7, 8];
-        assert_eq!(pack_copy(&src, 8, false), src.to_vec());
+        assert_eq!(packed(&src, 8, false), src.to_vec());
     }
 
     #[test]
     fn pack_with_translation_swaps() {
         let src = [1u8, 2, 3, 4, 5, 6, 7, 8];
-        let packed = pack_copy(&src, 8, true);
-        assert_eq!(packed, vec![8, 7, 6, 5, 4, 3, 2, 1]);
-        // unpack restores
-        assert_eq!(unpack_copy(&packed, 8, true), src.to_vec());
-    }
-
-    #[test]
-    fn pack_into_appends_translated() {
-        let mut dst = vec![0xFFu8];
-        pack_into(&mut dst, &[1, 2, 3, 4], 4, true);
-        assert_eq!(dst, vec![0xFF, 4, 3, 2, 1]);
+        let swapped = packed(&src, 8, true);
+        assert_eq!(swapped, vec![8, 7, 6, 5, 4, 3, 2, 1]);
+        assert_eq!(packed(&swapped, 8, true), src.to_vec());
+        assert_eq!(packed(&src, 4, true), vec![4, 3, 2, 1, 8, 7, 6, 5]);
     }
 
     #[test]
     fn octets_never_translate() {
         let src = [9u8, 8, 7];
-        assert_eq!(pack_copy(&src, 1, true), src.to_vec());
+        assert_eq!(packed(&src, 1, true), src.to_vec());
+    }
+
+    #[test]
+    fn unpack_keeps_a_single_piece_in_place() {
+        let frame = Bytes::from(vec![1u8, 2, 3, 4, 5, 6, 7, 8, 9]);
+        let piece = frame.slice(1..9);
+        let local = unpack(std::slice::from_ref(&piece), 8, false);
+        assert_eq!(local.as_ptr(), piece.as_ptr());
+        let swapped = unpack(std::slice::from_ref(&piece), 8, true);
+        assert_eq!(&swapped[..], &[9, 8, 7, 6, 5, 4, 3, 2]);
+    }
+
+    #[test]
+    fn unpack_joins_pieces_in_order() {
+        let parts = [
+            Bytes::from(vec![1u8, 2, 3, 4]),
+            Bytes::from(vec![5u8, 6, 7, 8]),
+        ];
+        assert_eq!(&unpack(&parts, 4, false)[..], &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(&unpack(&parts, 4, true)[..], &[4, 3, 2, 1, 8, 7, 6, 5]);
     }
 }

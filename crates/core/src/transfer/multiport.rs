@@ -21,9 +21,13 @@
 use crate::client::{PendingInvoke, Proxy};
 use crate::error::{PardisError, PardisResult};
 use crate::orb::OrbCtx;
-use crate::request::{ReplyBody, ReplyResult, RequestBody, RequestSpec};
+use crate::request::{
+    frame, ReplyBody, ReplyParts, ReplyResult, RequestBody, RequestParts, RequestSpec,
+};
 use crate::server::{DistIn, ServerRequest};
-use crate::transfer::{pack_copy, service_context_entries, status_to_result, synthetic_status};
+use crate::transfer::{
+    service_context_entries, status_to_result, synthetic_status, transfer_frame, zeroed_local,
+};
 use bytes::Bytes;
 use pardis_net::giop::{
     GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferHeader, TransferMode,
@@ -61,9 +65,10 @@ pub(crate) fn client_send(
     // Header first, so the server threads are awaiting fragments.
     if let Some(conn) = proxy.conn.as_ref() {
         let tp = Instant::now();
-        let body = RequestBody {
-            nondist: spec.nondist_body.clone(),
-            dist: spec.dist_args.iter().map(|a| (a.meta(), None)).collect(),
+        let metas: Vec<_> = spec.dist_args.iter().map(|a| a.meta()).collect();
+        let body = RequestParts {
+            nondist: &spec.nondist_body,
+            dist: metas.iter().map(|m| (m, None)).collect(),
         };
         let header = RequestHeader {
             request_id: pending.req_id,
@@ -85,10 +90,13 @@ pub(crate) fn client_send(
             },
             service_context: service_context_entries(ctx),
         };
-        let msg = GiopMessage::Request(header, body.to_bytes(ctx.endian));
-        pending.timing.pack += tp.elapsed();
+        let (wire, _body_len) = frame(ctx.endian, &header, &body)?;
+        let took = tp.elapsed();
+        pending.timing.pack += took;
+        #[cfg(feature = "obs")]
+        crate::obs::record_marshal(_body_len, took);
         let ts = Instant::now();
-        conn.send(&msg, ctx.endian)?;
+        conn.send_frame(wire)?;
         pending.timing.send += ts.elapsed();
     }
 
@@ -104,18 +112,19 @@ pub(crate) fn client_send(
         for (dst, range) in arg.client_templ.transfers_to(my_thread, &arg.server_templ) {
             let lo = (range.start - my_off) * arg.elem_size;
             let hi = (range.end - my_off) * arg.elem_size;
-            // Marshal this fragment (a real copy; the pack cost of the
-            // paper's measurements, parallel across threads here).
+            // Marshal this fragment straight into its frame (the one
+            // copy; the pack cost of the paper's measurements, parallel
+            // across threads here).
             let tp = Instant::now();
-            let frag = pack_copy(&arg.local[lo..hi], arg.elem_size, ctx.translate);
             #[cfg(feature = "obs")]
             {
-                let frag_len = frag.len() as u64;
+                let frag_len = (hi - lo) as u64;
                 pardis_obs::metrics::observe("xfer.multiport.frag_bytes", frag_len);
                 obs_bytes += frag_len;
             }
-            let msg = GiopMessage::DataTransfer(
-                TransferHeader {
+            let wire = transfer_frame(
+                ctx.endian,
+                &TransferHeader {
                     request_id: pending.req_id,
                     arg_index: arg_idx as u32,
                     src_thread: my_thread as u32,
@@ -125,8 +134,10 @@ pub(crate) fn client_send(
                     total_len: arg.client_templ.len() as u64,
                     epoch: ctx.rts.membership().epoch(),
                 },
-                Bytes::from(frag),
-            );
+                &arg.local[lo..hi],
+                arg.elem_size,
+                ctx.translate,
+            )?;
             pending.timing.pack += tp.elapsed();
             let ts = Instant::now();
             // Send from this thread's own data port: fragment flows are
@@ -137,7 +148,7 @@ pub(crate) fn client_send(
                 ctx.data_port.port(),
                 proxy.objref.host,
                 proxy.objref.data_ports[dst],
-                msg.encode(ctx.endian)?,
+                wire,
             )?;
             pending.timing.send += ts.elapsed();
         }
@@ -239,8 +250,8 @@ pub(crate) fn client_recv(
         }
         let expected = d.client_templ.incoming_count(my_thread, &d.server_templ);
         let tr = Instant::now();
-        let frags = ctx.recv_fragments(pending.req_id, *arg_idx, expected, pending.deadline)?;
-        let local = ctx.assemble_local(&frags, &d.client_templ, d.elem_size)?;
+        let mut frags = ctx.recv_fragments(pending.req_id, *arg_idx, expected, pending.deadline)?;
+        let local = ctx.assemble_local(&mut frags, &d.client_templ, d.elem_size)?;
         timing.recv_unpack += tr.elapsed();
         dist_out.push((*arg_idx, local));
     }
@@ -278,12 +289,12 @@ pub(crate) fn server_receive_args(
             // timeout; a dropped fragment then degrades to an error
             // reply instead of wedging the serve loop.
             let deadline = ctx.frag_timeout.map(|t| Instant::now() + t);
-            let frags = ctx.recv_fragments(req_id, i as u32, expected, deadline)?;
-            let local = ctx.assemble_local(&frags, &server_templ, meta.elem_size)?;
+            let mut frags = ctx.recv_fragments(req_id, i as u32, expected, deadline)?;
+            let local = ctx.assemble_local(&mut frags, &server_templ, meta.elem_size)?;
             timing.recv_unpack += tr.elapsed();
             local
         } else {
-            vec![0u8; server_templ.count(ctx.rank()) * meta.elem_size]
+            zeroed_local(&server_templ, ctx.rank(), meta.elem_size)?
         };
         out.push(DistIn {
             dir: meta.dir,
@@ -316,20 +327,18 @@ pub(crate) fn server_send_reply(
         }
     }
     if ctx.is_comm_thread() {
-        let body = ReplyBody {
-            nondist: sreq.reply_nondist_bytes(),
+        let body = ReplyParts {
+            nondist: &sreq.reply_nondist_bytes(),
             dist_out: dist_out_meta.clone(),
         };
-        let reply = GiopMessage::Reply(
-            ReplyHeader {
-                request_id: header.request_id,
-                status: ReplyStatus::NoException,
-            },
-            body.to_bytes(endian),
-        );
+        let reply = ReplyHeader {
+            request_id: header.request_id,
+            status: ReplyStatus::NoException,
+        };
+        let (wire, _) = frame(endian, &reply, &body)?;
         let ts = Instant::now();
         ctx.host
-            .send_to(header.reply_host, header.reply_port, reply.encode(endian)?)?;
+            .send_to(header.reply_host, header.reply_port, wire)?;
         timing.send += ts.elapsed();
     }
 
@@ -351,9 +360,9 @@ pub(crate) fn server_send_reply(
             let lo = (range.start - my_off) * d.elem_size;
             let hi = (range.end - my_off) * d.elem_size;
             let tp = Instant::now();
-            let frag = pack_copy(&reply_local[lo..hi], d.elem_size, ctx.translate);
-            let msg = GiopMessage::DataTransfer(
-                TransferHeader {
+            let wire = transfer_frame(
+                endian,
+                &TransferHeader {
                     request_id: header.request_id,
                     arg_index: i as u32,
                     src_thread: ctx.rank() as u32,
@@ -363,16 +372,14 @@ pub(crate) fn server_send_reply(
                     total_len: d.server_templ.len() as u64,
                     epoch: ctx.rts.membership().epoch(),
                 },
-                Bytes::from(frag),
-            );
+                &reply_local[lo..hi],
+                d.elem_size,
+                ctx.translate,
+            )?;
             timing.pack += tp.elapsed();
             let ts = Instant::now();
-            ctx.host.send_from(
-                ctx.data_port.port(),
-                client_host,
-                client_ports[dst],
-                msg.encode(endian)?,
-            )?;
+            ctx.host
+                .send_from(ctx.data_port.port(), client_host, client_ports[dst], wire)?;
             timing.send += ts.elapsed();
         }
     }

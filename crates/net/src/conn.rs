@@ -9,6 +9,7 @@
 use crate::fabric::{Host, HostId, PortId, PortRecv};
 use crate::giop::GiopMessage;
 use crate::{NetError, NetResult};
+use bytes::Bytes;
 use pardis_cdr::Endian;
 use std::time::Duration;
 
@@ -55,12 +56,14 @@ impl Connection {
 
     /// Send a message to the peer; returns wire occupancy time.
     pub fn send(&self, msg: &GiopMessage, endian: Endian) -> NetResult<Duration> {
-        self.host.send_from(
-            self.local.port(),
-            self.peer_host,
-            self.peer_port,
-            msg.encode(endian)?,
-        )
+        self.send_frame(msg.encode(endian)?)
+    }
+
+    /// Send an already encoded frame (e.g. one built with a
+    /// [`crate::giop::FrameWriter`]) to the peer.
+    pub fn send_frame(&self, frame: Bytes) -> NetResult<Duration> {
+        self.host
+            .send_from(self.local.port(), self.peer_host, self.peer_port, frame)
     }
 
     /// Block for the next message on our local port.

@@ -324,6 +324,89 @@ impl Decode for TransferHeader {
     }
 }
 
+/// A header that opens a frame with a body: the three message kinds
+/// that carry data.
+pub trait FrameHeader: Encode {
+    /// The kind octet of the frame preamble.
+    const KIND: u8;
+}
+
+impl FrameHeader for RequestHeader {
+    const KIND: u8 = 0;
+}
+
+impl FrameHeader for ReplyHeader {
+    const KIND: u8 = 1;
+}
+
+impl FrameHeader for TransferHeader {
+    const KIND: u8 = 2;
+}
+
+/// The kind octet of a CloseConnection frame, which has no header.
+const CLOSE_CONNECTION_KIND: u8 = 3;
+
+fn put_preamble(w: &mut CdrWriter, kind: u8) {
+    w.put_bytes(&MAGIC);
+    w.put_u8(VERSION);
+    w.put_u8(w.endian().flag());
+    w.put_u8(kind);
+    w.put_u8(0); // reserved
+}
+
+/// A frame built in one buffer: the preamble and header are written
+/// first, the body is then written straight after them through
+/// [`FrameWriter::body`], and [`FrameWriter::finish`] patches the body
+/// length in. A payload therefore reaches the wire with one copy, the
+/// one into this buffer. [`GiopMessage::encode`] goes through here too.
+#[derive(Debug)]
+pub struct FrameWriter {
+    w: CdrWriter,
+    /// Buffer offset of the body-length field.
+    len_at: usize,
+    /// Buffer offset of the body's first byte (8-aligned).
+    body_at: usize,
+}
+
+impl FrameWriter {
+    /// Start a frame of `header`'s kind, with room for a body of
+    /// `body_capacity` bytes reserved after the header.
+    pub fn new<H: FrameHeader>(
+        endian: Endian,
+        header: &H,
+        body_capacity: usize,
+    ) -> NetResult<FrameWriter> {
+        let mut w = CdrWriter::with_capacity(endian, 128);
+        put_preamble(&mut w, H::KIND);
+        header.encode(&mut w)?;
+        w.put_u32(0); // body length, patched by `finish`
+        let len_at = w.len() - 4;
+        w.align(8); // bodies start 8-aligned so f64 slices copy cleanly
+        w.reserve(body_capacity);
+        let body_at = w.len();
+        Ok(FrameWriter { w, len_at, body_at })
+    }
+
+    /// The writer positioned at the start of the body. The body starts
+    /// at an 8-aligned frame offset, so CDR alignment within it is the
+    /// same as in a stand-alone body stream.
+    pub fn body(&mut self) -> &mut CdrWriter {
+        &mut self.w
+    }
+
+    /// Bytes written into the body so far.
+    pub fn body_len(&self) -> usize {
+        self.w.len() - self.body_at
+    }
+
+    /// Patch the body length and hand the frame out.
+    pub fn finish(mut self) -> Bytes {
+        let len = self.body_len() as u32;
+        self.w.patch_u32(self.len_at, len);
+        self.w.into_shared()
+    }
+}
+
 /// A complete PARDIS protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GiopMessage {
@@ -338,48 +421,23 @@ pub enum GiopMessage {
 }
 
 impl GiopMessage {
-    fn kind(&self) -> u8 {
-        match self {
-            GiopMessage::Request(..) => 0,
-            GiopMessage::Reply(..) => 1,
-            GiopMessage::DataTransfer(..) => 2,
-            GiopMessage::CloseConnection => 3,
-        }
-    }
-
     /// Encode the message (header in `endian`, body appended verbatim —
     /// bodies are themselves CDR streams in the same byte order).
     /// Header encoding is infallible today; the `Result` keeps the
     /// library path panic-free if a fallible header field is ever added.
     pub fn encode(&self, endian: Endian) -> NetResult<Bytes> {
-        let mut w = CdrWriter::with_capacity(endian, 64);
-        w.put_bytes(&MAGIC);
-        w.put_u8(VERSION);
-        w.put_u8(endian.flag());
-        w.put_u8(self.kind());
-        w.put_u8(0); // reserved
-        match self {
-            GiopMessage::Request(h, body) => {
-                h.encode(&mut w)?;
-                w.put_u32(body.len() as u32);
-                w.align(8); // bodies start 8-aligned so f64 slices copy cleanly
-                w.put_bytes(body);
+        let (mut frame, body) = match self {
+            GiopMessage::Request(h, body) => (FrameWriter::new(endian, h, body.len())?, body),
+            GiopMessage::Reply(h, body) => (FrameWriter::new(endian, h, body.len())?, body),
+            GiopMessage::DataTransfer(h, body) => (FrameWriter::new(endian, h, body.len())?, body),
+            GiopMessage::CloseConnection => {
+                let mut w = CdrWriter::with_capacity(endian, 8);
+                put_preamble(&mut w, CLOSE_CONNECTION_KIND);
+                return Ok(w.into_shared());
             }
-            GiopMessage::Reply(h, body) => {
-                h.encode(&mut w)?;
-                w.put_u32(body.len() as u32);
-                w.align(8);
-                w.put_bytes(body);
-            }
-            GiopMessage::DataTransfer(h, body) => {
-                h.encode(&mut w)?;
-                w.put_u32(body.len() as u32);
-                w.align(8);
-                w.put_bytes(body);
-            }
-            GiopMessage::CloseConnection => {}
-        }
-        Ok(w.into_shared())
+        };
+        frame.body().put_bytes(body);
+        Ok(frame.finish())
     }
 
     /// Decode a message from the wire.
@@ -406,22 +464,22 @@ impl GiopMessage {
             Ok(buf.slice(start..start + len))
         };
         match kind {
-            0 => {
+            RequestHeader::KIND => {
                 let h = RequestHeader::decode(&mut r)?;
                 let body = take_body(&mut r)?;
                 Ok(GiopMessage::Request(h, body))
             }
-            1 => {
+            ReplyHeader::KIND => {
                 let h = ReplyHeader::decode(&mut r)?;
                 let body = take_body(&mut r)?;
                 Ok(GiopMessage::Reply(h, body))
             }
-            2 => {
+            TransferHeader::KIND => {
                 let h = TransferHeader::decode(&mut r)?;
                 let body = take_body(&mut r)?;
                 Ok(GiopMessage::DataTransfer(h, body))
             }
-            3 => Ok(GiopMessage::CloseConnection),
+            CLOSE_CONNECTION_KIND => Ok(GiopMessage::CloseConnection),
             other => Err(NetError::BadMessage(format!("unknown kind {other}"))),
         }
     }
@@ -535,6 +593,25 @@ mod tests {
         // Find the body: it is the final 1 byte.
         let body_off = wire.len() - 1;
         assert_eq!(body_off % 8, 0);
+    }
+
+    #[test]
+    fn frame_writer_matches_encoded_message() {
+        let body = {
+            let mut w = CdrWriter::new(Endian::Big);
+            w.put_u32(3);
+            w.put_f64_slice(&[1.5, -2.0]);
+            w.into_bytes()
+        };
+        for endian in [Endian::Big, Endian::Little] {
+            let mut frame = FrameWriter::new(endian, &sample_request(), 0).unwrap();
+            frame.body().put_bytes(&body);
+            assert_eq!(frame.body_len(), body.len());
+            let built = frame.finish();
+            let msg = GiopMessage::Request(sample_request(), Bytes::from(body.clone()));
+            assert_eq!(built, msg.encode(endian).unwrap());
+            assert_eq!(GiopMessage::decode(&built).unwrap(), msg);
+        }
     }
 
     #[test]

@@ -232,15 +232,30 @@ mod tests {
             mtu: 1000,
             per_frame_overhead: 1000, // 100% overhead
         });
+        // Judged on the charged wire time, not on wall-clock ratios,
+        // which a loaded host distorts: 100% per-frame overhead must
+        // charge exactly twice the fast link's time (to within the
+        // nanosecond rounding of each of the 200 frames) ...
         let t0 = Instant::now();
-        fast.transmit(200_000);
-        let t_fast = t0.elapsed();
+        let w_fast = fast.transmit(200_000);
+        let e_fast = t0.elapsed();
         let t1 = Instant::now();
-        slow.transmit(200_000);
-        let t_slow = t1.elapsed();
+        let w_slow = slow.transmit(200_000);
+        let e_slow = t1.elapsed();
+        let twice = w_fast * 2;
+        let off = w_slow.abs_diff(twice);
         assert!(
-            t_slow > t_fast + t_fast / 2,
-            "overhead not charged: fast={t_fast:?} slow={t_slow:?}"
+            w_fast > Duration::ZERO && off <= Duration::from_nanos(200),
+            "overhead not charged: fast={w_fast:?} slow={w_slow:?}"
+        );
+        // ... and each call must really block the sender for its charge.
+        assert!(
+            e_fast >= w_fast,
+            "fast link returned early: {e_fast:?} < {w_fast:?}"
+        );
+        assert!(
+            e_slow >= w_slow,
+            "slow link returned early: {e_slow:?} < {w_slow:?}"
         );
     }
 

@@ -2,6 +2,8 @@
 //!
 //! Provides the one type this workspace uses: [`Bytes`], an immutable,
 //! reference-counted byte slice whose `clone` and `slice` are O(1).
+//! Like the real crate, `Bytes::from(Vec<u8>)` takes the vector's
+//! buffer over without copying it.
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
@@ -10,7 +12,7 @@ use std::sync::Arc;
 /// A cheaply cloneable, immutable view into shared byte storage.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -29,11 +31,7 @@ impl Bytes {
 
     /// Copy a slice into new shared storage.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes {
-            data: Arc::from(data),
-            start: 0,
-            end: data.len(),
-        }
+        Bytes::from(data.to_vec())
     }
 
     /// Length of this view in bytes.
@@ -80,10 +78,11 @@ impl Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Take ownership of the vector's buffer; no bytes are copied.
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -191,6 +190,15 @@ mod tests {
         assert_eq!(s.slice(..2), Bytes::copy_from_slice(&[2, 3]));
         assert_eq!(b.len(), 5);
         assert!(Bytes::new().is_empty());
+    }
+
+    #[test]
+    fn from_vec_takes_the_buffer_over() {
+        let v = vec![7u8; 4096];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.slice(8..).as_ptr(), ptr.wrapping_add(8));
     }
 
     #[test]

@@ -7,16 +7,20 @@
 //! the wrong offset). A final test feeds real corrupted frames through
 //! the fault-injecting fabric, closing the loop with the chaos
 //! machinery: the exact damage the [`pardis_net::FaultPlan`] inflicts
-//! is the damage the decoders must survive.
+//! is the damage the decoders must survive. The last two tests feed
+//! well-formed frames whose length fields overflow when multiplied out,
+//! to the body decoder and to a live server, in both transfer modes.
 
 use bytes::Bytes;
+use pardis::apps::diffusion::DiffusionServant;
+use pardis::prelude::*;
+use pardis::stubs::diffusion::{diff_objectProxy, diff_objectSkeleton};
 use pardis_cdr::Endian;
-use pardis_core::request::{ReplyBody, RequestBody};
+use pardis_core::request::{DistArgMeta, ReplyBody, RequestBody};
 use pardis_net::fault::PER_MILLION;
-use pardis_net::giop::{
-    GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferHeader, TransferMode,
-};
-use pardis_net::{Fabric, FaultPlan, HostId, LinkSpec};
+use pardis_net::giop::{GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferHeader};
+use pardis_net::{Fabric, FaultPlan, HostId};
+use std::time::Duration;
 
 fn sample_request(endian: Endian) -> Bytes {
     let body = RequestBody {
@@ -211,4 +215,176 @@ fn fault_injected_corruption_never_panics_decoders() {
         rejected > 20,
         "only {rejected}/200 corrupted messages were rejected"
     );
+}
+
+/// Distributed-argument metadata that decodes field by field but whose
+/// sizes overflow once multiplied or summed.
+fn overflowing_metas() -> Vec<DistArgMeta> {
+    let huge = 1usize << 62;
+    vec![
+        // total_len * elem_size overflows.
+        DistArgMeta {
+            dir: ArgDir::In,
+            elem_size: 8,
+            total_len: huge,
+            client_counts: vec![huge],
+            server_counts: vec![huge / 2, huge / 2],
+        },
+        // The largest element size the wire can carry.
+        DistArgMeta {
+            dir: ArgDir::InOut,
+            elem_size: u32::MAX as usize,
+            total_len: 1 << 33,
+            client_counts: vec![1 << 33],
+            server_counts: vec![1 << 32, 1 << 32],
+        },
+        // The template counts overflow, wrapping to total_len.
+        DistArgMeta {
+            dir: ArgDir::In,
+            elem_size: 8,
+            total_len: 0,
+            client_counts: vec![1 << 63, 1 << 63],
+            server_counts: vec![0, 0],
+        },
+        // An `out` argument: the server would zero-fill its part.
+        DistArgMeta {
+            dir: ArgDir::Out,
+            elem_size: 8,
+            total_len: huge,
+            client_counts: vec![huge],
+            server_counts: vec![huge / 2, huge / 2],
+        },
+    ]
+}
+
+#[test]
+fn overflowing_lengths_are_typed_errors() {
+    for endian in [Endian::Big, Endian::Little] {
+        for meta in overflowing_metas() {
+            // Inline data (centralized) and none (multi-port).
+            for inline in [Some(Bytes::from(vec![0u8; 64])), None] {
+                let body = RequestBody {
+                    nondist: Bytes::new(),
+                    dist: vec![(meta.clone(), inline)],
+                };
+                let err = RequestBody::decode(&body.to_bytes(endian), endian).unwrap_err();
+                assert!(
+                    matches!(err, PardisError::BadDistArg(_)),
+                    "{meta:?} decoded to {err:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn server_survives_overflowing_frames() {
+    let world = World::new(LinkSpec::unlimited());
+    let server = world.spawn_machine("server", 2, |ctx| {
+        diff_objectSkeleton::register(&ctx, "heat", DiffusionServant::new(), vec![]).unwrap();
+        ctx.serve_forever().unwrap();
+        ctx.serve_decode_errors()
+    });
+    let tap = world.fabric().add_host("tap");
+    let reply_port = tap.open_port();
+    let data_port = tap.open_port();
+    let srv = world
+        .naming()
+        .resolve("heat", None, Duration::from_secs(30))
+        .unwrap();
+    let endian = Endian::native();
+    let request = |request_id: u64, mode: TransferMode, meta: DistArgMeta, inline| {
+        let header = RequestHeader {
+            request_id,
+            object_name: "heat".into(),
+            operation: "total_heat".into(),
+            response_expected: true,
+            reply_host: tap.id(),
+            reply_port: reply_port.port(),
+            mode,
+            client_threads: 1,
+            client_data_ports: vec![data_port.port()],
+            service_context: vec![],
+        };
+        let body = RequestBody {
+            nondist: Bytes::new(),
+            dist: vec![(meta, inline)],
+        };
+        let wire = GiopMessage::Request(header, body.to_bytes(endian))
+            .encode(endian)
+            .unwrap();
+        tap.send_to(srv.host, srv.request_port, wire).unwrap();
+    };
+
+    // Overflowing metadata: the serve loop drops the frame.
+    let mut sent = 0;
+    for meta in overflowing_metas() {
+        request(
+            sent,
+            TransferMode::Centralized,
+            meta.clone(),
+            Some(Bytes::from(vec![0u8; 64])),
+        );
+        request(sent + 1, TransferMode::MultiPort, meta, None);
+        sent += 2;
+    }
+
+    // A fragment whose count overruns its receiver's range: a typed
+    // error reply, not a panic or a wild allocation.
+    let meta = DistArgMeta {
+        dir: ArgDir::In,
+        elem_size: 8,
+        total_len: 8,
+        client_counts: vec![8],
+        server_counts: vec![4, 4],
+    };
+    request(sent, TransferMode::MultiPort, meta, None);
+    for t in 0..2u32 {
+        let wire = GiopMessage::DataTransfer(
+            TransferHeader {
+                request_id: sent,
+                arg_index: 0,
+                src_thread: 0,
+                dst_thread: t,
+                offset: 4 * t as u64,
+                count: if t == 0 { u64::MAX - 1 } else { 4 },
+                total_len: 8,
+                epoch: 0,
+            },
+            Bytes::from(vec![0u8; 32]),
+        )
+        .encode(endian)
+        .unwrap();
+        tap.send_from(data_port.port(), srv.host, srv.data_ports[t as usize], wire)
+            .unwrap();
+    }
+    match GiopMessage::decode(&reply_port.recv().unwrap().payload).unwrap() {
+        GiopMessage::Reply(h, _) => {
+            assert_eq!(h.request_id, sent);
+            assert!(
+                matches!(&h.status, ReplyStatus::SystemException(m) if m.contains("bad distributed argument")),
+                "{:?}",
+                h.status
+            );
+        }
+        other => panic!("expected a reply, got {other:?}"),
+    }
+
+    // The server still serves well-formed invocations in both modes.
+    let client = world.spawn_machine("client", 2, |ctx| {
+        let mut heat = diff_objectProxy::_spmd_bind(&ctx, "heat", None).unwrap();
+        let mut arr = DSequence::<f64>::new(ctx.rts(), 64, None).unwrap();
+        for x in arr.local_data_mut() {
+            *x = 1.5;
+        }
+        for mode in [TransferMode::Centralized, TransferMode::MultiPort] {
+            heat._set_transfer_mode(mode).unwrap();
+            assert_eq!(heat.total_heat(&ctx, &arr).unwrap(), 96.0);
+        }
+        if ctx.is_comm_thread() {
+            ctx.send_shutdown(heat.proxy.objref()).unwrap();
+        }
+    });
+    client.join();
+    assert_eq!(server.join()[0], sent);
 }

@@ -4,7 +4,7 @@
 //! bit-for-bit from the same seed.
 #![cfg(feature = "obs")]
 
-use pardis_cdr::{CdrReader, Decode};
+use pardis_cdr::{CdrReader, Decode, Endian};
 use pardis_core::prelude::*;
 use pardis_net::FaultPlan;
 use pardis_obs::timeline;
@@ -204,4 +204,56 @@ fn server_spans_parent_under_client_trace() {
     let rendered = timeline::render(&merged);
     let back = timeline::parse_log(&rendered).expect("merged timeline must reparse");
     assert_eq!(back.len(), merged.len());
+}
+
+#[test]
+fn marshal_span_times_the_request_frame() {
+    let _g = RUN_LOCK.lock();
+    pardis_obs::reset();
+    const BIG: usize = 1 << 16;
+    let world = World::new(LinkSpec::unlimited());
+    let server = world.spawn_machine("server", THREADS, |ctx| {
+        ctx.register("example", Box::new(SumServant), vec![])
+            .unwrap();
+        ctx.serve_forever().unwrap();
+    });
+    let client = world.spawn_machine("client", THREADS, |ctx| {
+        let proxy = ctx
+            .spmd_bind("example", Some("server"), Some(OBJ_TYPE))
+            .unwrap();
+        let mut seq = DSequence::<f64>::new(ctx.rts(), BIG, None).unwrap();
+        for x in seq.local_data_mut() {
+            *x = 0.5;
+        }
+        let mut spec = RequestSpec::simple("sum");
+        spec.dist_args = vec![proxy.dist_arg("sum", 0, ArgDir::In, &seq).unwrap()];
+        let meta = spec.dist_args[0].meta();
+        proxy.invoke(&ctx, spec).unwrap();
+        if ctx.is_comm_thread() {
+            ctx.send_shutdown(proxy.objref()).unwrap();
+        }
+        meta
+    });
+    let meta = client.join().swap_remove(0);
+    server.join();
+    let spans = pardis_obs::drain_all();
+    pardis_obs::reset();
+
+    // One marshal span, on the thread that built the centralized
+    // Request frame, carrying the measured build time and the size of
+    // the frame's body (the gathered argument inline).
+    let marshal: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Marshal)
+        .collect();
+    assert_eq!(marshal.len(), 1, "{marshal:?}");
+    let body = pardis_core::request::RequestBody {
+        nondist: bytes::Bytes::new(),
+        dist: vec![(meta, Some(bytes::Bytes::from(vec![0u8; BIG * 8])))],
+    };
+    assert_eq!(
+        marshal[0].bytes,
+        body.to_bytes(Endian::native()).len() as u64
+    );
+    assert!(marshal[0].wait_ns > 0, "marshal span has no duration");
 }
