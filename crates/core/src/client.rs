@@ -534,8 +534,14 @@ impl Proxy {
         spec: &RequestSpec,
         mode: TransferMode,
     ) -> PardisResult<PendingInvoke> {
-        // "the computing threads of the client first synchronize" (§3.2)
-        if self.collective {
+        // Agree on the request id and the effective transfer method.
+        // The communicating thread probes the server's data ports when
+        // multi-port was requested; if any is dead the invocation is
+        // demoted to the centralized engine (graceful degradation), and
+        // the decision rides along with the id so all threads drive the
+        // same engine.
+        let requested = mode;
+        let (req_id, mode) = if self.collective {
             // PA101: before committing to the (deadlocking) collective
             // protocol, agree that every computing thread is issuing the
             // same invocation. Divergence becomes a typed error naming
@@ -543,39 +549,28 @@ impl Proxy {
             #[cfg(feature = "analyze")]
             ctx.rts
                 .agree_collective(&crate::analyze::fingerprint(spec, mode))?;
-            ctx.rts.barrier();
-        }
-        let started = Instant::now();
-        // Agree on the request id and the effective transfer method.
-        // The communicating thread probes the server's data ports when
-        // multi-port was requested; if any is dead the invocation is
-        // demoted to the centralized engine (graceful degradation), and
-        // the decision rides along with the id broadcast so all threads
-        // drive the same engine.
-        let requested = mode;
-        let (req_id, mode) = if self.collective {
-            if ctx.is_comm_thread() {
+            // "the computing threads of the client first synchronize"
+            // (§3.2): one max allreduce is that barrier and also carries
+            // the communicating thread's id (as two exact 32-bit halves)
+            // and method to everyone; the other threads contribute 0.
+            let mine = if ctx.is_comm_thread() {
                 let id = ctx.next_request_id();
-                let mode = self.effective_mode(ctx, mode);
-                let mut buf = [0u8; 9];
-                buf[..8].copy_from_slice(&id.to_le_bytes());
-                buf[8] = (mode == TransferMode::MultiPort) as u8;
-                ctx.rts.broadcast(0, Some(Bytes::copy_from_slice(&buf)))?;
-                (id, mode)
+                let multiport = self.effective_mode(ctx, mode) == TransferMode::MultiPort;
+                [(id >> 32) as f64, id as u32 as f64, multiport as u8 as f64]
             } else {
-                let b = ctx.rts.broadcast(0, None)?;
-                let mut a = [0u8; 8];
-                a.copy_from_slice(&b[..8]);
-                let mode = if b[8] == 1 {
-                    TransferMode::MultiPort
-                } else {
-                    TransferMode::Centralized
-                };
-                (u64::from_le_bytes(a), mode)
-            }
+                [0.0; 3]
+            };
+            let agreed = ctx.rts.allreduce_f64(&mine, ReduceOp::Max)?;
+            let mode = if agreed[2] > 0.0 {
+                TransferMode::MultiPort
+            } else {
+                TransferMode::Centralized
+            };
+            ((agreed[0] as u64) << 32 | agreed[1] as u64, mode)
         } else {
             (ctx.next_request_id(), self.effective_mode(ctx, mode))
         };
+        let started = Instant::now();
         if requested == TransferMode::MultiPort && mode == TransferMode::Centralized {
             self.fallbacks.set(self.fallbacks.get() + 1);
             #[cfg(feature = "obs")]

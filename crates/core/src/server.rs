@@ -225,16 +225,18 @@ impl OrbCtx {
     }
 
     /// Communicating thread pulls the next request (optionally
-    /// non-blocking) and relays it to all threads. Returns `None` when a
-    /// non-blocking poll found nothing.
+    /// non-blocking) and relays it to all threads in one broadcast: the
+    /// received frame itself, or an empty payload when a non-blocking
+    /// poll found nothing (then every thread returns `None`).
     ///
-    /// In the centralized method the relayed copy is *stripped* of any
-    /// inline argument data — data is scattered separately so the cost
-    /// model matches the real system (only the communicating thread ever
-    /// holds the whole argument). The stripped data is stashed in
-    /// `self.pending_inline` equivalent: it is re-attached by
-    /// `serve_payload` on the communicating thread via thread-local
-    /// state kept in the returned payload pair.
+    /// Every thread keeps only the control part of the request — the
+    /// header, the non-distributed arguments and the distributed
+    /// arguments' metadata. In the centralized method the inline
+    /// argument data stays with the communicating thread, which
+    /// scatters it separately, so the cost model matches the real
+    /// system (only the communicating thread ever holds the whole
+    /// argument); the other threads drop the inline sections of the
+    /// relayed frame unread.
     fn next_served_payload(&self, poll: Option<Duration>) -> PardisResult<Option<ServedPayload>> {
         if self.is_comm_thread() {
             let request_port = self.request_port.as_ref().ok_or_else(|| {
@@ -284,50 +286,32 @@ impl OrbCtx {
                     }
                 }
             };
-            // Tell the other threads whether anything arrived.
-            let flag = parsed.is_some() as u64;
-            self.rts
-                .broadcast(0, Some(Bytes::copy_from_slice(&flag.to_le_bytes())))?;
+            let relay = parsed
+                .as_ref()
+                .map_or_else(Bytes::new, |(_, frame)| frame.clone());
+            self.rts.broadcast(0, Some(relay))?;
             match parsed {
                 None => Ok(None),
-                Some((Some((header, req)), payload)) => {
+                Some((Some((header, mut req)), payload)) => {
                     let endian = GiopMessage::body_endian(&payload)?;
-                    // Strip inline data before relaying.
-                    let inline: Vec<Option<Bytes>> =
-                        req.dist.iter().map(|(_, d)| d.clone()).collect();
-                    let control = RequestBody {
-                        nondist: req.nondist.clone(),
-                        dist: req.dist.iter().map(|(m, _)| (m.clone(), None)).collect(),
-                    };
-                    let control_wire =
-                        GiopMessage::Request(header.clone(), control.to_bytes(endian))
-                            .encode(endian)?;
-                    self.rts.broadcast(0, Some(control_wire))?;
-                    Ok(Some(ServedPayload::new(
-                        header,
-                        control,
-                        endian,
-                        Some(inline),
-                    )))
+                    let inline = take_inline(&mut req);
+                    Ok(Some(ServedPayload::new(header, req, endian, Some(inline))))
                 }
                 Some((None, payload)) => {
                     let endian = GiopMessage::body_endian(&payload)?;
-                    self.rts.broadcast(0, Some(payload))?;
                     Ok(Some(ServedPayload::shutdown(endian)))
                 }
             }
         } else {
-            let flag = self.rts.broadcast(0, None)?;
-            let mut a = [0u8; 8];
-            a.copy_from_slice(&flag[..8]);
-            if u64::from_le_bytes(a) == 0 {
+            let wire = self.rts.broadcast(0, None)?;
+            if wire.is_empty() {
                 return Ok(None);
             }
-            let wire = self.rts.broadcast(0, None)?;
             let endian = GiopMessage::body_endian(&wire)?;
             match GiopMessage::decode(&wire)? {
                 GiopMessage::Request(header, body) => {
-                    let req = RequestBody::decode(&body, endian)?;
+                    let mut req = RequestBody::decode(&body, endian)?;
+                    take_inline(&mut req);
                     Ok(Some(ServedPayload::new(header, req, endian, None)))
                 }
                 GiopMessage::CloseConnection => Ok(Some(ServedPayload::shutdown(endian))),
@@ -556,18 +540,17 @@ impl OrbCtx {
         });
 
         // Post-invocation synchronization (§3.2: "after the invocation
-        // the server's computing threads synchronize").
+        // the server's computing threads synchronize"), which is also
+        // the machine-wide agreement on success before any data is
+        // sent: a thread that failed must not leave the client waiting
+        // for fragments that will never come. An allreduce is a
+        // barrier, so no thread leaves before all have finished.
         let tb = Instant::now();
-        self.rts.barrier();
-        timing.barrier = tb.elapsed();
-
-        // Agree machine-wide on success before sending any data:
-        // a thread that failed must not leave the client waiting for
-        // fragments that will never come.
         let any_err = self
             .rts
             .allreduce_f64(&[if result.is_err() { 1.0 } else { 0.0 }], ReduceOp::Max)?[0]
             > 0.0;
+        timing.barrier = tb.elapsed();
 
         if header.response_expected {
             if any_err {
@@ -643,6 +626,12 @@ impl OrbCtx {
         self.last_serve_timing.set(timing);
         Ok(true)
     }
+}
+
+/// Detach a request's inline argument data (centralized method),
+/// leaving its control part. Returns the data per argument.
+fn take_inline(req: &mut RequestBody) -> Vec<Option<Bytes>> {
+    req.dist.iter_mut().map(|(_, data)| data.take()).collect()
 }
 
 /// A request after relay to all threads.

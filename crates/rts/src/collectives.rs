@@ -6,12 +6,14 @@
 //! SPMD-style, that is they will be called collectively by all the
 //! computing threads" (§2.2).
 //!
-//! Algorithms are *linear through a root*: gather is `size-1` receives at
-//! the root, scatter is `size-1` sends from the root. This matches the
-//! era's MPICH on small shared-memory machines and is deliberately kept
-//! so that the centralized transfer method exhibits the gather/scatter
-//! scaling the paper measures in Table 1 (cost grows with the number of
-//! computing threads).
+//! The collectives that move data are *linear through a root*: gather
+//! is `size-1` receives at the root, scatter is `size-1` sends from the
+//! root. This matches the era's MPICH on small shared-memory machines
+//! and is deliberately kept so that the centralized transfer method
+//! exhibits the gather/scatter scaling the paper measures in Table 1
+//! (cost grows with the number of computing threads). Barrier and
+//! allreduce carry no payload and meet in the domain's shared-memory
+//! rendezvous instead (`crate::rendezvous`).
 
 use crate::endpoint::Endpoint;
 use crate::error::{RtsError, RtsResult};
@@ -26,7 +28,7 @@ use pardis_cdr::byteswap::{bytes_to_f64, f64_slice_as_bytes as pardis_bytes_of};
 /// Whether `rank` is alive under `dead` (the membership bitmask).
 /// Ranks beyond the mask width are untracked and treated as alive.
 #[inline]
-fn live(dead: u64, rank: usize) -> bool {
+pub(crate) fn live(dead: u64, rank: usize) -> bool {
     rank >= 64 || dead & (1u64 << rank) == 0
 }
 
@@ -53,11 +55,13 @@ impl Endpoint {
     }
 
     /// The per-collective epilogue, run once the collective succeeded:
-    /// a live rank advances its causal stamp to the next generation
-    /// (reporting an epoch crossing to the observer), then the observer
-    /// hears of the completion. No messages; nothing featureless.
+    /// the rank's completed-collective count goes up, a live rank
+    /// advances its causal stamp to the next generation (reporting an
+    /// epoch crossing to the observer), then the observer hears of the
+    /// completion. No messages; featureless, only the count.
     #[inline(always)]
     pub(crate) fn collective_done(&self, scope: CollectiveScope, dead: u64) {
+        self.completed.set(self.completed.get() + 1);
         #[cfg(any(feature = "analyze", feature = "obs"))]
         if live(dead, self.rank()) {
             let epoch = self.membership().epoch();
@@ -293,43 +297,19 @@ impl Endpoint {
             .collect())
     }
 
-    /// Element-wise reduction of `local` across all ranks; every rank
-    /// receives the result (reduce-to-root then broadcast).
+    /// Element-wise reduction of `local` across all live ranks; every
+    /// rank receives the result. One round of the domain's rendezvous:
+    /// the live contributions are folded in rank order, so every rank
+    /// gets the same bits whatever the arrival order. Contributions of
+    /// different lengths give every rank [`RtsError::LengthMismatch`].
     pub fn allreduce_f64(&self, local: &[f64], op: ReduceOp) -> RtsResult<Vec<f64>> {
         let dead = self.dead_mask();
-        self.check_participants(dead, 0)?;
-        // Reduce at rank 0 over the live contributions.
-        let reduced = if self.rank() == 0 {
-            let mut acc = local.to_vec();
-            let mut remaining = (1..self.size()).filter(|&r| live(dead, r)).count();
-            while remaining > 0 {
-                let m = self.recv_any_internal(tags::REDUCE)?;
-                if !live(dead, m.from) {
-                    continue;
-                }
-                remaining -= 1;
-                let mut incoming = Vec::with_capacity(m.payload.len() / 8);
-                bytes_to_f64(&m.payload, &mut incoming);
-                if incoming.len() != acc.len() {
-                    return Err(RtsError::LengthMismatch {
-                        expected: acc.len(),
-                        got: incoming.len(),
-                    });
-                }
-                op.fold_into(&mut acc, &incoming);
-            }
-            Some(Bytes::copy_from_slice(pardis_bytes_of(&acc)))
-        } else {
-            self.send_internal(
-                0,
-                tags::REDUCE,
-                Bytes::copy_from_slice(pardis_bytes_of(local)),
-            )?;
-            None
-        };
-        let result = self.broadcast(0, reduced)?;
-        let mut out = Vec::with_capacity(result.len() / 8);
-        bytes_to_f64(&result, &mut out);
+        // No root: only the caller has to be live.
+        self.check_participants(dead, self.rank())?;
+        let scope = self.collective_enter("allreduce");
+        let mut out = Vec::with_capacity(local.len());
+        self.rendezvous(local, op, Some(&mut out))?;
+        self.collective_done(scope, dead);
         Ok(out)
     }
 
@@ -394,35 +374,6 @@ impl Endpoint {
         }
         if !live(dead, root) {
             return Err(RtsError::DeadRank { rank: root });
-        }
-        Ok(())
-    }
-
-    /// Software barrier over the survivor set, relayed through rank 0:
-    /// each live rank sends a token to rank 0, which releases everyone
-    /// once all tokens are in. Replaces the `std::sync::Barrier` (whose
-    /// count includes the dead) as soon as the membership records a
-    /// death.
-    pub(crate) fn survivor_barrier(&self, dead: u64) -> RtsResult<()> {
-        if !live(dead, self.rank()) {
-            return Err(RtsError::DeadRank { rank: self.rank() });
-        }
-        if self.rank() == 0 {
-            let mut remaining = (1..self.size()).filter(|&r| live(dead, r)).count();
-            while remaining > 0 {
-                let m = self.recv_any_internal(tags::MBAR_IN)?;
-                if live(dead, m.from) {
-                    remaining -= 1;
-                }
-            }
-            for to in 1..self.size() {
-                if live(dead, to) {
-                    self.send_internal(to, tags::MBAR_OUT, Bytes::new())?;
-                }
-            }
-        } else {
-            self.send_internal(0, tags::MBAR_IN, Bytes::new())?;
-            self.recv_internal(0, tags::MBAR_OUT)?;
         }
         Ok(())
     }

@@ -4,7 +4,7 @@
 use crate::endpoint::{Endpoint, Message};
 use crate::membership::Membership;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 /// Factory for in-process message-passing domains.
 ///
@@ -33,20 +33,11 @@ impl Domain {
             senders.push(tx);
             receivers.push(rx);
         }
-        let barrier = Arc::new(Barrier::new(n));
         let membership = Arc::new(Membership::new(n));
         receivers
             .into_iter()
             .enumerate()
-            .map(|(rank, inbox)| {
-                Endpoint::new(
-                    rank,
-                    senders.clone(),
-                    inbox,
-                    barrier.clone(),
-                    membership.clone(),
-                )
-            })
+            .map(|(rank, inbox)| Endpoint::new(rank, senders.clone(), inbox, membership.clone()))
             .collect()
     }
 

@@ -8,12 +8,13 @@
 
 use crate::error::{RtsError, RtsResult};
 use crate::membership::Membership;
+use crate::reduce::ReduceOp;
 use crate::Tag;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 /// An in-flight message: source rank, tag, payload.
 #[derive(Debug, Clone)]
@@ -37,12 +38,14 @@ pub struct Endpoint {
     /// Messages received but not yet matched by a `recv` call
     /// (out-of-order arrivals under (source, tag) matching).
     pending: RefCell<VecDeque<Message>>,
-    /// Domain-wide barrier (used only while every rank is alive).
-    barrier: Arc<Barrier>,
     /// Domain-shared membership record: which ranks are confirmed dead,
-    /// versioned by epoch. Mask 0 — the healthy case — keeps every code
-    /// path identical to the membership-free runtime.
+    /// versioned by epoch, plus the domain's rendezvous. Mask 0 — the
+    /// healthy case — keeps every code path identical to the
+    /// membership-free runtime.
     membership: Arc<Membership>,
+    /// Collectives this rank has completed (see
+    /// [`Endpoint::collectives_completed`]).
+    pub(crate) completed: Cell<u64>,
     /// Collective sequence number for the consistency verifier: counts
     /// how many [`crate::verify`] agreements this rank has entered.
     #[cfg(feature = "analyze")]
@@ -54,7 +57,6 @@ impl Endpoint {
         rank: usize,
         peers: Vec<Sender<Message>>,
         inbox: Receiver<Message>,
-        barrier: Arc<Barrier>,
         membership: Arc<Membership>,
     ) -> Endpoint {
         Endpoint {
@@ -62,8 +64,8 @@ impl Endpoint {
             peers,
             inbox,
             pending: RefCell::new(VecDeque::new()),
-            barrier,
             membership,
+            completed: Cell::new(0),
             #[cfg(feature = "analyze")]
             verify_seq: std::cell::Cell::new(0),
         }
@@ -210,26 +212,40 @@ impl Endpoint {
         self.membership.is_dead(rank)
     }
 
-    /// Block until every *live* rank in the domain reaches the barrier.
-    ///
-    /// While every rank is alive this is the plain `std` barrier. Once
-    /// the membership records a death, the `Arc<Barrier>` (whose count
-    /// includes the dead) would wait forever, so the domain switches to
-    /// a software survivor barrier relayed through rank 0 — rank 0 is
-    /// assumed alive (its death is machine death at the layer above).
+    /// How many collectives this rank has completed: one count per
+    /// successful call of any collective, bumped where the collective's
+    /// epilogue runs. Always on; a [`Cell`] increment per collective.
+    pub fn collectives_completed(&self) -> u64 {
+        self.completed.get()
+    }
+
+    /// Block until every *live* rank in the domain reaches the barrier:
+    /// a rendezvous with an empty contribution. A confirmed-dead caller
+    /// returns at once — there is nobody it could wait for.
     pub fn barrier(&self) {
         let dead = self.membership.dead_mask();
         let scope = self.collective_enter("barrier");
-        if dead == 0 {
-            self.barrier.wait();
-        } else {
-            // A disconnect here means a peer exited without a recorded
-            // death — teardown, not degraded operation. Returning is
-            // the least-harm option; collectives after it will report
-            // the disconnect as a typed error.
-            let _ = self.survivor_barrier(dead);
+        if crate::collectives::live(dead, self.rank) {
+            // Without a result to copy out, the round cannot fail.
+            let _ = self.rendezvous(&[], ReduceOp::Sum, None);
         }
         self.collective_done(scope, dead);
+    }
+
+    /// One round of the domain's rendezvous for this rank.
+    pub(crate) fn rendezvous(
+        &self,
+        local: &[f64],
+        op: ReduceOp,
+        out: Option<&mut Vec<f64>>,
+    ) -> RtsResult<()> {
+        self.membership.rendezvous().round(
+            self.rank,
+            local,
+            op,
+            || self.membership.dead_mask(),
+            out,
+        )
     }
 }
 

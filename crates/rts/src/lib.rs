@@ -16,10 +16,15 @@
 //!   `(source, tag)` matching,
 //! * collectives: barrier, broadcast, gather(v), scatter(v), allgather,
 //!   allreduce, alltoallv,
-//! * all collectives use linear (root-relayed) algorithms, matching
-//!   mid-90s MPICH behaviour on small SMPs — this is what makes the cost
-//!   of the centralized method's gather/scatter grow with thread count,
-//!   the effect Table 1 of the paper measures.
+//! * barrier and allreduce meet in one shared-memory rendezvous per
+//!   domain: each rank fills its slot, the last live rank to arrive
+//!   folds the slots in rank order and wakes the rest (one round, no
+//!   messages),
+//! * the collectives that move data (broadcast, gather, scatter,
+//!   allgather, alltoallv) use linear (root-relayed) algorithms,
+//!   matching mid-90s MPICH behaviour on small SMPs — this is what
+//!   makes the cost of the centralized method's gather/scatter grow
+//!   with thread count, the effect Table 1 of the paper measures.
 //!
 //! ```
 //! use pardis_rts::Domain;
@@ -56,6 +61,7 @@ pub mod membership;
 #[cfg(feature = "obs")]
 pub mod obs;
 pub mod reduce;
+mod rendezvous;
 pub mod rma;
 pub mod traits;
 #[cfg(feature = "analyze")]
@@ -100,14 +106,8 @@ pub mod tags {
         SCATTER = 3;
         /// All-gather re-broadcast (rank 0 → rank).
         ALLGATHER = 4;
-        /// Reduction contribution (rank → 0).
-        REDUCE = 5;
         /// Personalized all-to-all chunk.
         ALLTOALL = 6;
-        /// Survivor-barrier token (live rank → 0).
-        MBAR_IN = 7;
-        /// Survivor-barrier release (0 → live ranks).
-        MBAR_OUT = 8;
         /// Collective-verify fingerprint (rank → 0).
         VERIFY = 9;
         /// Collective-verify verdict (0 → rank).

@@ -28,6 +28,7 @@
 //!   steps, not wall clock, so the same heartbeat trace always yields
 //!   the same suspicion curve.
 
+use crate::rendezvous::Rendezvous;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Largest domain the membership bitmask can track.
@@ -61,12 +62,15 @@ impl MembershipView {
 }
 
 /// Domain-shared membership record. One per [`crate::Domain`], shared
-/// by every [`crate::Endpoint`] through an `Arc`.
+/// by every [`crate::Endpoint`] through an `Arc`. It also holds the
+/// domain's rendezvous (barrier and allreduce), so that confirming a
+/// death can wake the ranks parked in it.
 #[derive(Debug)]
 pub struct Membership {
     size: usize,
     epoch: AtomicU64,
     dead: AtomicU64,
+    rendezvous: Rendezvous,
 }
 
 impl Membership {
@@ -76,7 +80,13 @@ impl Membership {
             size,
             epoch: AtomicU64::new(0),
             dead: AtomicU64::new(0),
+            rendezvous: Rendezvous::new(size),
         }
+    }
+
+    /// The domain's rendezvous.
+    pub(crate) fn rendezvous(&self) -> &Rendezvous {
+        &self.rendezvous
     }
 
     /// Domain size this membership tracks.
@@ -110,9 +120,10 @@ impl Membership {
     }
 
     /// Confirm `rank` dead, bumping the epoch if it was alive until
-    /// now. Returns the epoch in force after the call. Idempotent —
-    /// every rank of the domain applies the same verdict, and only the
-    /// first application bumps the epoch.
+    /// now, and wake the ranks parked in the rendezvous so they stop
+    /// waiting for it. Returns the epoch in force after the call.
+    /// Idempotent — every rank of the domain applies the same verdict,
+    /// and only the first application bumps the epoch.
     ///
     /// Ranks outside the `u64` mask (>= [`MAX_RANKS`]) and out-of-range
     /// ranks are ignored.
@@ -123,7 +134,9 @@ impl Membership {
         let bit = 1u64 << rank;
         let prev = self.dead.fetch_or(bit, Ordering::AcqRel);
         if prev & bit == 0 {
-            self.epoch.fetch_add(1, Ordering::AcqRel) + 1
+            let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+            self.rendezvous.wake();
+            epoch
         } else {
             self.epoch()
         }

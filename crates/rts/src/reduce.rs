@@ -1,5 +1,7 @@
 //! Reduction operators for `allreduce`/`reduce` collectives.
 
+use crate::error::{RtsError, RtsResult};
+
 /// Element-wise reduction operator over `f64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
@@ -36,13 +38,20 @@ impl ReduceOp {
         }
     }
 
-    /// Fold `src` into `acc` element-wise. Panics if lengths differ —
-    /// that is a collective-contract violation, not a runtime condition.
-    pub fn fold_into(self, acc: &mut [f64], src: &[f64]) {
-        assert_eq!(acc.len(), src.len(), "reduction buffers must agree");
+    /// Fold `src` into `acc` element-wise. Buffers of different
+    /// lengths (a collective-contract violation by the caller) are a
+    /// typed [`RtsError::LengthMismatch`], and `acc` is left unchanged.
+    pub fn fold_into(self, acc: &mut [f64], src: &[f64]) -> RtsResult<()> {
+        if acc.len() != src.len() {
+            return Err(RtsError::LengthMismatch {
+                expected: acc.len(),
+                got: src.len(),
+            });
+        }
         for (a, &s) in acc.iter_mut().zip(src) {
             *a = self.apply(*a, s);
         }
+        Ok(())
     }
 }
 
@@ -60,16 +69,24 @@ mod tests {
     #[test]
     fn fold_into_works() {
         let mut acc = vec![1.0, 5.0, -2.0];
-        ReduceOp::Max.fold_into(&mut acc, &[0.0, 7.0, -1.0]);
+        ReduceOp::Max
+            .fold_into(&mut acc, &[0.0, 7.0, -1.0])
+            .unwrap();
         assert_eq!(acc, vec![1.0, 7.0, -1.0]);
-        ReduceOp::Sum.fold_into(&mut acc, &[1.0, 1.0, 1.0]);
+        ReduceOp::Sum.fold_into(&mut acc, &[1.0, 1.0, 1.0]).unwrap();
         assert_eq!(acc, vec![2.0, 8.0, 0.0]);
     }
 
     #[test]
-    #[should_panic(expected = "must agree")]
-    fn fold_length_mismatch_panics() {
+    fn fold_length_mismatch_is_typed() {
         let mut acc = vec![0.0];
-        ReduceOp::Sum.fold_into(&mut acc, &[1.0, 2.0]);
+        assert_eq!(
+            ReduceOp::Sum.fold_into(&mut acc, &[1.0, 2.0]),
+            Err(RtsError::LengthMismatch {
+                expected: 1,
+                got: 2
+            })
+        );
+        assert_eq!(acc, vec![0.0]);
     }
 }
