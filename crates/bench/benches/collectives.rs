@@ -4,12 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pardis_bench::SpmdRig;
-use std::sync::Arc;
 
 fn bench_gather(c: &mut Criterion) {
     let mut g = c.benchmark_group("rts/gather_f64");
     for threads in [2usize, 4, 8] {
-        let rig = Arc::new(SpmdRig::new(threads));
+        let rig = SpmdRig::new(threads);
         let per_thread = 1usize << 14;
         g.throughput(Throughput::Bytes((threads * per_thread * 8) as u64));
         g.bench_with_input(BenchmarkId::from_parameter(threads), &rig, |b, rig| {
@@ -29,7 +28,7 @@ fn bench_gather_scatter_roundtrip(c: &mut Criterion) {
     // The full centralized-argument pattern.
     let mut g = c.benchmark_group("rts/gather_scatter");
     for threads in [2usize, 4, 8] {
-        let rig = Arc::new(SpmdRig::new(threads));
+        let rig = SpmdRig::new(threads);
         let per_thread = 1usize << 14;
         g.throughput(Throughput::Bytes((threads * per_thread * 8 * 2) as u64));
         g.bench_with_input(BenchmarkId::from_parameter(threads), &rig, |b, rig| {
@@ -50,7 +49,7 @@ fn bench_gather_scatter_roundtrip(c: &mut Criterion) {
 fn bench_barrier(c: &mut Criterion) {
     let mut g = c.benchmark_group("rts/barrier");
     for threads in [2usize, 8] {
-        let rig = Arc::new(SpmdRig::new(threads));
+        let rig = SpmdRig::new(threads);
         g.bench_with_input(BenchmarkId::from_parameter(threads), &rig, |b, rig| {
             b.iter(|| {
                 rig.run(|ep| {
@@ -67,7 +66,7 @@ fn bench_barrier(c: &mut Criterion) {
 fn bench_allreduce(c: &mut Criterion) {
     let mut g = c.benchmark_group("rts/allreduce_f64");
     for threads in [2usize, 8] {
-        let rig = Arc::new(SpmdRig::new(threads));
+        let rig = SpmdRig::new(threads);
         g.bench_with_input(BenchmarkId::from_parameter(threads), &rig, |b, rig| {
             b.iter(|| {
                 rig.run(|ep| {

@@ -5,13 +5,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pardis_bench::SpmdRig;
 use pardis_core::{DSequence, DistTempl, Proportions};
-use std::sync::Arc;
 
 fn bench_redistribute(c: &mut Criterion) {
     let mut g = c.benchmark_group("dseq/redistribute");
     g.sample_size(20);
     for threads in [2usize, 4, 8] {
-        let rig = Arc::new(SpmdRig::new(threads));
+        let rig = SpmdRig::new(threads);
         let len = 1usize << 16;
         g.throughput(Throughput::Bytes((len * 8) as u64));
         g.bench_with_input(BenchmarkId::from_parameter(threads), &rig, |b, rig| {
@@ -33,7 +32,7 @@ fn bench_element_access(c: &mut Criterion) {
     // Collective operator[]: the owner broadcasts.
     let mut g = c.benchmark_group("dseq/get");
     for threads in [2usize, 4] {
-        let rig = Arc::new(SpmdRig::new(threads));
+        let rig = SpmdRig::new(threads);
         g.bench_with_input(BenchmarkId::from_parameter(threads), &rig, |b, rig| {
             b.iter(|| {
                 rig.run(|ep| {
@@ -52,7 +51,7 @@ fn bench_element_access(c: &mut Criterion) {
 
 fn bench_from_local(c: &mut Criterion) {
     // The conversion constructor: allgather of the local lengths.
-    let rig = Arc::new(SpmdRig::new(4));
+    let rig = SpmdRig::new(4);
     c.bench_function("dseq/from_local", |b| {
         b.iter(|| {
             rig.run(|ep| {

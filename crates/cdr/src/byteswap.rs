@@ -9,22 +9,25 @@
 //! byte swapping (the translation path), which the benchmark harness
 //! ablates.
 //!
-//! The read-side byte view ([`as_byte_slice`]) is the one documented
-//! `unsafe` reinterpretation in the workspace; every decode goes
-//! through safe byte-by-byte conversions — the copies model real
-//! marshaling work anyway.
+//! The two views between plain-old-data slices and their bytes
+//! ([`as_byte_slice`] and its checked inverse [`try_cast_slice`]) are
+//! the documented `unsafe` reinterpretations in the workspace, both
+//! resting on the one [`Pod`] contract. Every other decode goes through
+//! safe byte-by-byte conversions.
 
 /// Marker for primitive types whose in-memory representation is plain
-/// bytes: inhabited, no padding, every bit pattern meaningful when
-/// read back as bytes.
+/// bytes: inhabited, no padding, and every pattern of
+/// `size_of::<T>()` bytes is a valid `T`.
 ///
 /// # Safety
 ///
 /// Implementors guarantee the above; [`as_byte_slice`] relies on it to
-/// reinterpret `&[T]` as `&[u8]`.
+/// reinterpret `&[T]` as `&[u8]`, and [`try_cast_slice`] to reinterpret
+/// `&[u8]` as `&[T]`.
 pub unsafe trait Pod: Copy {}
 
-// SAFETY: primitive numeric types are inhabited and padding-free.
+// SAFETY: primitive numeric types are inhabited and padding-free, and
+// any bit pattern is a valid value of each.
 unsafe impl Pod for f64 {}
 // SAFETY: as above.
 unsafe impl Pod for i32 {}
@@ -47,6 +50,34 @@ pub fn as_byte_slice<T: Pod>(v: &[T]) -> &[u8] {
     // the slice's byte size — so the view covers only memory owned by
     // `v`, for the duration of the borrow the signature ties it to.
     unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, std::mem::size_of_val(v)) }
+}
+
+/// View native-order bytes as a slice of `T` without copying: the
+/// checked inverse of [`as_byte_slice`].
+///
+/// `None` unless `b` holds a whole number of elements and starts at an
+/// address aligned for `T`. The address is checked at run time; nothing
+/// is assumed about where the allocator or a frame layout put the
+/// bytes. Empty input is an empty slice wherever it points.
+#[inline]
+pub fn try_cast_slice<T: Pod>(b: &[u8]) -> Option<&[T]> {
+    let size = std::mem::size_of::<T>();
+    if size == 0 || !b.len().is_multiple_of(size) {
+        return None;
+    }
+    if b.is_empty() {
+        return Some(&[]);
+    }
+    if !(b.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>()) {
+        return None;
+    }
+    // SAFETY: the pointer is non-null, aligned for `T` (checked above)
+    // and valid for reads of `b.len()` bytes, which are exactly
+    // `b.len() / size` elements (checked above) and, being one slice,
+    // span at most `isize::MAX` bytes. `T: Pod` makes every
+    // byte pattern a valid `T`, and the returned slice borrows `b`, so
+    // the bytes stay alive and unmodified for as long as it is used.
+    Some(unsafe { std::slice::from_raw_parts(b.as_ptr() as *const T, b.len() / size) })
 }
 
 /// View a `f64` slice as its native-order byte representation.
@@ -155,6 +186,82 @@ mod tests {
         let mut back = Vec::new();
         bytes_to_f64(&buf, &mut back);
         assert_eq!(back, vals);
+    }
+
+    /// At least `n` bytes of 8-aligned storage (a `u64` vector).
+    fn aligned(n: usize) -> Vec<u64> {
+        vec![0x0102_0304_0506_0708; n.div_ceil(8)]
+    }
+
+    #[test]
+    fn cast_views_aligned_whole_elements() {
+        let data = [1.0f64, -2.5, 1e-300, f64::INFINITY];
+        let view = try_cast_slice::<f64>(f64_slice_as_bytes(&data)).unwrap();
+        assert_eq!(view, data);
+        assert_eq!(view.as_ptr(), data.as_ptr());
+        let ints = [7i32, -1, i32::MIN];
+        assert_eq!(
+            try_cast_slice::<i32>(i32_slice_as_bytes(&ints)),
+            Some(&ints[..])
+        );
+    }
+
+    #[test]
+    fn cast_refuses_every_misalignment() {
+        let words = aligned(64);
+        let bytes = as_byte_slice(&words);
+        assert!(try_cast_slice::<f64>(&bytes[..64]).is_some());
+        for off in 1..8 {
+            let b = &bytes[off..off + 32];
+            assert_eq!(try_cast_slice::<f64>(b), None, "offset {off}");
+            assert_eq!(try_cast_slice::<u64>(b), None, "offset {off}");
+            let i32_ok = try_cast_slice::<i32>(b).is_some();
+            assert_eq!(i32_ok, off % 4 == 0, "offset {off}");
+            // Bytes need no alignment.
+            assert_eq!(try_cast_slice::<u8>(b), Some(b));
+        }
+    }
+
+    #[test]
+    fn cast_refuses_partial_elements() {
+        let words = aligned(64);
+        let bytes = as_byte_slice(&words);
+        for len in [1, 7, 9, 12, 63] {
+            assert_eq!(try_cast_slice::<f64>(&bytes[..len]), None, "len {len}");
+        }
+        assert_eq!(try_cast_slice::<i32>(&bytes[..6]), None);
+        assert_eq!(
+            try_cast_slice::<i32>(&bytes[..12]).map(<[i32]>::len),
+            Some(3)
+        );
+    }
+
+    #[test]
+    fn cast_of_empty_input_is_empty_anywhere() {
+        let words = aligned(16);
+        let bytes = as_byte_slice(&words);
+        for off in 0..8 {
+            assert_eq!(try_cast_slice::<f64>(&bytes[off..off]), Some(&[][..]));
+        }
+        assert_eq!(try_cast_slice::<i32>(&[]), Some(&[][..]));
+    }
+
+    #[test]
+    fn cast_reads_translated_words() {
+        let data = [1.5f64, -3.0, 6.25e10];
+        let mut swapped = f64_slice_as_bytes(&data).to_vec();
+        swap_f64_bytes_in_place(&mut swapped);
+        // The translated bytes, moved into aligned storage, view as
+        // the swapped values; swapping those back restores the data.
+        let words: Vec<u64> = swapped
+            .chunks_exact(8)
+            .map(|c| u64::from_ne_bytes(c.try_into().unwrap()))
+            .collect();
+        let view = try_cast_slice::<f64>(as_byte_slice(&words)).unwrap();
+        assert_ne!(view, data);
+        let mut back = view.to_vec();
+        swap_f64_in_place(&mut back);
+        assert_eq!(back, data);
     }
 
     #[test]

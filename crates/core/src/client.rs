@@ -356,7 +356,7 @@ impl Proxy {
         Ok(DistArgSend {
             dir,
             elem_size: T::wire_size(),
-            local: T::to_native_bytes(seq.local_data()),
+            local: seq.share(),
             client_templ: seq.templ().clone(),
             server_templ,
             #[cfg(feature = "analyze")]
@@ -367,7 +367,8 @@ impl Proxy {
     /// Describe a distributed argument from a plain (non-distributed)
     /// slice — the `_nd` mapping used with per-thread bindings: the whole
     /// sequence lives on the calling thread, the server still sees its
-    /// registered distribution.
+    /// registered distribution. The slice is borrowed program memory, so
+    /// this mapping copies it once more than [`Proxy::dist_arg`] does.
     pub fn dist_arg_nd<T: Elem>(
         &self,
         op: &str,

@@ -29,16 +29,20 @@
 use crate::dist::DistTempl;
 use crate::error::{PardisError, PardisResult};
 use bytes::Bytes;
-use pardis_cdr::{CdrReader, CdrResult, CdrWriter};
+use pardis_cdr::byteswap::{as_byte_slice, try_cast_slice, Pod};
+use pardis_cdr::{CdrReader, CdrResult, CdrWriter, Endian};
 use pardis_rts::Endpoint;
+use std::fmt;
+use std::sync::Arc;
 
 /// Element types a distributed sequence can carry.
 ///
 /// The paper allows "any nondistributed type defined in IDL"; this trait
 /// is implemented for the primitive types used by the evaluation
-/// (`double` above all) and is open for generated code to implement for
-/// user-defined types.
-pub trait Elem: Clone + Send + Default + 'static {
+/// (`double` above all). Elements are plain old data ([`Pod`]), so a
+/// sequence can lend its storage to a frame and view a received frame
+/// in place.
+pub trait Elem: Pod + Send + Sync + Default + 'static {
     /// CDR type code of the element.
     fn typecode() -> pardis_cdr::TypeCode;
     /// Size of one element on the wire (CDR, primitive types only).
@@ -47,10 +51,32 @@ pub trait Elem: Clone + Send + Default + 'static {
     fn write_slice(w: &mut CdrWriter, v: &[Self]);
     /// Unmarshal `n` elements.
     fn read_slice(r: &mut CdrReader<'_>, n: usize, out: &mut Vec<Self>) -> CdrResult<()>;
-    /// Native-order byte image for intra-machine (RTS) transport.
-    fn to_native_bytes(v: &[Self]) -> Bytes;
-    /// Rebuild elements from a native-order byte image.
-    fn from_native_bytes(b: &[u8]) -> Vec<Self>;
+
+    /// Native-order byte image, copied into new storage.
+    fn to_native_bytes(v: &[Self]) -> Bytes {
+        Bytes::copy_from_slice(as_byte_slice(v))
+    }
+
+    /// Rebuild elements from a native-order byte image: one copy,
+    /// wherever `b` starts. A trailing partial element is ignored.
+    fn from_native_bytes(b: &[u8]) -> Vec<Self> {
+        let mut out = Vec::with_capacity(b.len() / std::mem::size_of::<Self>());
+        extend_from_native(&mut out, b);
+        out
+    }
+}
+
+/// Append the whole elements of a native-order byte image to `out`,
+/// copying once: straight from the bytes when they cast to `[T]`, one
+/// element at a time when they are misaligned.
+fn extend_from_native<T: Elem>(out: &mut Vec<T>, b: &[u8]) {
+    let n = b.len() / std::mem::size_of::<T>();
+    let b = &b[..n * std::mem::size_of::<T>()];
+    match try_cast_slice(b) {
+        Some(v) => out.extend_from_slice(v),
+        None => T::read_slice(&mut CdrReader::new(b, Endian::native()), n, out)
+            .expect("the reader holds exactly `n` whole elements"),
+    }
 }
 
 impl Elem for f64 {
@@ -66,14 +92,6 @@ impl Elem for f64 {
     fn read_slice(r: &mut CdrReader<'_>, n: usize, out: &mut Vec<Self>) -> CdrResult<()> {
         r.get_f64_slice(n, out)
     }
-    fn to_native_bytes(v: &[Self]) -> Bytes {
-        Bytes::copy_from_slice(pardis_cdr::byteswap::f64_slice_as_bytes(v))
-    }
-    fn from_native_bytes(b: &[u8]) -> Vec<Self> {
-        let mut out = Vec::with_capacity(b.len() / 8);
-        pardis_cdr::byteswap::bytes_to_f64(b, &mut out);
-        out
-    }
 }
 
 impl Elem for i32 {
@@ -88,14 +106,6 @@ impl Elem for i32 {
     }
     fn read_slice(r: &mut CdrReader<'_>, n: usize, out: &mut Vec<Self>) -> CdrResult<()> {
         r.get_i32_slice(n, out)
-    }
-    fn to_native_bytes(v: &[Self]) -> Bytes {
-        Bytes::copy_from_slice(pardis_cdr::byteswap::i32_slice_as_bytes(v))
-    }
-    fn from_native_bytes(b: &[u8]) -> Vec<Self> {
-        let mut out = Vec::with_capacity(b.len() / 4);
-        pardis_cdr::byteswap::bytes_to_i32(b, &mut out);
-        out
     }
 }
 
@@ -113,19 +123,86 @@ impl Elem for u8 {
         out.extend_from_slice(r.take(n)?);
         Ok(())
     }
-    fn to_native_bytes(v: &[Self]) -> Bytes {
-        Bytes::copy_from_slice(v)
+}
+
+/// The storage of a sequence's local part: shared and copy-on-write.
+#[derive(Clone)]
+enum Local<T: Elem> {
+    /// Program memory, reference-counted so that an outgoing frame can
+    /// borrow it while the call is in flight.
+    Owned(Arc<Vec<T>>),
+    /// A read-only view of received bytes, checked at construction to
+    /// cast to `[T]`. It keeps the whole frame it points into alive.
+    View(Bytes),
+}
+
+/// Lends a sequence's storage to a [`Bytes`] without copying it.
+struct PodOwner<T: Elem>(Arc<Vec<T>>);
+
+impl<T: Elem> AsRef<[u8]> for PodOwner<T> {
+    fn as_ref(&self) -> &[u8] {
+        as_byte_slice(&self.0)
     }
-    fn from_native_bytes(b: &[u8]) -> Vec<Self> {
-        b.to_vec()
+}
+
+impl<T: Elem> Local<T> {
+    fn as_slice(&self) -> &[T] {
+        match self {
+            Local::Owned(v) => v,
+            Local::View(b) => try_cast_slice(b).expect("a view is checked when it is built"),
+        }
+    }
+
+    /// The storage as bytes, without copying.
+    fn share(&self) -> Bytes {
+        match self {
+            Local::Owned(v) => Bytes::from_owner(PodOwner(Arc::clone(v))),
+            Local::View(b) => b.clone(),
+        }
+    }
+
+    /// The elements, owned by this sequence alone: taken over in place
+    /// when nothing else shares them, copied once otherwise.
+    fn make_mut(&mut self) -> &mut Vec<T> {
+        if let Local::View(b) = self {
+            *self = Local::Owned(Arc::new(T::from_native_bytes(b)));
+        }
+        match self {
+            Local::Owned(v) => Arc::make_mut(v),
+            Local::View(_) => unreachable!("a view was detached above"),
+        }
+    }
+
+    fn into_vec(self) -> Vec<T> {
+        match self {
+            Local::Owned(v) => Arc::try_unwrap(v).unwrap_or_else(|v| v.to_vec()),
+            Local::View(b) => T::from_native_bytes(&b),
+        }
+    }
+}
+
+impl<T: Elem + PartialEq> PartialEq for Local<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<T: Elem + fmt::Debug> fmt::Debug for Local<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
     }
 }
 
 /// A distributed sequence as held by one computing thread.
+///
+/// The local part is shared copy-on-write: passing the sequence to an
+/// invocation lends its storage to the outgoing frame, and a sequence
+/// built from a received argument or result views the frame in place.
+/// The first mutation of a shared or viewed local part copies it once.
 #[cfg_attr(not(feature = "analyze"), derive(Clone, PartialEq))]
 #[derive(Debug)]
 pub struct DSequence<T: Elem> {
-    local: Vec<T>,
+    local: Local<T>,
     templ: DistTempl,
     thread: usize,
     /// Optional IDL bound (`dsequence<double, 1024>`).
@@ -145,8 +222,9 @@ impl<T: Elem> Clone for DSequence<T> {
             templ: self.templ.clone(),
             thread: self.thread,
             bound: self.bound,
-            // A clone owns fresh storage: accesses to it cannot race
-            // with transfers of the original.
+            // The clone shares the storage copy-on-write, so its first
+            // write detaches it: accesses to the clone cannot race with
+            // transfers of the original.
             buf_id: crate::race::new_buf_id(),
         }
     }
@@ -170,14 +248,11 @@ impl<T: Elem> DSequence<T> {
         let templ = templ.unwrap_or_else(|| DistTempl::block(len, rts.size()));
         Self::validate_templ(rts, len, &templ)?;
         let local = vec![T::default(); templ.count(rts.rank())];
-        Ok(DSequence {
-            local,
+        Ok(Self::with_local(
+            Local::Owned(Arc::new(local)),
             templ,
-            thread: rts.rank(),
-            bound: None,
-            #[cfg(feature = "analyze")]
-            buf_id: crate::race::new_buf_id(),
-        })
+            rts.rank(),
+        ))
     }
 
     /// Conversion constructor: adopt this thread's locally managed data
@@ -187,14 +262,11 @@ impl<T: Elem> DSequence<T> {
     pub fn from_local(rts: &Endpoint, local: Vec<T>) -> PardisResult<DSequence<T>> {
         let lens = rts.allgather_u64(local.len() as u64)?;
         let templ = DistTempl::from_counts(lens.into_iter().map(|l| l as usize).collect());
-        Ok(DSequence {
-            local,
+        Ok(Self::with_local(
+            Local::Owned(Arc::new(local)),
             templ,
-            thread: rts.rank(),
-            bound: None,
-            #[cfg(feature = "analyze")]
-            buf_id: crate::race::new_buf_id(),
-        })
+            rts.rank(),
+        ))
     }
 
     /// Non-collective constructor used by the ORB when it has already
@@ -204,22 +276,55 @@ impl<T: Elem> DSequence<T> {
         templ: DistTempl,
         thread: usize,
     ) -> PardisResult<DSequence<T>> {
-        if local.len() != templ.count(thread) {
+        Self::check_count(local.len(), &templ, thread)?;
+        Ok(Self::with_local(
+            Local::Owned(Arc::new(local)),
+            templ,
+            thread,
+        ))
+    }
+
+    /// Non-collective constructor over received native-order bytes (an
+    /// argument or result the ORB delivered): the sequence views them in
+    /// place when they cast to `[T]`, and copies them once when they
+    /// are misaligned. A length that is not a whole number of elements
+    /// is an error, never a truncated sequence.
+    pub fn from_bytes(local: Bytes, templ: DistTempl, thread: usize) -> PardisResult<DSequence<T>> {
+        let size = std::mem::size_of::<T>();
+        if !local.len().is_multiple_of(size) {
             return Err(PardisError::BadDistArg(format!(
-                "local part has {} elements, template assigns {} to thread {}",
-                local.len(),
-                templ.count(thread),
-                thread
+                "{} bytes are not a whole number of {size}-byte elements",
+                local.len()
             )));
         }
-        Ok(DSequence {
+        Self::check_count(local.len() / size, &templ, thread)?;
+        let local = if try_cast_slice::<T>(&local).is_some() {
+            Local::View(local)
+        } else {
+            Local::Owned(Arc::new(T::from_native_bytes(&local)))
+        };
+        Ok(Self::with_local(local, templ, thread))
+    }
+
+    fn with_local(local: Local<T>, templ: DistTempl, thread: usize) -> DSequence<T> {
+        DSequence {
             local,
             templ,
             thread,
             bound: None,
             #[cfg(feature = "analyze")]
             buf_id: crate::race::new_buf_id(),
-        })
+        }
+    }
+
+    fn check_count(count: usize, templ: &DistTempl, thread: usize) -> PardisResult<()> {
+        if count != templ.count(thread) {
+            return Err(PardisError::BadDistArg(format!(
+                "local part has {count} elements, template assigns {} to thread {thread}",
+                templ.count(thread),
+            )));
+        }
+        Ok(())
     }
 
     fn validate_templ(rts: &Endpoint, len: usize, templ: &DistTempl) -> PardisResult<()> {
@@ -275,17 +380,20 @@ impl<T: Elem> DSequence<T> {
     /// Number of locally owned elements (`local_length()` in the C++
     /// mapping).
     pub fn local_len(&self) -> usize {
-        self.local.len()
+        self.local.as_slice().len()
     }
 
-    /// Borrow the locally owned elements (`local_data()`).
+    /// Borrow the locally owned elements (`local_data()`), without
+    /// copying.
     pub fn local_data(&self) -> &[T] {
         #[cfg(feature = "analyze")]
         crate::race::on_access(self.buf_id, crate::race::AccessKind::Read, "local_data");
-        &self.local
+        self.local.as_slice()
     }
 
-    /// Mutably borrow the locally owned elements.
+    /// Mutably borrow the locally owned elements. Copies them once if
+    /// they are shared (an invocation still holds them) or a view of a
+    /// received frame; takes them over in place otherwise.
     pub fn local_data_mut(&mut self) -> &mut [T] {
         #[cfg(feature = "analyze")]
         crate::race::on_access(
@@ -293,7 +401,15 @@ impl<T: Elem> DSequence<T> {
             crate::race::AccessKind::Write,
             "local_data_mut",
         );
-        &mut self.local
+        self.local.make_mut()
+    }
+
+    /// The local part as bytes for an outgoing frame, sharing the
+    /// storage instead of copying it. The race analyzer sees a
+    /// `local_data` read, which it pairs with the transfer.
+    pub(crate) fn share(&self) -> Bytes {
+        let _ = self.local_data();
+        self.local.share()
     }
 
     /// The buffer identity the race analyzer keys intervals on.
@@ -304,7 +420,7 @@ impl<T: Elem> DSequence<T> {
 
     /// Give the local part back to the program's own memory management.
     pub fn into_local(self) -> Vec<T> {
-        self.local
+        self.local.into_vec()
     }
 
     /// Global index range owned locally.
@@ -318,7 +434,7 @@ impl<T: Elem> DSequence<T> {
         let (owner, local_idx) = self.templ.owner_of(idx)?;
         let data = if rts.rank() == owner {
             Some(T::to_native_bytes(std::slice::from_ref(
-                &self.local[local_idx],
+                &self.local.as_slice()[local_idx],
             )))
         } else {
             None
@@ -334,7 +450,7 @@ impl<T: Elem> DSequence<T> {
     pub fn set(&mut self, _rts: &Endpoint, idx: usize, v: T) -> PardisResult<()> {
         let (owner, local_idx) = self.templ.owner_of(idx)?;
         if owner == self.thread {
-            self.local[local_idx] = v;
+            self.local.make_mut()[local_idx] = v;
         }
         Ok(())
     }
@@ -352,6 +468,7 @@ impl<T: Elem> DSequence<T> {
         }
         let new_templ = self.templ.resized(new_len);
         self.local
+            .make_mut()
             .resize(new_templ.count(self.thread), T::default());
         self.templ = new_templ;
         Ok(())
@@ -367,19 +484,22 @@ impl<T: Elem> DSequence<T> {
         #[cfg(feature = "analyze")]
         crate::race::on_access(self.buf_id, crate::race::AccessKind::Write, "redistribute");
         let my_off = self.templ.offset(self.thread);
-        // Build one outgoing chunk per destination thread.
+        let size = std::mem::size_of::<T>();
+        // One outgoing chunk per destination thread, each a slice of the
+        // shared storage.
+        let shared = self.local.share();
         let mut outgoing: Vec<Bytes> = vec![Bytes::new(); rts.size()];
         for (dst, range) in self.templ.transfers_to(self.thread, &new_templ) {
             let lo = range.start - my_off;
             let hi = range.end - my_off;
-            outgoing[dst] = T::to_native_bytes(&self.local[lo..hi]);
+            outgoing[dst] = shared.slice(lo * size..hi * size);
         }
         let incoming = rts.alltoallv_bytes(outgoing)?;
         // Reassemble in source order: contiguous ownership means source
         // fragments arrive in ascending global order by source rank.
         let mut new_local = Vec::with_capacity(new_templ.count(self.thread));
         for chunk in &incoming {
-            new_local.extend(T::from_native_bytes(chunk));
+            extend_from_native(&mut new_local, chunk);
         }
         if new_local.len() != new_templ.count(self.thread) {
             return Err(PardisError::BadDistArg(format!(
@@ -388,7 +508,7 @@ impl<T: Elem> DSequence<T> {
                 new_templ.count(self.thread)
             )));
         }
-        self.local = new_local;
+        self.local = Local::Owned(Arc::new(new_local));
         self.templ = new_templ;
         Ok(())
     }
@@ -411,10 +531,10 @@ impl<T: Elem> DSequence<T> {
     /// Collectively materialize the whole sequence on every thread
     /// (debug/verification helper, not a transfer path).
     pub fn to_global(&self, rts: &Endpoint) -> PardisResult<Vec<T>> {
-        let chunks = rts.allgather_bytes(T::to_native_bytes(&self.local))?;
+        let chunks = rts.allgather_bytes(self.local.share())?;
         let mut out = Vec::with_capacity(self.len());
         for c in &chunks {
-            out.extend(T::from_native_bytes(c));
+            extend_from_native(&mut out, c);
         }
         Ok(out)
     }
@@ -442,7 +562,7 @@ impl DSequence<f64> {
             bound,
             ..
         } = self;
-        let win = pardis_rts::Window::create(rts, local)?;
+        let win = pardis_rts::Window::create(rts, local.into_vec())?;
         Ok(ExposedSeq {
             win,
             templ,
@@ -767,6 +887,79 @@ mod tests {
             ex.fence(&ep);
             let _ = ex.into_seq(&ep).unwrap();
         });
+    }
+
+    #[test]
+    fn shared_storage_copies_on_first_write_only() {
+        let t = DistTempl::block(4, 1);
+        let mut s = DSequence::from_parts(vec![1.0f64, 2.0, 3.0, 4.0], t, 0).unwrap();
+        let p = s.local_data().as_ptr();
+        let lent = s.share();
+        assert_eq!(lent.as_ptr(), p as *const u8, "sharing does not copy");
+        s.local_data_mut()[0] = 9.0;
+        assert_ne!(s.local_data().as_ptr(), p, "a shared write copies");
+        assert_eq!(try_cast_slice::<f64>(&lent).unwrap(), &[1.0, 2.0, 3.0, 4.0]);
+        drop(lent);
+        let q = s.local_data().as_ptr();
+        s.local_data_mut()[1] = 8.0;
+        s.set_len(&Domain::new(1)[0], 4).unwrap();
+        assert_eq!(s.local_data().as_ptr(), q, "a sole owner writes in place");
+        assert_eq!(s.local_data(), &[9.0, 8.0, 3.0, 4.0]);
+
+        let c = s.clone();
+        let v = s.into_local();
+        assert_ne!(v.as_ptr(), q, "into_local of shared storage copies");
+        let last = c.into_local();
+        assert_eq!(last.as_ptr(), q, "the last owner takes it over");
+        assert_eq!(v, vec![9.0, 8.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn from_bytes_views_aligned_bytes() {
+        let vals: Vec<f64> = (0..16).map(|i| i as f64 * 1.5).collect();
+        let frame = Bytes::from_owner(PodOwner(Arc::new(vals.clone())));
+        let t = DistTempl::block(16, 1);
+        let mut s = DSequence::<f64>::from_bytes(frame.clone(), t, 0).unwrap();
+        assert_eq!(s.local_data().as_ptr() as *const u8, frame.as_ptr());
+        assert_eq!(s.local_data(), &vals[..]);
+        s.local_data_mut()[0] = -1.0;
+        assert_ne!(s.local_data().as_ptr() as *const u8, frame.as_ptr());
+        assert_eq!(try_cast_slice::<f64>(&frame).unwrap(), &vals[..]);
+    }
+
+    #[test]
+    fn from_bytes_copies_misaligned_bytes_once() {
+        let vals: Vec<f64> = (0..16).map(|i| i as f64 * 1.5).collect();
+        let mut raw = vec![0u8; 2];
+        let skew = if (raw.as_ptr() as usize + 1).is_multiple_of(8) {
+            2
+        } else {
+            1
+        };
+        raw.truncate(skew);
+        raw.extend_from_slice(as_byte_slice(&vals));
+        let frame = Bytes::from(raw).slice(skew..);
+        assert!(!(frame.as_ptr() as usize).is_multiple_of(8));
+        let t = DistTempl::block(16, 1);
+        let mut s = DSequence::<f64>::from_bytes(frame.clone(), t, 0).unwrap();
+        let p = s.local_data().as_ptr();
+        assert_ne!(
+            p as *const u8,
+            frame.as_ptr(),
+            "misaligned bytes are copied"
+        );
+        assert_eq!(s.local_data(), &vals[..]);
+        s.local_data_mut()[0] = -1.0;
+        assert_eq!(s.local_data().as_ptr(), p, "and only once");
+    }
+
+    #[test]
+    fn from_bytes_rejects_partial_and_miscounted_parts() {
+        let frame = Bytes::from(vec![0u8; 20]);
+        let t = DistTempl::block(2, 1);
+        assert!(DSequence::<f64>::from_bytes(frame.slice(..12), t.clone(), 0).is_err());
+        assert!(DSequence::<f64>::from_bytes(frame.slice(..8), t.clone(), 0).is_err());
+        assert!(DSequence::<i32>::from_bytes(frame.slice(..8), t, 0).is_ok());
     }
 
     #[test]

@@ -586,10 +586,17 @@ pub struct ReplyResult {
 impl ReplyResult {
     /// Local bytes returned for request dist-arg `idx`, if any.
     pub fn dist_local(&self, idx: u32) -> Option<&[u8]> {
+        self.dist_bytes(idx).map(|b| b.as_ref())
+    }
+
+    /// The same bytes as [`ReplyResult::dist_local`], shared: a
+    /// sequence built over them with [`crate::DSequence::from_bytes`]
+    /// views the reply frame instead of copying it.
+    pub fn dist_bytes(&self, idx: u32) -> Option<&Bytes> {
         self.dist_out
             .iter()
             .find(|(i, _)| *i == idx)
-            .map(|(_, v)| v.as_ref())
+            .map(|(_, v)| v)
     }
 }
 

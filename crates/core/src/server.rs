@@ -105,8 +105,10 @@ impl<'a> ServerRequest<'a> {
             .ok_or_else(|| PardisError::BadDistArg(format!("no distributed argument {idx}")))
     }
 
-    /// Materialize distributed argument `idx` as a typed sequence (this
-    /// thread's local part).
+    /// Distributed argument `idx` as a typed sequence (this thread's
+    /// local part), viewing the received frame in place. The view keeps
+    /// the whole frame alive until the sequence is dropped or its first
+    /// mutation detaches it.
     pub fn dist_seq<T: Elem>(&self, idx: usize) -> PardisResult<DSequence<T>> {
         let d = self.dist_raw(idx)?;
         if d.elem_size != T::wire_size() {
@@ -116,8 +118,7 @@ impl<'a> ServerRequest<'a> {
                 T::wire_size()
             )));
         }
-        let local = T::from_native_bytes(&d.local);
-        DSequence::from_parts(local, d.server_templ.clone(), self.ctx.rank())
+        DSequence::from_bytes(d.local.clone(), d.server_templ.clone(), self.ctx.rank())
     }
 
     /// Marshal the non-distributed results (out/inout/return values).
@@ -154,7 +155,7 @@ impl<'a> ServerRequest<'a> {
                 d.server_templ.len()
             )));
         }
-        self.reply_dist[idx] = Some(T::to_native_bytes(seq.local_data()));
+        self.reply_dist[idx] = Some(seq.share());
         Ok(())
     }
 

@@ -3,24 +3,51 @@
 //! Provides the one type this workspace uses: [`Bytes`], an immutable,
 //! reference-counted byte slice whose `clone` and `slice` are O(1).
 //! Like the real crate, `Bytes::from(Vec<u8>)` takes the vector's
-//! buffer over without copying it.
+//! buffer over without copying it, and [`Bytes::from_owner`] lets any
+//! byte container back a `Bytes` without a copy.
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable view into shared byte storage.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    data: Arc<dyn AsRef<[u8]> + Send + Sync>,
     start: usize,
     end: usize,
+}
+
+impl Default for Bytes {
+    fn default() -> Bytes {
+        Bytes::from(Vec::new())
+    }
 }
 
 impl Bytes {
     /// An empty byte slice.
     pub fn new() -> Bytes {
         Bytes::default()
+    }
+
+    /// Take `owner` over as the storage of a new `Bytes`, without
+    /// copying: the view covers `owner.as_ref()` and keeps `owner` alive
+    /// until the last clone or slice of it is dropped.
+    ///
+    /// Same name and meaning as in `bytes` 1.9. This shim also asks for
+    /// `Sync`, because it calls `as_ref` on every access instead of
+    /// caching the pointer, so `owner` must keep returning the same
+    /// bytes for as long as it is shared.
+    pub fn from_owner<T>(owner: T) -> Bytes
+    where
+        T: AsRef<[u8]> + Send + Sync + 'static,
+    {
+        let end = owner.as_ref().len();
+        Bytes {
+            data: Arc::new(owner),
+            start: 0,
+            end,
+        }
     }
 
     /// Wrap a static slice (copied into shared storage; the real crate
@@ -109,7 +136,7 @@ impl From<&'static str> for Bytes {
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &(*self.data).as_ref()[self.start..self.end]
     }
 }
 
@@ -199,6 +226,27 @@ mod tests {
         let b = Bytes::from(v);
         assert_eq!(b.as_ptr(), ptr);
         assert_eq!(b.slice(8..).as_ptr(), ptr.wrapping_add(8));
+    }
+
+    #[test]
+    fn from_owner_borrows_the_owner() {
+        struct Shared(Arc<Vec<u8>>);
+        impl AsRef<[u8]> for Shared {
+            fn as_ref(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        let owner = Arc::new(vec![9u8; 64]);
+        let ptr = owner.as_ptr();
+        let b = Bytes::from_owner(Shared(owner.clone()));
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.len(), 64);
+        assert_eq!(Arc::strong_count(&owner), 2);
+        let s = b.slice(8..16);
+        drop(b);
+        assert_eq!(s.as_ptr(), ptr.wrapping_add(8));
+        drop(s);
+        assert_eq!(Arc::strong_count(&owner), 1);
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Copy budget of the distributed-argument payload path.
 //!
 //! With no data translation, matching client and server thread counts
-//! and block templates, each direction of an invocation may allocate
-//! payload-sized buffers three times: the sender's native byte image
-//! (`Elem::to_native_bytes`), the frame the payload travels in, and the
-//! receiver's typed unpack (`Elem::from_native_bytes`). Everything else
-//! (headers, collectives, control messages) has to fit in a small
-//! fixed allowance. A counting global allocator measures the bytes the
-//! whole process allocates during one invocation, both machines
-//! included, in both transfer modes.
+//! and block templates, each direction of an invocation allocates the
+//! payload once: the frame the sender marshals it into
+//! (`transfer::pack`). The sender lends its sequence's storage to that
+//! copy and the receiver's sequence views the frame in place. With
+//! translation on, the receiver's byte-swapped copy is a second one.
+//! Everything else (headers, collectives, control messages) has to fit
+//! in a small fixed allowance. A counting global allocator measures the
+//! bytes the whole process allocates during one invocation, both
+//! machines included, in both transfer modes.
+//!
+//! The same allocator checks that nothing keeps a sequence's storage
+//! shared past a blocking call: mutating the sequence afterwards must
+//! not copy it.
 
 use pardis::apps::diffusion::DiffusionServant;
 use pardis::prelude::*;
@@ -70,21 +75,46 @@ fn allocated_during(ctx: &OrbCtx, op: impl FnOnce()) -> u64 {
     after - before
 }
 
-#[test]
-fn payload_is_allocated_at_most_three_times_per_direction() {
+/// What one transfer mode allocated, in bytes.
+#[derive(Debug)]
+struct Measured {
+    mode: TransferMode,
+    /// One `total_heat` (`in` argument).
+    in_bytes: u64,
+    /// One `diffusion(0)` (`inout` argument).
+    inout_bytes: u64,
+    /// `local_data_mut` right after a blocking `total_heat`.
+    mut_after_in: u64,
+    /// `local_data_mut` on the sequence `diffusion(0)` returned, a view
+    /// of the reply frame.
+    mut_after_inout: u64,
+    /// `local_data_mut` after a further `total_heat` on that sequence.
+    mut_again: u64,
+}
+
+/// Run the invocations against a 2-thread server with `translate` set
+/// on both machines.
+fn measure(translate: bool) -> Vec<Measured> {
+    let opts = OrbOptions {
+        translate,
+        ..Default::default()
+    };
     let world = World::new(LinkSpec::unlimited());
-    let server = world.spawn_machine("server", THREADS, |ctx| {
+    let server = world.spawn_machine_with("server", THREADS, opts.clone(), |ctx| {
         diff_objectSkeleton::register(&ctx, "copies", DiffusionServant::new(), vec![])
             .expect("register");
         ctx.serve_forever().expect("serve");
     });
-    let client = world.spawn_machine("client", THREADS, |ctx| {
+    let client = world.spawn_machine_with("client", THREADS, opts, |ctx| {
         let mut diff = diff_objectProxy::_spmd_bind(&ctx, "copies", None).unwrap();
         let mut arr = DSequence::<f64>::new(ctx.rts(), LEN, None).unwrap();
         let off = arr.local_range().start;
-        for (j, x) in arr.local_data_mut().iter_mut().enumerate() {
-            *x = ((off + j) % 7) as f64;
-        }
+        let fill = |arr: &mut DSequence<f64>| {
+            for (j, x) in arr.local_data_mut().iter_mut().enumerate() {
+                *x = ((off + j) % 7) as f64;
+            }
+        };
+        fill(&mut arr);
         let want_heat: f64 = (0..LEN).map(|i| (i % 7) as f64).sum();
         let mut measured = Vec::new();
         for mode in [TransferMode::Centralized, TransferMode::MultiPort] {
@@ -93,15 +123,34 @@ fn payload_is_allocated_at_most_three_times_per_direction() {
                 diff.total_heat(&ctx, &arr).unwrap();
                 diff.diffusion(&ctx, 0, &mut arr).unwrap();
             }
+            // Start from program-owned storage.
+            fill(&mut arr);
             let mut heat = 0.0;
             let in_bytes = allocated_during(&ctx, || {
                 heat = diff.total_heat(&ctx, &arr).unwrap();
             });
             assert_eq!(heat, want_heat);
+            let mut_after_in = allocated_during(&ctx, || {
+                arr.local_data_mut()[0] += 0.0;
+            });
             let inout_bytes = allocated_during(&ctx, || {
                 diff.diffusion(&ctx, 0, &mut arr).unwrap();
             });
-            measured.push((mode, in_bytes, inout_bytes));
+            let mut_after_inout = allocated_during(&ctx, || {
+                arr.local_data_mut()[0] += 0.0;
+            });
+            diff.total_heat(&ctx, &arr).unwrap();
+            let mut_again = allocated_during(&ctx, || {
+                arr.local_data_mut()[0] += 0.0;
+            });
+            measured.push(Measured {
+                mode,
+                in_bytes,
+                inout_bytes,
+                mut_after_in,
+                mut_after_inout,
+                mut_again,
+            });
         }
         // diffusion(0) returns the array unchanged.
         for (j, x) in arr.local_data().iter().enumerate() {
@@ -114,28 +163,63 @@ fn payload_is_allocated_at_most_three_times_per_direction() {
     });
     let measured = client.join().swap_remove(0);
     server.join();
+    measured
+}
 
-    let per_direction = 3 * PAYLOAD + SLACK;
-    let report: Vec<String> = measured
-        .iter()
-        .map(|(mode, i, io)| {
-            format!(
-                "{mode:?}: in {:.2}x, inout {:.2}x payload",
-                *i as f64 / PAYLOAD as f64,
-                *io as f64 / PAYLOAD as f64
-            )
-        })
-        .collect();
-    eprintln!("{report:?}");
-    for (mode, in_bytes, inout_bytes) in &measured {
-        assert!(
-            *in_bytes <= per_direction,
-            "{mode:?} `in` invocation allocated {in_bytes} B, budget {per_direction} B ({report:?})"
-        );
-        assert!(
-            *inout_bytes <= 2 * per_direction,
-            "{mode:?} `inout` invocation allocated {inout_bytes} B, budget {} B ({report:?})",
-            2 * per_direction
-        );
+fn ratio(bytes: u64) -> String {
+    format!("{:.2}x", bytes as f64 / PAYLOAD as f64)
+}
+
+#[test]
+fn payload_is_allocated_once_per_direction() {
+    // Sequential on purpose: the allocator counts the whole process.
+    for (translate, copies) in [(false, 1), (true, 2)] {
+        let measured = measure(translate);
+        let report: Vec<String> = measured
+            .iter()
+            .map(|m| {
+                format!(
+                    "translate {translate} {:?}: in {}, inout {} payload; \
+                     local_data_mut after in {} B, after inout {}, again {} B",
+                    m.mode,
+                    ratio(m.in_bytes),
+                    ratio(m.inout_bytes),
+                    m.mut_after_in,
+                    ratio(m.mut_after_inout),
+                    m.mut_again,
+                )
+            })
+            .collect();
+        eprintln!("{report:#?}");
+        let per_direction = copies * PAYLOAD + SLACK;
+        for m in &measured {
+            let mode = m.mode;
+            assert!(
+                m.in_bytes <= per_direction,
+                "{mode:?} `in` invocation allocated {} B, budget {per_direction} B ({report:?})",
+                m.in_bytes
+            );
+            assert!(
+                m.inout_bytes <= 2 * per_direction,
+                "{mode:?} `inout` invocation allocated {} B, budget {} B ({report:?})",
+                m.inout_bytes,
+                2 * per_direction
+            );
+            // Nothing holds the storage a blocking call borrowed.
+            assert!(
+                m.mut_after_in < SLACK,
+                "{mode:?} mutation after `in` copied ({report:?})"
+            );
+            // A view of the reply frame detaches with exactly one copy,
+            // and the detached storage is again the sequence's alone.
+            assert!(
+                m.mut_after_inout <= PAYLOAD + SLACK,
+                "{mode:?} detaching the returned sequence copied more than once ({report:?})"
+            );
+            assert!(
+                m.mut_again < SLACK,
+                "{mode:?} mutation after a further `in` copied ({report:?})"
+            );
+        }
     }
 }
