@@ -19,6 +19,7 @@
 
 use pardis_core::prelude::*;
 use pardis_core::race::{self, RaceReport};
+use pardis_idl::diag::json_escape;
 
 const VICTIM_TYPE: &str = "IDL:race_victim:1.0";
 const THREADS: usize = 2;
@@ -182,20 +183,6 @@ pub fn check(seed: u64) -> Result<RaceCheckReport, String> {
         clean,
         window,
     })
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render reports as the analyzer's JSON findings document (same

@@ -114,13 +114,12 @@ pub struct PendingInvoke {
     /// A send-phase failure deferred until the receive phase, so the
     /// machine's threads stay in lockstep through the collectives.
     pub(crate) send_error: Option<PardisError>,
-    /// Operation name, kept to label the invocation span.
+    /// Body bytes of the Request frame this rank marshaled; 0 when it
+    /// built none (only the thread holding the connection does).
+    pub(crate) body_len: usize,
+    /// What the invocation's spans need beyond its timing.
     #[cfg(feature = "obs")]
-    pub(crate) op: String,
-    /// This rank's root span id for the invocation (equal to the trace
-    /// id on the thread holding the connection).
-    #[cfg(feature = "obs")]
-    pub(crate) local_root: u64,
+    pub(crate) trace: crate::obs::InvokeTrace,
 }
 
 impl PendingInvoke {
@@ -149,8 +148,7 @@ impl OrbCtx {
         host: Option<&str>,
         expected_type: Option<&str>,
     ) -> PardisResult<Proxy> {
-        #[cfg(feature = "obs")]
-        let bind_start = Instant::now();
+        let started = Instant::now();
         let objref = if self.is_comm_thread() {
             let objref = self.resolve(name, host)?;
             let bytes = pardis_cdr::traits::to_bytes(&objref).map_err(PardisError::from)?;
@@ -170,30 +168,7 @@ impl OrbCtx {
         } else {
             None
         };
-        #[cfg(feature = "obs")]
-        crate::obs::record_span(
-            pardis_obs::SpanKind::Bind,
-            name,
-            0,
-            pardis_obs::recorder::alloc_span_id(),
-            0,
-            self.rts.membership().epoch(),
-            0,
-            bind_start.elapsed().as_nanos() as u64,
-        );
-        Ok(Proxy {
-            objref,
-            collective: true,
-            conn,
-            mode: TransferMode::Centralized,
-            reply_buf: RefCell::new(Vec::new()),
-            retry: None,
-            default_deadline: None,
-            retries: Cell::new(0),
-            fallbacks: Cell::new(0),
-            breaker: None,
-            consecutive_failures: Cell::new(0),
-        })
+        Ok(self.bound(name, started, objref, true, conn))
     }
 
     /// Per-thread bind: establishes one binding for the calling thread
@@ -206,26 +181,30 @@ impl OrbCtx {
         host: Option<&str>,
         expected_type: Option<&str>,
     ) -> PardisResult<Proxy> {
-        #[cfg(feature = "obs")]
-        let bind_start = Instant::now();
+        let started = Instant::now();
         let objref = self.resolve(name, host)?;
         check_type(&objref, expected_type)?;
         let conn = Connection::open(&self.host, objref.host, objref.request_port);
+        Ok(self.bound(name, started, objref, false, Some(conn)))
+    }
+
+    /// A fresh binding to `objref`, resolved as `name` by a bind that
+    /// began at `started`.
+    fn bound(
+        &self,
+        name: &str,
+        started: Instant,
+        objref: ObjectRef,
+        collective: bool,
+        conn: Option<Connection>,
+    ) -> Proxy {
         #[cfg(feature = "obs")]
-        crate::obs::record_span(
-            pardis_obs::SpanKind::Bind,
-            name,
-            0,
-            pardis_obs::recorder::alloc_span_id(),
-            0,
-            self.rts.membership().epoch(),
-            0,
-            bind_start.elapsed().as_nanos() as u64,
-        );
-        Ok(Proxy {
+        crate::obs::bound(self, name, started);
+        let _ = (name, started);
+        Proxy {
             objref,
-            collective: false,
-            conn: Some(conn),
+            collective,
+            conn,
             mode: TransferMode::Centralized,
             reply_buf: RefCell::new(Vec::new()),
             retry: None,
@@ -234,7 +213,7 @@ impl OrbCtx {
             fallbacks: Cell::new(0),
             breaker: None,
             consecutive_failures: Cell::new(0),
-        })
+        }
     }
 
     fn resolve(&self, name: &str, host: Option<&str>) -> PardisResult<ObjectRef> {
@@ -496,7 +475,7 @@ impl Proxy {
             }
             self.retries.set(self.retries.get() + 1);
             #[cfg(feature = "obs")]
-            pardis_obs::metrics::add("orb.retries", 1);
+            crate::obs::count("orb.retries");
             std::thread::sleep(policy.backoff(attempt));
             attempt += 1;
         }
@@ -572,25 +551,10 @@ impl Proxy {
             (ctx.next_request_id(), self.effective_mode(ctx, mode))
         };
         let started = Instant::now();
-        if requested == TransferMode::MultiPort && mode == TransferMode::Centralized {
+        let fell_back = requested == TransferMode::MultiPort && mode == TransferMode::Centralized;
+        if fell_back {
             self.fallbacks.set(self.fallbacks.get() + 1);
-            #[cfg(feature = "obs")]
-            pardis_obs::metrics::add("orb.fallbacks", 1);
         }
-        #[cfg(feature = "obs")]
-        let local_root = {
-            pardis_obs::metrics::add("orb.requests", 1);
-            // The thread holding the connection roots the trace: its
-            // span id is the trace id itself. The other computing
-            // threads hang their phases off a per-rank root span.
-            let root = if self.conn.is_some() {
-                req_id
-            } else {
-                pardis_obs::recorder::alloc_span_id()
-            };
-            pardis_obs::recorder::set_current(req_id, root);
-            root
-        };
 
         let mut pending = PendingInvoke {
             req_id,
@@ -610,10 +574,9 @@ impl Proxy {
             started,
             deadline: spec.deadline.or(self.default_deadline).map(|d| started + d),
             send_error: None,
+            body_len: 0,
             #[cfg(feature = "obs")]
-            op: spec.operation.clone(),
-            #[cfg(feature = "obs")]
-            local_root,
+            trace: crate::obs::begin(self, spec, req_id, fell_back),
         };
 
         // Sanity: collective bindings require client templates shaped
@@ -632,11 +595,7 @@ impl Proxy {
         // A send failure on a collective binding is deferred to the
         // receive phase: the machine's threads must pass through the
         // same collectives, so the error is surfaced after them.
-        let sent = match mode {
-            TransferMode::Centralized => centralized::client_send(ctx, self, spec, &mut pending),
-            TransferMode::MultiPort => multiport::client_send(ctx, self, spec, &mut pending),
-        };
-        if let Err(e) = sent {
+        if let Err(e) = self.invoke_send(ctx, spec, &mut pending) {
             if self.collective {
                 pending.send_error = Some(e);
             } else {
@@ -644,6 +603,35 @@ impl Proxy {
             }
         }
         Ok(pending)
+    }
+
+    /// The send phase: refuse multi-port transfer to an object without
+    /// data ports, mark every distributed argument's client buffer in
+    /// flight until the invocation completes, then run the engine.
+    fn invoke_send(
+        &self,
+        ctx: &OrbCtx,
+        spec: &RequestSpec,
+        pending: &mut PendingInvoke,
+    ) -> PardisResult<()> {
+        if pending.mode == TransferMode::MultiPort && !self.objref.supports_multiport() {
+            return Err(PardisError::MultiportUnavailable);
+        }
+        #[cfg(feature = "analyze")]
+        for arg in &spec.dist_args {
+            crate::race::open_transfer(
+                arg.buf_id,
+                arg.dir,
+                &spec.operation,
+                pending.req_id,
+                pending.mode,
+                ctx.rts.membership().epoch(),
+            );
+        }
+        match pending.mode {
+            TransferMode::Centralized => centralized::client_send(ctx, self, spec, pending),
+            TransferMode::MultiPort => multiport::client_send(ctx, self, spec, pending),
+        }
     }
 
     /// Probe the server's data ports when multi-port transfer is
@@ -725,10 +713,10 @@ impl Proxy {
                 timing: pending.timing,
             })
         };
-        let mut result = match (received, pending.send_error) {
+        let mut result = match (received, &pending.send_error) {
             (Ok(r), None) => Ok(r),
             // A deferred send failure outranks a nominal receive.
-            (Ok(_), Some(e)) => Err(e),
+            (Ok(_), Some(e)) => Err(e.clone()),
             (Err(e), _) => Err(e),
         };
         // The transfer is over (either way): close this request's
@@ -750,26 +738,7 @@ impl Proxy {
             r.timing.total = pending.started.elapsed();
         }
         #[cfg(feature = "obs")]
-        {
-            if matches!(&result, Err(PardisError::Timeout)) {
-                pardis_obs::metrics::add("orb.timeouts", 1);
-            }
-            crate::obs::record_span(
-                pardis_obs::SpanKind::Invoke,
-                &pending.op,
-                pending.req_id,
-                pending.local_root,
-                if pending.local_root == pending.req_id {
-                    0
-                } else {
-                    pending.req_id
-                },
-                ctx.rts.membership().epoch(),
-                0,
-                pending.started.elapsed().as_nanos() as u64,
-            );
-            pardis_obs::recorder::clear_current();
-        }
+        crate::obs::complete(ctx, self, &pending, &result);
         result
     }
 

@@ -71,7 +71,7 @@ pub mod error;
 pub mod future;
 pub mod naming;
 #[cfg(feature = "obs")]
-pub mod obs;
+mod obs;
 pub mod orb;
 #[cfg(feature = "analyze")]
 pub mod race;

@@ -160,7 +160,7 @@ impl OrbCtx {
         // Bind this thread's observability identity (span recorder +
         // metrics) before the first collective can record anything.
         #[cfg(feature = "obs")]
-        crate::obs::init(&host.name(), host.id().0, &rts);
+        crate::obs::init(&host.name(), host.id().0, rts.rank());
         // Each thread opens its own data port, in rank order so the
         // machine's port numbering is a pure function of thread count —
         // this is what lets a seeded fault plan replay identically

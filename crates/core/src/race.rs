@@ -34,6 +34,7 @@
 //! the `pardis-analyze` CLI.
 
 use crate::request::ArgDir;
+use pardis_net::giop::TransferMode;
 use pardis_rts::clock::{ClockWitness, Stamp};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -197,7 +198,7 @@ pub(crate) fn open_transfer(
     dir: ArgDir,
     op: &str,
     req_id: u64,
-    mode: &'static str,
+    mode: TransferMode,
     epoch: u64,
 ) {
     if buf == 0 {
@@ -218,7 +219,10 @@ pub(crate) fn open_transfer(
             stamp,
             epoch,
             op: op.to_string(),
-            mode,
+            mode: match mode {
+                TransferMode::Centralized => "centralized",
+                TransferMode::MultiPort => "multi-port",
+            },
         });
     });
 }
@@ -400,7 +404,7 @@ mod tests {
         std::thread::spawn(|| {
             set_actor("race-unit-a", 0);
             let buf = new_buf_id();
-            open_transfer(buf, ArgDir::In, "step", 0x10, "multi-port", 0);
+            open_transfer(buf, ArgDir::In, "step", 0x10, TransferMode::MultiPort, 0);
             on_access(buf, AccessKind::Read, "local_data");
             assert!(
                 take_reports("race-unit-a/").is_empty(),
@@ -425,7 +429,7 @@ mod tests {
     fn untracked_buffers_are_skipped() {
         std::thread::spawn(|| {
             set_actor("race-unit-b", 0);
-            open_transfer(0, ArgDir::InOut, "step", 0x11, "centralized", 0);
+            open_transfer(0, ArgDir::InOut, "step", 0x11, TransferMode::Centralized, 0);
             on_access(0, AccessKind::Write, "local_data_mut");
             assert!(take_reports("race-unit-b/").is_empty());
         })

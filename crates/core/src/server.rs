@@ -264,10 +264,7 @@ impl OrbCtx {
                         match RequestBody::decode(&body, endian) {
                             Ok(req) => break Some((Some((header, req)), dg.payload)),
                             Err(_) => {
-                                self.serve_decode_errors
-                                    .set(self.serve_decode_errors.get() + 1);
-                                #[cfg(feature = "obs")]
-                                pardis_obs::metrics::add("orb.serve_decode_errors", 1);
+                                self.count_decode_error();
                                 continue;
                             }
                         }
@@ -279,10 +276,7 @@ impl OrbCtx {
                         )))
                     }
                     Err(_) => {
-                        self.serve_decode_errors
-                            .set(self.serve_decode_errors.get() + 1);
-                        #[cfg(feature = "obs")]
-                        pardis_obs::metrics::add("orb.serve_decode_errors", 1);
+                        self.count_decode_error();
                         continue;
                     }
                 }
@@ -321,6 +315,14 @@ impl OrbCtx {
                 ))),
             }
         }
+    }
+
+    /// A datagram on the request port failed to decode and was skipped.
+    fn count_decode_error(&self) {
+        self.serve_decode_errors
+            .set(self.serve_decode_errors.get() + 1);
+        #[cfg(feature = "obs")]
+        crate::obs::count("orb.serve_decode_errors");
     }
 
     /// Every scheduled `ThreadDeath` whose step has arrived by serve
@@ -453,10 +455,6 @@ impl OrbCtx {
 
         let mut timing = InvokeTiming::default();
         let t0 = Instant::now();
-        // The client's tracing context, if it sent one: server spans of
-        // this request parent under the client's invocation root.
-        #[cfg(feature = "obs")]
-        let obs_sc = crate::obs::parse_service_context(&header.service_context);
 
         // Materialize this thread's local parts of the distributed
         // arguments. A failure here (e.g. a multi-port fragment wait
@@ -521,24 +519,6 @@ impl OrbCtx {
                 }
             }
         };
-
-        // Each rank's dispatch span hangs off the client's invocation
-        // root, stitching the two machines' trees into one trace.
-        #[cfg(feature = "obs")]
-        let obs_dispatch_span = obs_sc.as_ref().map(|sc| {
-            let id = pardis_obs::recorder::alloc_span_id();
-            crate::obs::record_span(
-                pardis_obs::SpanKind::Dispatch,
-                &header.operation,
-                sc.trace_id,
-                id,
-                sc.parent_span,
-                self.rts.membership().epoch(),
-                body.nondist.len() as u64,
-                t0.elapsed().as_nanos() as u64,
-            );
-            id
-        });
 
         // Post-invocation synchronization (§3.2: "after the invocation
         // the server's computing threads synchronize"), which is also
@@ -606,25 +586,10 @@ impl OrbCtx {
             }
         }
 
-        #[cfg(feature = "obs")]
-        {
-            pardis_obs::metrics::add("orb.served", 1);
-            if let (Some(sc), Some(did)) = (&obs_sc, obs_dispatch_span) {
-                crate::obs::record_span(
-                    pardis_obs::SpanKind::Reply,
-                    &header.operation,
-                    sc.trace_id,
-                    pardis_obs::recorder::alloc_span_id(),
-                    did,
-                    self.rts.membership().epoch(),
-                    0,
-                    0,
-                );
-            }
-        }
-
         timing.total = t0.elapsed();
         self.last_serve_timing.set(timing);
+        #[cfg(feature = "obs")]
+        crate::obs::served(self, &header, body.nondist.len(), tb - t0, &timing);
         Ok(true)
     }
 }

@@ -37,19 +37,6 @@ pub(crate) fn client_send(
     spec: &RequestSpec,
     pending: &mut PendingInvoke,
 ) -> PardisResult<()> {
-    // Every distributed argument's client buffer is in flight from here
-    // until the invocation completes.
-    #[cfg(feature = "analyze")]
-    for arg in &spec.dist_args {
-        crate::race::open_transfer(
-            arg.buf_id,
-            arg.dir,
-            &spec.operation,
-            pending.req_id,
-            "centralized",
-            ctx.rts.membership().epoch(),
-        );
-    }
     // Gather each sending distributed argument at the communicating
     // thread through the RTS.
     let mut gathered: Vec<Option<Vec<Bytes>>> = Vec::with_capacity(spec.dist_args.len());
@@ -102,27 +89,15 @@ pub(crate) fn client_send(
                 1
             },
             client_data_ports: vec![],
-            service_context: service_context_entries(ctx),
+            service_context: service_context_entries(ctx, pending.req_id),
         };
-        let (wire, _body_len) = frame(ctx.endian, &header, &body)?;
+        let (wire, body_len) = frame(ctx.endian, &header, &body)?;
         pending.timing.pack = tp.elapsed();
-        #[cfg(feature = "obs")]
-        crate::obs::record_marshal(_body_len, pending.timing.pack);
+        pending.body_len = body_len;
 
         let ts = Instant::now();
         conn.send_frame(wire)?;
         pending.timing.send = ts.elapsed();
-        #[cfg(feature = "obs")]
-        {
-            pardis_obs::metrics::add("xfer.centralized.bytes", _body_len as u64);
-            crate::obs::record_phase(
-                pardis_obs::SpanKind::XferCentralized,
-                &spec.operation,
-                ctx.rts.membership().epoch(),
-                _body_len as u64,
-                ts.elapsed().as_nanos() as u64,
-            );
-        }
     }
     Ok(())
 }

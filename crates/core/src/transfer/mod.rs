@@ -34,17 +34,17 @@ pub(crate) const SYNTH_TIMEOUT: &str = "TIMEOUT:";
 /// Same, for transport failures → [`PardisError::CommFailure`].
 pub(crate) const SYNTH_COMM_FAILURE: &str = "COMM_FAILURE:";
 
-/// The service-context entries for an outgoing request header: the
-/// active tracing context when observability is compiled in, nothing
-/// otherwise.
-pub(crate) fn service_context_entries(ctx: &OrbCtx) -> Vec<(u32, Bytes)> {
+/// The service-context entries for the header of outgoing request
+/// `req_id`: its tracing context when observability is compiled in,
+/// nothing otherwise.
+pub(crate) fn service_context_entries(ctx: &OrbCtx, req_id: u64) -> Vec<(u32, Bytes)> {
     #[cfg(feature = "obs")]
     {
-        crate::obs::service_context(&ctx.rts)
+        crate::obs::service_context(ctx, req_id)
     }
     #[cfg(not(feature = "obs"))]
     {
-        let _ = ctx;
+        let _ = (ctx, req_id);
         Vec::new()
     }
 }

@@ -44,24 +44,6 @@ pub(crate) fn client_send(
     spec: &RequestSpec,
     pending: &mut PendingInvoke,
 ) -> PardisResult<()> {
-    if !proxy.objref.supports_multiport() {
-        return Err(PardisError::MultiportUnavailable);
-    }
-
-    // Every distributed argument's client buffer is in flight from here
-    // until the invocation completes.
-    #[cfg(feature = "analyze")]
-    for arg in &spec.dist_args {
-        crate::race::open_transfer(
-            arg.buf_id,
-            arg.dir,
-            &spec.operation,
-            pending.req_id,
-            "multi-port",
-            ctx.rts.membership().epoch(),
-        );
-    }
-
     // Header first, so the server threads are awaiting fragments.
     if let Some(conn) = proxy.conn.as_ref() {
         let tp = Instant::now();
@@ -88,13 +70,11 @@ pub(crate) fn client_send(
             } else {
                 vec![ctx.data_port.port()]
             },
-            service_context: service_context_entries(ctx),
+            service_context: service_context_entries(ctx, pending.req_id),
         };
-        let (wire, _body_len) = frame(ctx.endian, &header, &body)?;
-        let took = tp.elapsed();
-        pending.timing.pack += took;
-        #[cfg(feature = "obs")]
-        crate::obs::record_marshal(_body_len, took);
+        let (wire, body_len) = frame(ctx.endian, &header, &body)?;
+        pending.timing.pack += tp.elapsed();
+        pending.body_len = body_len;
         let ts = Instant::now();
         conn.send_frame(wire)?;
         pending.timing.send += ts.elapsed();
@@ -102,8 +82,6 @@ pub(crate) fn client_send(
 
     // Every thread routes and sends its share of each sending argument.
     let my_thread = if proxy.collective { ctx.rank() } else { 0 };
-    #[cfg(feature = "obs")]
-    let mut obs_bytes: u64 = 0;
     for (arg_idx, arg) in spec.dist_args.iter().enumerate() {
         if !arg.dir.sends() {
             continue;
@@ -116,12 +94,6 @@ pub(crate) fn client_send(
             // copy; the pack cost of the paper's measurements, parallel
             // across threads here).
             let tp = Instant::now();
-            #[cfg(feature = "obs")]
-            {
-                let frag_len = (hi - lo) as u64;
-                pardis_obs::metrics::observe("xfer.multiport.frag_bytes", frag_len);
-                obs_bytes += frag_len;
-            }
             let wire = transfer_frame(
                 ctx.endian,
                 &TransferHeader {
@@ -152,17 +124,6 @@ pub(crate) fn client_send(
             )?;
             pending.timing.send += ts.elapsed();
         }
-    }
-    #[cfg(feature = "obs")]
-    {
-        pardis_obs::metrics::add("xfer.multiport.bytes", obs_bytes);
-        crate::obs::record_phase(
-            pardis_obs::SpanKind::XferMultiport,
-            &spec.operation,
-            ctx.rts.membership().epoch(),
-            obs_bytes,
-            0,
-        );
     }
     Ok(())
 }

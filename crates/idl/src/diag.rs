@@ -246,7 +246,9 @@ impl Diagnostics {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escape a string for embedding in a JSON document: the one escaper
+/// the workspace's JSON findings writers share.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -4,6 +4,10 @@
 //! flat objects whose values are strings or unsigned integers — so
 //! this module implements exactly that subset, with typed errors
 //! instead of panics on malformed input.
+//!
+//! The workspace's other JSON writers share `pardis_idl::diag`'s
+//! escaper. This crate keeps its own codec because it does not depend
+//! on `pardis-idl`, and it also needs a parser.
 
 use std::fmt;
 

@@ -13,38 +13,30 @@
 //!   per-rank sequence number, so a seeded run's log replays
 //!   **bit-for-bit** (wall-clock durations are carried but quarantined
 //!   in one volatile field);
-//! * [`metrics`] — a registry of per-rank counters and fixed-bucket
-//!   histograms whose hot path is lock-free (atomics on a thread-local
-//!   handle), exported as deterministic JSON snapshots;
+//! * [`metrics`] — per-rank counters and fixed-bucket histograms whose
+//!   hot path is lock-free (atomics in the rank's block), exported as
+//!   deterministic JSON snapshots;
 //! * [`timeline`] — merges per-rank span logs into one causally
 //!   ordered cross-rank timeline, flags stragglers, and diffs two
 //!   traces of the same seed. The `pardis-trace` binary is its CLI.
 //!
-//! The instrumentation hooks live in `pardis-rts`/`pardis-core` behind
-//! their `obs` features; this crate is pure mechanism and carries no
-//! feature gates of its own.
+//! Both spans and metrics live in one per-rank block, bound once per
+//! computing thread by [`init_rank`] and cleared by [`reset`].
+//!
+//! This crate is a reader: the ORB records each fact once, in the
+//! layer that owns it (phase timing in `InvokeTiming`, collective
+//! counts in the RTS endpoint, epochs in the stamp witness), and its
+//! `obs` hooks copy those records here. The crate is pure mechanism
+//! and carries no feature gates of its own.
 
 pub mod json;
 pub mod metrics;
+mod rank;
 pub mod recorder;
 pub mod span;
 pub mod timeline;
 
-pub use metrics::{snapshot_json, RankMetrics};
+pub use metrics::snapshot_json;
+pub use rank::{init_rank, reset};
 pub use recorder::{drain_all, SpanRecord};
 pub use span::{SpanContext, SpanKind, SC_TRACING};
-
-/// Bind the calling thread to `(machine, host, rank)` in both the
-/// span recorder and the metrics registry — the single entry point
-/// the ORB calls from `OrbCtx::init`.
-pub fn init_rank(machine: &str, host: u32, rank: usize) {
-    recorder::init(machine, host, rank);
-    metrics::init(machine, host, rank);
-}
-
-/// Clear all global observability state (span logs and metrics) —
-/// between two replays of the same seed in one process.
-pub fn reset() {
-    recorder::reset();
-    metrics::reset();
-}

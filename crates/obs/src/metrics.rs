@@ -1,22 +1,20 @@
 //! Per-rank metrics: counters and fixed-bucket histograms.
 //!
-//! The hot path is lock-free: each computing thread holds a
-//! thread-local `Arc<RankMetrics>` whose cells are plain
-//! `AtomicU64`s; the global registry's mutex is touched only at
-//! [`init`] and [`snapshot_json`] time.
+//! The cells live in the calling rank's block (see [`crate::init_rank`])
+//! and are plain `AtomicU64`s, so the hot path takes no lock.
 //!
 //! The instrument set is closed (see [`COUNTERS`] / [`HISTOGRAMS`]),
 //! which is what makes snapshots deterministic: every rank exports
 //! every instrument in declaration order, so two replays of the same
-//! seed produce byte-identical JSON. Wall-clock-valued histograms are
-//! marked *volatile* and export only their event count — the count is
-//! seeded-deterministic, the durations are not.
+//! seed produce byte-identical JSON. No instrument holds a wall-clock
+//! value.
 
-use parking_lot::Mutex;
-use std::cell::RefCell;
+use crate::rank;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+
+/// Snapshot schema tag.
+pub const SCHEMA: &str = "pardis-obs-metrics/2";
 
 /// Counter names, in export order.
 pub const COUNTERS: &[&str] = &[
@@ -26,18 +24,14 @@ pub const COUNTERS: &[&str] = &[
     "orb.fallbacks",
     "orb.served",
     "orb.serve_decode_errors",
+    "rts.collectives",
     "rts.epoch_changes",
     "xfer.centralized.bytes",
     "xfer.multiport.bytes",
 ];
 
-/// Histogram names, in export order. The flag marks volatile
-/// (wall-clock-valued) histograms whose snapshot carries only the
-/// event count.
-pub const HISTOGRAMS: &[(&str, bool)] = &[
-    ("xfer.multiport.frag_bytes", false),
-    ("rts.collective_wait_ns", true),
-];
+/// Histogram names, in export order.
+pub const HISTOGRAMS: &[&str] = &["xfer.multiport.frag_bytes"];
 
 /// Number of power-of-two histogram buckets; bucket `i` counts values
 /// `v` with `floor(log2(max(v,1))) == i`, the last bucket absorbing
@@ -46,7 +40,7 @@ pub const BUCKETS: usize = 24;
 
 /// A fixed-bucket power-of-two histogram.
 #[derive(Debug, Default)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     count: AtomicU64,
     sum: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
@@ -80,110 +74,56 @@ impl Histogram {
     }
 }
 
-/// One rank's instrument block.
+/// One rank's instruments.
 #[derive(Debug)]
-pub struct RankMetrics {
-    machine: String,
-    host: u32,
-    rank: usize,
+pub(crate) struct RankMetrics {
     counters: Vec<AtomicU64>,
     histograms: Vec<Histogram>,
 }
 
-impl RankMetrics {
-    fn new(machine: &str, host: u32, rank: usize) -> RankMetrics {
+impl Default for RankMetrics {
+    fn default() -> RankMetrics {
         RankMetrics {
-            machine: machine.to_string(),
-            host,
-            rank,
             counters: COUNTERS.iter().map(|_| AtomicU64::new(0)).collect(),
             histograms: HISTOGRAMS.iter().map(|_| Histogram::default()).collect(),
         }
     }
-
-    /// Add `delta` to the named counter; unknown names are ignored
-    /// (the instrument set is closed by design).
-    pub fn add(&self, name: &str, delta: u64) {
-        if let Some(i) = COUNTERS.iter().position(|&c| c == name) {
-            self.counters[i].fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// Record `v` into the named histogram; unknown names are ignored.
-    pub fn observe(&self, name: &str, v: u64) {
-        if let Some(i) = HISTOGRAMS.iter().position(|&(h, _)| h == name) {
-            self.histograms[i].record(v);
-        }
-    }
-
-    /// Current value of the named counter (None for unknown names).
-    pub fn get(&self, name: &str) -> Option<u64> {
-        COUNTERS
-            .iter()
-            .position(|&c| c == name)
-            .map(|i| self.counters[i].load(Ordering::Relaxed))
-    }
-
-    /// The named histogram (None for unknown names).
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        HISTOGRAMS
-            .iter()
-            .position(|&(h, _)| h == name)
-            .map(|i| &self.histograms[i])
-    }
 }
 
-thread_local! {
-    static HANDLE: RefCell<Option<Arc<RankMetrics>>> = const { RefCell::new(None) };
-}
-
-static REGISTRY: Mutex<Vec<Arc<RankMetrics>>> = Mutex::new(Vec::new());
-
-/// Bind the calling thread to a fresh `(machine, host, rank)`
-/// instrument block registered in the global registry.
-pub fn init(machine: &str, host: u32, rank: usize) {
-    let m = Arc::new(RankMetrics::new(machine, host, rank));
-    REGISTRY.lock().push(Arc::clone(&m));
-    HANDLE.with(|h| *h.borrow_mut() = Some(m));
-}
-
-/// Add `delta` to the calling rank's counter; no-op when the thread is
-/// not bound.
+/// Add `delta` to the calling rank's named counter. No-op when the
+/// thread is not bound or the name is unknown (the instrument set is
+/// closed by design).
 pub fn add(name: &str, delta: u64) {
-    HANDLE.with(|h| {
-        if let Some(m) = h.borrow().as_ref() {
-            m.add(name, delta);
-        }
-    });
+    if let Some(i) = COUNTERS.iter().position(|&c| c == name) {
+        rank::with_local(|l| l.block.metrics.counters[i].fetch_add(delta, Ordering::Relaxed));
+    }
 }
 
-/// Record `v` into the calling rank's histogram; no-op when unbound.
+/// Record `v` into the calling rank's named histogram; no-op when
+/// unbound or unknown.
 pub fn observe(name: &str, v: u64) {
-    HANDLE.with(|h| {
-        if let Some(m) = h.borrow().as_ref() {
-            m.observe(name, v);
-        }
-    });
+    if let Some(i) = HISTOGRAMS.iter().position(|&h| h == name) {
+        rank::with_local(|l| l.block.metrics.histograms[i].record(v));
+    }
 }
 
 /// Deterministic JSON snapshot of every registered rank, sorted by
 /// `(machine, rank)`; counters and histograms appear in declaration
-/// order, and volatile histograms export only their count.
+/// order.
 pub fn snapshot_json() -> String {
-    let mut ranks: Vec<_> = REGISTRY.lock().iter().map(Arc::clone).collect();
-    ranks.sort_by(|a, b| (&a.machine, a.rank).cmp(&(&b.machine, b.rank)));
-    let mut s = String::from("{\"schema\":\"pardis-obs-metrics/1\",\"ranks\":[");
-    for (ri, m) in ranks.iter().enumerate() {
+    let mut s = format!("{{\"schema\":\"{SCHEMA}\",\"ranks\":[");
+    for (ri, b) in rank::blocks().iter().enumerate() {
         if ri > 0 {
             s.push(',');
         }
         let _ = write!(
             s,
             "{{\"machine\":\"{}\",\"host\":{},\"rank\":{},\"counters\":{{",
-            crate::json::escape(&m.machine),
-            m.host,
-            m.rank
+            crate::json::escape(&b.machine),
+            b.host,
+            b.rank
         );
+        let m = &b.metrics;
         for (i, &name) in COUNTERS.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -191,40 +131,29 @@ pub fn snapshot_json() -> String {
             let _ = write!(s, "\"{name}\":{}", m.counters[i].load(Ordering::Relaxed));
         }
         s.push_str("},\"histograms\":{");
-        for (i, &(name, volatile)) in HISTOGRAMS.iter().enumerate() {
+        for (i, &name) in HISTOGRAMS.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             let h = &m.histograms[i];
-            if volatile {
-                let _ = write!(s, "\"{name}\":{{\"count\":{}}}", h.count());
-            } else {
-                let _ = write!(
-                    s,
-                    "\"{name}\":{{\"count\":{},\"sum\":{},\"buckets\":[",
-                    h.count(),
-                    h.sum()
-                );
-                for (bi, b) in h.buckets().iter().enumerate() {
-                    if bi > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{b}");
+            let _ = write!(
+                s,
+                "\"{name}\":{{\"count\":{},\"sum\":{},\"buckets\":[",
+                h.count(),
+                h.sum()
+            );
+            for (bi, b) in h.buckets().iter().enumerate() {
+                if bi > 0 {
+                    s.push(',');
                 }
-                s.push_str("]}");
+                let _ = write!(s, "{b}");
             }
+            s.push_str("]}");
         }
         s.push_str("}}");
     }
     s.push_str("]}");
     s
-}
-
-/// Drop every registered instrument block (between two replays in one
-/// process). Threads bound before the reset keep counting into
-/// unregistered blocks; re-[`init`] to rejoin.
-pub fn reset() {
-    REGISTRY.lock().clear();
 }
 
 #[cfg(test)]
@@ -233,21 +162,20 @@ mod tests {
 
     #[test]
     fn counters_and_histograms_export_in_declared_order() {
-        reset();
-        init("m", 1, 0);
+        let _g = crate::rank::TEST_LOCK.lock();
+        crate::reset();
+        crate::init_rank("m", 1, 0);
         add("orb.requests", 2);
         add("no.such.counter", 9);
+        add("rts.collectives", 7);
         observe("xfer.multiport.frag_bytes", 1024);
-        observe("rts.collective_wait_ns", 12345);
         let json = snapshot_json();
-        assert!(json.starts_with("{\"schema\":\"pardis-obs-metrics/1\""));
+        assert!(json.starts_with("{\"schema\":\"pardis-obs-metrics/2\""));
         assert!(json.contains("\"orb.requests\":2"));
+        assert!(json.contains("\"rts.collectives\":7"));
         let req = json.find("\"orb.requests\"").unwrap();
         let retr = json.find("\"orb.retries\"").unwrap();
         assert!(req < retr, "declaration order preserved");
-        // The volatile histogram exports only its count.
-        let wait = &json[json.find("rts.collective_wait_ns").unwrap()..];
-        assert!(wait.starts_with("rts.collective_wait_ns\":{\"count\":1}"));
         assert!(json.contains("\"xfer.multiport.frag_bytes\":{\"count\":1,\"sum\":1024"));
     }
 

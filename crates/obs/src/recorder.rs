@@ -1,9 +1,8 @@
 //! Per-rank span recording.
 //!
-//! Each computing thread binds to `(machine, host, rank)` once via
-//! [`init`]; after that, [`record`] appends [`SpanRecord`]s to a
-//! per-rank log. The log is an `Arc` shared with a global registry, so
-//! the data survives thread exit and [`drain_all`] can collect every
+//! Once a computing thread is bound with [`crate::init_rank`],
+//! [`record`] appends [`SpanRecord`]s to its rank block's log. The
+//! block outlives the thread, so [`drain_all`] can collect every
 //! rank's spans after a run.
 //!
 //! Determinism contract: everything in a record except `wait_ns`
@@ -15,12 +14,10 @@
 //! needs it) but the merged timeline excludes it.
 
 use crate::json;
+use crate::rank;
 use crate::span::SpanKind;
 use pardis_rts::clock::ClockWitness;
-use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// One recorded span: a point event covering a completed phase of a
 /// collective invocation on one rank.
@@ -120,104 +117,42 @@ pub struct SpanEvent {
     pub wait_ns: u64,
 }
 
-struct RankState {
-    machine: String,
-    host: u32,
-    rank: usize,
-    next_seq: u64,
-    next_span: u64,
-    current: Option<(u64, u64)>,
-    sink: Arc<Mutex<Vec<SpanRecord>>>,
-}
-
-thread_local! {
-    static STATE: RefCell<Option<RankState>> = const { RefCell::new(None) };
-}
-
-static REGISTRY: Mutex<Vec<Arc<Mutex<Vec<SpanRecord>>>>> = Mutex::new(Vec::new());
-
-/// Bind the calling thread to `(machine, host, rank)` with a fresh
-/// span log registered in the global registry.
-pub fn init(machine: &str, host: u32, rank: usize) {
-    let sink = Arc::new(Mutex::new(Vec::new()));
-    REGISTRY.lock().push(Arc::clone(&sink));
-    STATE.with(|s| {
-        *s.borrow_mut() = Some(RankState {
-            machine: machine.to_string(),
-            host,
-            rank,
-            next_seq: 0,
-            next_span: 0,
-            current: None,
-            sink,
-        });
-    });
-}
-
 /// Allocate a machine-unique span id for the calling rank:
 /// `host << 40 | (rank + 1) << 32 | counter`. Returns 0 (the "no
 /// span" id) if the thread is not bound.
 pub fn alloc_span_id() -> u64 {
-    STATE.with(|s| {
-        s.borrow_mut().as_mut().map_or(0, |st| {
-            let id = ((st.host as u64) << 40) | ((st.rank as u64 + 1) << 32) | st.next_span;
-            st.next_span += 1;
-            id
-        })
+    rank::with_local(|l| {
+        let id = ((l.block.host as u64) << 40) | ((l.block.rank as u64 + 1) << 32) | l.next_span;
+        l.next_span += 1;
+        id
     })
-}
-
-/// Mark `(trace_id, root_span)` as the calling rank's active
-/// invocation, so nested phases (marshal, transfer) can parent under
-/// it.
-pub fn set_current(trace_id: u64, root_span: u64) {
-    STATE.with(|s| {
-        if let Some(st) = s.borrow_mut().as_mut() {
-            st.current = Some((trace_id, root_span));
-        }
-    });
-}
-
-/// Clear the active invocation.
-pub fn clear_current() {
-    STATE.with(|s| {
-        if let Some(st) = s.borrow_mut().as_mut() {
-            st.current = None;
-        }
-    });
-}
-
-/// The calling rank's active `(trace_id, root_span)`, if any.
-pub fn current() -> Option<(u64, u64)> {
-    STATE.with(|s| s.borrow().as_ref().and_then(|st| st.current))
+    .unwrap_or(0)
 }
 
 /// Append a span to the calling rank's log. No-op when the thread is
 /// not bound (the `obs` feature is on but the ORB was not
 /// initialized, e.g. in unrelated unit tests).
 pub fn record(ev: SpanEvent) {
-    STATE.with(|s| {
-        if let Some(st) = s.borrow_mut().as_mut() {
-            let stamp = ClockWitness::snapshot();
-            let rec = SpanRecord {
-                machine: st.machine.clone(),
-                host: st.host,
-                rank: st.rank,
-                seq: st.next_seq,
-                trace_id: ev.trace_id,
-                span_id: ev.span_id,
-                parent_span: ev.parent_span,
-                kind: ev.kind,
-                name: ev.name,
-                epoch: ev.epoch,
-                bytes: ev.bytes,
-                gen: stamp.gen,
-                tick: stamp.tick,
-                wait_ns: ev.wait_ns,
-            };
-            st.next_seq += 1;
-            st.sink.lock().push(rec);
-        }
+    rank::with_local(|l| {
+        let stamp = ClockWitness::snapshot();
+        let rec = SpanRecord {
+            machine: l.block.machine.clone(),
+            host: l.block.host,
+            rank: l.block.rank,
+            seq: l.next_seq,
+            trace_id: ev.trace_id,
+            span_id: ev.span_id,
+            parent_span: ev.parent_span,
+            kind: ev.kind,
+            name: ev.name,
+            epoch: ev.epoch,
+            bytes: ev.bytes,
+            gen: stamp.gen,
+            tick: stamp.tick,
+            wait_ns: ev.wait_ns,
+        };
+        l.next_seq += 1;
+        l.block.spans.lock().push(rec);
     });
 }
 
@@ -225,20 +160,12 @@ pub fn record(ev: SpanEvent) {
 /// `(machine, rank, seq)` so the result is independent of thread
 /// scheduling. The logs are left empty.
 pub fn drain_all() -> Vec<SpanRecord> {
-    let sinks: Vec<_> = REGISTRY.lock().iter().map(Arc::clone).collect();
     let mut out = Vec::new();
-    for sink in sinks {
-        out.append(&mut sink.lock());
+    for block in rank::blocks() {
+        out.append(&mut block.spans.lock());
     }
     out.sort_by(|a, b| (&a.machine, a.rank, a.seq).cmp(&(&b.machine, b.rank, b.seq)));
     out
-}
-
-/// Drop every registered log (between two replays in one process).
-/// Threads bound before the reset keep recording into unregistered
-/// sinks; re-[`init`] to rejoin.
-pub fn reset() {
-    REGISTRY.lock().clear();
 }
 
 #[cfg(test)]
@@ -260,8 +187,9 @@ mod tests {
 
     #[test]
     fn record_fills_identity_and_sequence() {
-        reset();
-        init("m", 3, 1);
+        let _g = crate::rank::TEST_LOCK.lock();
+        crate::reset();
+        crate::init_rank("m", 3, 1);
         record(ev(SpanKind::Invoke, 42));
         record(ev(SpanKind::Reply, 42));
         let all = drain_all();
@@ -277,8 +205,9 @@ mod tests {
 
     #[test]
     fn stable_line_strips_only_wait_ns() {
-        reset();
-        init("m", 1, 0);
+        let _g = crate::rank::TEST_LOCK.lock();
+        crate::reset();
+        crate::init_rank("m", 1, 0);
         record(ev(SpanKind::Marshal, 7));
         let rec = &drain_all()[0];
         let full = rec.to_json_line();

@@ -1,5 +1,6 @@
 //! Per-rank causal stamps for happens-before analysis (the `analyze`
-//! feature) and causal span ordering (the `obs` feature).
+//! feature) and causal span ordering (the `obs` feature), and the last
+//! membership epoch each rank has seen.
 //!
 //! Every live rank completes the same collectives in the same order
 //! (paper §2.2), so the count of collectives completed — the
@@ -68,14 +69,20 @@ impl ClockWitness {
         crossed
     }
 
+    /// The last membership epoch the calling rank saw. Epochs start at
+    /// 0 and each confirmed death bumps them by one, so this is also
+    /// the number of membership changes the rank has moved through.
+    pub fn epoch() -> u64 {
+        WITNESS.get().1
+    }
+
     /// Complete a collective under membership `epoch`: advance to the
-    /// next generation. Returns whether `epoch` was a crossing.
-    pub(crate) fn complete_collective(epoch: u64) -> bool {
-        let (mut s, last) = WITNESS.get();
+    /// next generation.
+    pub(crate) fn complete_collective(epoch: u64) {
+        let (mut s, _) = WITNESS.get();
         s.gen += 1;
         s.tick = 0;
         WITNESS.set((s, epoch));
-        last != epoch
     }
 }
 
@@ -92,13 +99,14 @@ mod tests {
 
     #[test]
     fn completing_a_collective_is_the_join() {
-        assert!(!ClockWitness::complete_collective(0));
+        ClockWitness::complete_collective(0);
         ClockWitness::tick();
         ClockWitness::tick();
         assert_eq!(ClockWitness::snapshot(), st(1, 2));
-        // An epoch crossing is reported; the new generation absorbs it.
-        assert!(ClockWitness::complete_collective(2));
+        // An epoch crossing is remembered; the new generation absorbs it.
+        ClockWitness::complete_collective(2);
         assert_eq!(ClockWitness::snapshot(), st(2, 0));
+        assert_eq!(ClockWitness::epoch(), 2);
     }
 
     #[test]
@@ -219,7 +227,7 @@ mod tests {
             let mut epoch = 0;
             let step = |&(kind, r, mask): &Op| {
                 match kind {
-                    0 => drop(ClockWitness::complete_collective(epoch)),
+                    0 => ClockWitness::complete_collective(epoch),
                     1 if r == me => ClockWitness::tick(),
                     1 => {}
                     _ => {

@@ -33,13 +33,11 @@ pub(crate) fn live(dead: u64, rank: usize) -> bool {
 }
 
 /// What a collective carries from [`Endpoint::collective_enter`] to
-/// [`Endpoint::collective_done`]: the wait-for-graph token (`analyze`)
-/// and the start time (`obs`). Zero-sized without either feature.
+/// [`Endpoint::collective_done`]: the wait-for-graph token (`analyze`).
+/// Zero-sized without it.
 pub(crate) struct CollectiveScope {
     #[cfg(feature = "analyze")]
     _wait: crate::lockgraph::CollectiveToken,
-    #[cfg(feature = "obs")]
-    started: (&'static str, std::time::Instant),
 }
 
 impl Endpoint {
@@ -49,33 +47,19 @@ impl Endpoint {
         CollectiveScope {
             #[cfg(feature = "analyze")]
             _wait: crate::lockgraph::collective_enter(name),
-            #[cfg(feature = "obs")]
-            started: (name, std::time::Instant::now()),
         }
     }
 
     /// The per-collective epilogue, run once the collective succeeded:
-    /// the rank's completed-collective count goes up, a live rank
-    /// advances its causal stamp to the next generation (reporting an
-    /// epoch crossing to the observer), then the observer hears of the
-    /// completion. No messages; featureless, only the count.
+    /// the rank's completed-collective count goes up and a live rank
+    /// advances its causal stamp to the next generation. No messages;
+    /// featureless, only the count.
     #[inline(always)]
     pub(crate) fn collective_done(&self, scope: CollectiveScope, dead: u64) {
         self.completed.set(self.completed.get() + 1);
         #[cfg(any(feature = "analyze", feature = "obs"))]
         if live(dead, self.rank()) {
-            let epoch = self.membership().epoch();
-            let crossed = crate::clock::ClockWitness::complete_collective(epoch);
-            #[cfg(feature = "obs")]
-            if crossed {
-                crate::obs::notify_epoch(self.rank(), epoch);
-            }
-            let _ = crossed;
-        }
-        #[cfg(feature = "obs")]
-        {
-            let (name, start) = scope.started;
-            crate::obs::notify_collective(name, self.rank(), start.elapsed().as_nanos() as u64);
+            crate::clock::ClockWitness::complete_collective(self.membership().epoch());
         }
         let _ = (scope, dead);
     }

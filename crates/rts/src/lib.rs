@@ -26,6 +26,13 @@
 //!   makes the cost of the centralized method's gather/scatter grow
 //!   with thread count, the effect Table 1 of the paper measures.
 //!
+//! Two features add analysis without adding messages. `analyze`
+//! compiles the collective-consistency verifier (`verify`), the
+//! wait-for graph (`lockgraph`) and the causal stamps (`clock`);
+//! `obs` compiles only the stamps, which `pardis-obs` reads. Without
+//! either, a collective's epilogue only bumps the rank's completed
+//! count ([`Endpoint::collectives_completed`]).
+//!
 //! ```
 //! use pardis_rts::Domain;
 //!
@@ -58,8 +65,6 @@ pub mod error;
 #[cfg(feature = "analyze")]
 pub mod lockgraph;
 pub mod membership;
-#[cfg(feature = "obs")]
-pub mod obs;
 pub mod reduce;
 mod rendezvous;
 pub mod rma;

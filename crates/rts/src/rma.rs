@@ -24,16 +24,23 @@ use crate::Endpoint;
 use parking_lot::RwLock;
 use std::sync::Arc;
 
-/// Feed this acquisition to the lock-order graph (`analyze` feature);
-/// compiles to nothing otherwise. Bind the result so the tracked
-/// window covers the guard's lifetime: `let _t = track_lock("...");`.
-#[cfg(feature = "analyze")]
-fn track_lock(class: &'static str) -> crate::lockgraph::LockToken {
-    crate::lockgraph::track(class)
+/// A lock acquisition held in the lock-order graph (`analyze`
+/// feature) for the guard's lifetime; zero-sized otherwise.
+struct LockTrack {
+    #[cfg(feature = "analyze")]
+    _token: crate::lockgraph::LockToken,
 }
 
-#[cfg(not(feature = "analyze"))]
-fn track_lock(_class: &'static str) {}
+/// Feed this acquisition to the lock-order graph. Bind the result so
+/// the tracked window covers the guard's lifetime:
+/// `let _t = track_lock("...");`.
+fn track_lock(class: &'static str) -> LockTrack {
+    let _ = class;
+    LockTrack {
+        #[cfg(feature = "analyze")]
+        _token: crate::lockgraph::track(class),
+    }
+}
 
 /// Shared state of one exposure epoch: every rank's buffer, reachable
 /// from any rank.

@@ -157,8 +157,8 @@ fn merged_timeline_replays_bit_for_bit() {
         "merged timeline diverged between replays"
     );
 
-    // So is the metrics snapshot (volatile histograms export only
-    // their deterministic counts).
+    // So is the metrics snapshot (no instrument holds a wall-clock
+    // value).
     assert_eq!(metrics_a, metrics_b, "metrics snapshot diverged");
     assert!(metrics_a.contains("\"orb.requests\""));
     assert!(metrics_a.contains("\"orb.served\""));
@@ -256,4 +256,132 @@ fn marshal_span_times_the_request_frame() {
         body.to_bytes(Endian::native()).len() as u64
     );
     assert!(marshal[0].wait_ns > 0, "marshal span has no duration");
+}
+
+/// Doubles its `inout` argument in place, so every rank of both
+/// machines moves data in both directions.
+struct ScaleServant;
+
+impl Servant for ScaleServant {
+    fn type_id(&self) -> &str {
+        "IDL:scale:1.0"
+    }
+
+    fn dispatch(&mut self, req: &mut ServerRequest<'_>) -> PardisResult<()> {
+        let mut arr: pardis_core::DSequence<f64> = req.dist_seq(0)?;
+        for x in arr.local_data_mut() {
+            *x *= 2.0;
+        }
+        req.return_dist_seq(0, &arr)
+    }
+}
+
+/// The value of counter `name` for `(machine, rank)` in a metrics
+/// snapshot.
+fn counter(snapshot: &str, machine: &str, rank: usize, name: &str) -> Option<u64> {
+    let block = snapshot.split("{\"machine\":").find(|b| {
+        b.starts_with(&format!("\"{machine}\"")) && b.contains(&format!(",\"rank\":{rank},"))
+    })?;
+    let at = block.find(&format!("\"{name}\":"))? + name.len() + 3;
+    let digits: String = block[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().ok()
+}
+
+#[test]
+fn spans_carry_the_invocation_timing() {
+    let _g = RUN_LOCK.lock();
+    pardis_obs::reset();
+    const N: usize = 1 << 12;
+    let modes = [TransferMode::Centralized, TransferMode::MultiPort];
+    let world = World::new(LinkSpec::unlimited());
+    let server = world.spawn_machine("server", THREADS, |ctx| {
+        ctx.register("scale", Box::new(ScaleServant), vec![])
+            .unwrap();
+        ctx.serve_forever().unwrap();
+        (ctx.rank(), ctx.rts().collectives_completed())
+    });
+    let client = world.spawn_machine("client", THREADS, move |ctx| {
+        let proxy = ctx.spmd_bind("scale", Some("server"), None).unwrap();
+        let mut seq = DSequence::<f64>::new(ctx.rts(), N, None).unwrap();
+        for x in seq.local_data_mut() {
+            *x = 1.5;
+        }
+        let timings: Vec<InvokeTiming> = modes
+            .iter()
+            .map(|&mode| {
+                let mut spec = RequestSpec::simple("scale");
+                spec.dist_args = vec![proxy.dist_arg("scale", 0, ArgDir::InOut, &seq).unwrap()];
+                proxy.invoke_with_mode(&ctx, spec, mode).unwrap().timing
+            })
+            .collect();
+        ctx.rts().barrier();
+        if ctx.is_comm_thread() {
+            ctx.send_shutdown(proxy.objref()).unwrap();
+        }
+        (ctx.rank(), timings, ctx.rts().collectives_completed())
+    });
+    let clients = client.join();
+    let servers = server.join();
+    let spans = pardis_obs::drain_all();
+    let metrics = pardis_obs::snapshot_json();
+    pardis_obs::reset();
+
+    let ns = |d: std::time::Duration| d.as_nanos() as u64;
+    for (rank, timings, _) in &clients {
+        let mine: Vec<&SpanRecord> = spans
+            .iter()
+            .filter(|s| s.machine == "client" && s.rank == *rank && s.kind != SpanKind::Bind)
+            .collect();
+        // One trace per invocation, in invocation order.
+        let mut traces: Vec<u64> = mine.iter().map(|s| s.trace_id).collect();
+        traces.dedup();
+        assert_eq!(traces.len(), modes.len(), "rank {rank}: {mine:?}");
+        for (trace, t) in traces.iter().zip(timings) {
+            let kinds: Vec<SpanKind> = mine
+                .iter()
+                .filter(|s| s.trace_id == *trace)
+                .map(|s| {
+                    let want = match s.kind {
+                        SpanKind::Marshal => t.pack,
+                        SpanKind::XferCentralized => t.gather + t.send,
+                        SpanKind::XferMultiport => t.send,
+                        SpanKind::Invoke => t.total,
+                        other => panic!("unexpected client span {}", other.as_str()),
+                    };
+                    assert_eq!(s.wait_ns, ns(want), "rank {rank}: {s:?} vs {t:?}");
+                    s.kind
+                })
+                .collect();
+            assert_eq!(kinds.last(), Some(&SpanKind::Invoke), "rank {rank}");
+        }
+    }
+    for kind in [SpanKind::XferMultiport, SpanKind::Reply] {
+        let of_kind: Vec<&SpanRecord> = spans.iter().filter(|s| s.kind == kind).collect();
+        assert!(!of_kind.is_empty(), "no {} span", kind.as_str());
+        for s in of_kind {
+            assert!(
+                s.wait_ns > 0,
+                "{} span without a duration: {s:?}",
+                kind.as_str()
+            );
+        }
+    }
+
+    // The collective count each rank's endpoint kept is the count its
+    // metrics block exports.
+    let ends = clients
+        .iter()
+        .map(|(rank, _, n)| ("client", *rank, *n))
+        .chain(servers.iter().map(|(rank, n)| ("server", *rank, *n)));
+    for (machine, rank, completed) in ends {
+        assert!(completed > 0);
+        assert_eq!(
+            counter(&metrics, machine, rank, "rts.collectives"),
+            Some(completed),
+            "{machine} rank {rank}: {metrics}"
+        );
+    }
 }
