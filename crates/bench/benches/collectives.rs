@@ -1,9 +1,13 @@
 //! Criterion benchmarks of the RTS collectives that carry the
-//! centralized method: linear gather and scatter through a root, plus
+//! centralized method: linear gather and scatter through a root, the
+//! gather of one frame that every rank packs its block into, plus
 //! barrier and allreduce.
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pardis_bench::SpmdRig;
+use pardis_cdr::{CdrWriter, Endian, SlottedBuf};
+use std::sync::Arc;
 
 fn bench_gather(c: &mut Criterion) {
     let mut g = c.benchmark_group("rts/gather_f64");
@@ -39,6 +43,57 @@ fn bench_gather_scatter_roundtrip(c: &mut Criterion) {
                     let gathered = ep.gather_f64(0, &local).unwrap();
                     let back = ep.scatterv_f64(0, gathered.as_deref(), &counts).unwrap();
                     std::hint::black_box(back);
+                });
+            });
+        });
+    }
+    g.finish();
+}
+
+/// One 4 MiB frame built from every rank's equal block: gathered to
+/// the root and packed there serially (`gather_bytes+pack`), or packed
+/// by every rank into its own slot of the root's frame (`gather_into`).
+fn bench_frame_gather(c: &mut Criterion) {
+    const FRAME: usize = 4 << 20;
+    let mut g = c.benchmark_group("rts/frame_4MiB");
+    g.sample_size(20);
+    g.throughput(Throughput::Bytes(FRAME as u64));
+    for threads in [1usize, 2, 4] {
+        let rig = SpmdRig::new(threads);
+        let block = FRAME / threads;
+        let blocks: Arc<Vec<Bytes>> = Arc::new(
+            (0..threads)
+                .map(|r| Bytes::from(vec![r as u8; block]))
+                .collect(),
+        );
+        let mine = blocks.clone();
+        g.bench_with_input(
+            BenchmarkId::new("gather_bytes+pack", threads),
+            &rig,
+            |b, rig| {
+                b.iter(|| {
+                    let mine = mine.clone();
+                    rig.run(move |ep| {
+                        let chunks = ep.gather_bytes(0, mine[ep.rank()].clone()).unwrap();
+                        if let Some(chunks) = chunks {
+                            let mut w = CdrWriter::with_capacity(Endian::native(), FRAME);
+                            chunks.iter().for_each(|c| w.put_bytes(c));
+                            std::hint::black_box(w.into_shared());
+                        }
+                    });
+                });
+            },
+        );
+        g.bench_with_input(BenchmarkId::new("gather_into", threads), &rig, |b, rig| {
+            b.iter(|| {
+                let mine = blocks.clone();
+                rig.run(move |ep| {
+                    let frame = (ep.rank() == 0).then(|| {
+                        let slots = (0..ep.size()).map(|r| r * block..(r + 1) * block);
+                        SlottedBuf::new(FRAME, slots).unwrap()
+                    });
+                    let filled = ep.gather_into(0, frame, |f| f.fill(ep.rank(), &mine[ep.rank()]));
+                    std::hint::black_box(filled.unwrap());
                 });
             });
         });
@@ -84,6 +139,7 @@ criterion_group!(
     benches,
     bench_gather,
     bench_gather_scatter_roundtrip,
+    bench_frame_gather,
     bench_barrier,
     bench_allreduce
 );

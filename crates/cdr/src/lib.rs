@@ -12,7 +12,9 @@
 //! §3.3 that the benefit of multi-port transfer is *amplified* "in cases
 //! which require data translation … or more sophisticated marshaling";
 //! the [`byteswap`] module implements that translation path and the
-//! benchmark harness ablates it.
+//! benchmark harness ablates it. The [`slotted`] module holds the frame
+//! buffer the computing threads of a parallel machine marshal into at
+//! once, each into its own slot.
 //!
 //! ## Quick example
 //!
@@ -35,12 +37,14 @@ pub mod byteswap;
 pub mod decode;
 pub mod encode;
 pub mod error;
+pub mod slotted;
 pub mod traits;
 pub mod typecode;
 
 pub use decode::CdrReader;
 pub use encode::CdrWriter;
 pub use error::{CdrError, CdrResult};
+pub use slotted::{SlotError, SlottedBuf};
 pub use traits::{Decode, Encode};
 pub use typecode::TypeCode;
 

@@ -15,7 +15,7 @@
 use crate::dist::DistTempl;
 use crate::error::{PardisError, PardisResult};
 use bytes::Bytes;
-use pardis_cdr::{CdrReader, CdrWriter, Endian};
+use pardis_cdr::{CdrReader, CdrWriter, Endian, SlottedBuf};
 use pardis_net::giop::{FrameHeader, FrameWriter};
 use std::time::Duration;
 
@@ -157,58 +157,101 @@ pub(crate) fn byte_len(count: usize, elem_size: usize) -> PardisResult<usize> {
         })
 }
 
-/// One distributed argument's inline data on its way into a body: its
-/// pieces in element order (the per-thread chunks a communicating
-/// thread gathered, or one whole buffer), marshaled with
-/// [`crate::transfer::pack`] straight into the frame.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Inline<'a> {
-    pub parts: &'a [Bytes],
-    pub elem_size: usize,
-    pub translate: bool,
+/// Where a body is written: a bare CDR stream (a decoded body encoded
+/// again) or a frame.
+pub(crate) trait BodySink {
+    /// The stream, positioned at the end of the body.
+    fn cdr(&mut self) -> &mut CdrWriter;
 }
 
-impl<'a> Inline<'a> {
-    /// Already-marshaled data, copied in verbatim.
-    fn whole(data: &'a Bytes) -> Inline<'a> {
-        Inline {
-            parts: std::slice::from_ref(data),
-            elem_size: 1,
-            translate: false,
-        }
+impl BodySink for CdrWriter {
+    fn cdr(&mut self) -> &mut CdrWriter {
+        self
     }
+}
 
-    fn len(&self) -> usize {
-        self.parts.iter().map(|p| p.len()).sum()
+impl BodySink for FrameWriter {
+    fn cdr(&mut self) -> &mut CdrWriter {
+        self.body()
+    }
+}
+
+/// One distributed argument's inline data, as body sink `S` takes it.
+pub(crate) trait InlineData<S>: Copy {
+    /// Bytes on the wire.
+    fn wire_len(self) -> usize;
+    /// Write the data (8-aligned) at the end of the body.
+    fn put(self, s: &mut S);
+}
+
+/// Data already in wire form, copied in as it is.
+impl InlineData<CdrWriter> for &[u8] {
+    fn wire_len(self) -> usize {
+        self.len()
+    }
+    fn put(self, s: &mut CdrWriter) {
+        s.put_bytes(self)
+    }
+}
+
+/// A hole in a frame for one distributed argument laid out by a
+/// template, one slot per computing thread: each thread packs its own
+/// block into its slot in place (the centralized engines).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slots<'a> {
+    templ: &'a DistTempl,
+    elem_size: usize,
+    len: usize,
+}
+
+impl<'a> Slots<'a> {
+    /// The hole for a sequence of `elem_size`-byte elements laid out by
+    /// `templ`; a typed error if its byte size overflows.
+    pub fn new(templ: &'a DistTempl, elem_size: usize) -> PardisResult<Slots<'a>> {
+        let len = byte_len(templ.len(), elem_size)?;
+        Ok(Slots {
+            templ,
+            elem_size,
+            len,
+        })
+    }
+}
+
+impl InlineData<FrameWriter> for Slots<'_> {
+    fn wire_len(self) -> usize {
+        self.len
+    }
+    fn put(self, s: &mut FrameWriter) {
+        s.hole(self.templ.counts().iter().map(|&c| c * self.elem_size))
     }
 }
 
 /// Write an optional inline-data section.
-fn put_inline(w: &mut CdrWriter, data: Option<Inline<'_>>) {
+fn put_inline<S: BodySink, D: InlineData<S>>(s: &mut S, data: Option<D>) {
+    let w = s.cdr();
     match data {
         None => w.put_bool(false),
         Some(d) => {
             w.put_bool(true);
-            w.put_u64(d.len() as u64);
+            w.put_u64(d.wire_len() as u64);
             w.align(8);
-            for p in d.parts {
-                crate::transfer::pack(w, p, d.elem_size, d.translate);
-            }
+            d.put(s);
         }
     }
 }
 
-/// Capacity that holds an inline-data section without reallocating.
-fn inline_bound(data: Option<Inline<'_>>) -> usize {
-    16 + data.map_or(0, |d| d.len())
+/// Capacity that holds an inline-data section without reallocating
+/// (for a hole, the room the threads fill it with).
+fn inline_bound<S, D: InlineData<S>>(data: Option<D>) -> usize {
+    16 + data.map_or(0, |d| d.wire_len())
 }
 
-/// A request or reply body about to be written into a frame.
-pub(crate) trait BodyWriter {
-    /// An upper bound on the encoded size.
+/// A request or reply body about to be written into sink `S`.
+pub(crate) trait BodyWriter<S> {
+    /// An upper bound on the bytes the sink must hold for it.
     fn capacity(&self) -> usize;
-    /// Write the body at the writer's (8-aligned) position.
-    fn write(&self, w: &mut CdrWriter);
+    /// Write the body at the sink's (8-aligned) position.
+    fn write(&self, s: &mut S);
 }
 
 /// Build one frame: `header`, then `body` written straight into the same
@@ -216,75 +259,95 @@ pub(crate) trait BodyWriter {
 pub(crate) fn frame<H: FrameHeader>(
     endian: Endian,
     header: &H,
-    body: &impl BodyWriter,
+    body: &impl BodyWriter<FrameWriter>,
 ) -> PardisResult<(Bytes, usize)> {
     let mut f = FrameWriter::new(endian, header, body.capacity())?;
-    body.write(f.body());
+    body.write(&mut f);
     let body_len = f.body_len();
-    Ok((f.finish(), body_len))
+    Ok((f.finish()?, body_len))
+}
+
+/// Build the skeleton of a frame whose inline data the computing threads
+/// fill in place: `header` and `body` written, with a hole of
+/// [`Slots`] for each inline argument, in the one allocation the whole
+/// frame needs. Returns the frame and its body length. Its slots are numbered as [`FrameWriter`] describes: with
+/// `c` slots per hole, thread `t`'s slot of hole `h` is
+/// `h * (c + 1) + 1 + t`.
+pub(crate) fn slotted_frame<H: FrameHeader>(
+    endian: Endian,
+    header: &H,
+    body: &impl BodyWriter<FrameWriter>,
+) -> PardisResult<(SlottedBuf, usize)> {
+    let mut f = FrameWriter::new(endian, header, body.capacity())?;
+    body.write(&mut f);
+    let body_len = f.body_len();
+    Ok((f.finish_slotted()?, body_len))
 }
 
 /// The fields of a Request body, borrowing its inline data.
-pub(crate) struct RequestParts<'a> {
+pub(crate) struct RequestParts<'a, D> {
     pub nondist: &'a [u8],
-    pub dist: Vec<(&'a DistArgMeta, Option<Inline<'a>>)>,
+    pub dist: Vec<(&'a DistArgMeta, Option<D>)>,
 }
 
-impl BodyWriter for RequestParts<'_> {
+impl<S: BodySink, D: InlineData<S>> BodyWriter<S> for RequestParts<'_, D> {
     fn capacity(&self) -> usize {
         16 + self.nondist.len()
             + self
                 .dist
                 .iter()
-                .map(|(m, d)| m.encoded_len_bound() + inline_bound(*d))
+                .map(|(m, d)| m.encoded_len_bound() + inline_bound::<S, D>(*d))
                 .sum::<usize>()
     }
 
-    fn write(&self, w: &mut CdrWriter) {
+    fn write(&self, s: &mut S) {
+        let w = s.cdr();
         w.put_u32(self.dist.len() as u32);
         w.put_u32(self.nondist.len() as u32);
         w.align(8);
         w.put_bytes(self.nondist);
         for (meta, data) in &self.dist {
-            meta.encode(w);
-            put_inline(w, *data);
+            meta.encode(s.cdr());
+            put_inline(s, *data);
         }
     }
 }
 
 /// The fields of a Reply body, borrowing its inline data.
-pub(crate) struct ReplyParts<'a> {
+pub(crate) struct ReplyParts<'a, D> {
     pub nondist: &'a [u8],
     /// Per returning argument: request dist-arg index, global length,
     /// inline data (centralized mode).
-    pub dist_out: Vec<(u32, usize, Option<Inline<'a>>)>,
+    pub dist_out: Vec<(u32, usize, Option<D>)>,
 }
 
-impl BodyWriter for ReplyParts<'_> {
+impl<S: BodySink, D: InlineData<S>> BodyWriter<S> for ReplyParts<'_, D> {
     fn capacity(&self) -> usize {
         16 + self.nondist.len()
             + self
                 .dist_out
                 .iter()
-                .map(|(_, _, d)| 16 + inline_bound(*d))
+                .map(|(_, _, d)| 16 + inline_bound::<S, D>(*d))
                 .sum::<usize>()
     }
 
-    fn write(&self, w: &mut CdrWriter) {
+    fn write(&self, s: &mut S) {
+        let w = s.cdr();
         w.put_u32(self.dist_out.len() as u32);
         w.put_u32(self.nondist.len() as u32);
         w.align(8);
         w.put_bytes(self.nondist);
         for (idx, total_len, data) in &self.dist_out {
+            let w = s.cdr();
             w.put_u32(*idx);
             w.put_u64(*total_len as u64);
-            put_inline(w, *data);
+            put_inline(s, *data);
         }
     }
 }
 
 /// Encode a body into a fresh, exactly sized buffer.
-fn body_bytes(endian: Endian, body: &impl BodyWriter) -> Bytes {
+fn body_bytes(endian: Endian, body: &impl BodyWriter<CdrWriter>) -> Bytes {
     let mut w = CdrWriter::with_capacity(endian, body.capacity());
     body.write(&mut w);
     w.into_shared()
@@ -321,14 +384,10 @@ pub struct RequestBody {
 }
 
 impl RequestBody {
-    fn parts(&self) -> RequestParts<'_> {
+    fn parts(&self) -> RequestParts<'_, &[u8]> {
         RequestParts {
             nondist: &self.nondist,
-            dist: self
-                .dist
-                .iter()
-                .map(|(m, d)| (m, d.as_ref().map(Inline::whole)))
-                .collect(),
+            dist: self.dist.iter().map(|(m, d)| (m, d.as_deref())).collect(),
         }
     }
 
@@ -392,13 +451,13 @@ pub struct ReplyBody {
 }
 
 impl ReplyBody {
-    fn parts(&self) -> ReplyParts<'_> {
+    fn parts(&self) -> ReplyParts<'_, &[u8]> {
         ReplyParts {
             nondist: &self.nondist,
             dist_out: self
                 .dist_out
                 .iter()
-                .map(|(i, l, d)| (*i, *l, d.as_ref().map(Inline::whole)))
+                .map(|(i, l, d)| (*i, *l, d.as_deref()))
                 .collect(),
         }
     }
@@ -540,12 +599,16 @@ impl RequestSpec {
 pub struct InvokeTiming {
     /// Wall-clock of the whole invocation (T in the tables).
     pub total: Duration,
-    /// Marshaling time (pack).
+    /// Marshaling time (pack): this thread's share. In the centralized
+    /// method the communicating thread's share is the frame's skeleton
+    /// and its own blocks, every other thread's its own blocks.
     pub pack: Duration,
     /// Network send time (from first send to last send completion).
     pub send: Duration,
-    /// Gathering distributed arguments at the communicating thread
-    /// (centralized method only).
+    /// Waiting in the centralized method's gather (centralized method
+    /// only): on the communicating thread, for the other threads'
+    /// blocks; on the others, for the frame to pack into and for the
+    /// gather to complete.
     pub gather: Duration,
     /// Scattering received arguments to computing threads (centralized
     /// method only).

@@ -86,13 +86,19 @@ pub(crate) fn synthetic_status(e: &PardisError) -> ReplyStatus {
     }
 }
 
+/// Whether data translation byte-swaps elements of `elem_size` bytes:
+/// only 4- and 8-byte elements have a byte order.
+pub(crate) fn translates(elem_size: usize, translate: bool) -> bool {
+    translate && matches!(elem_size, 4 | 8)
+}
+
 /// Marshal `src` (native byte order) into `w`: one copy, with every
 /// element byte-swapped in the same pass when data translation is on
 /// (the §3.3 remark about heterogeneous encodings). This is the "pack"
 /// cost of the paper's measurements. Translating twice restores the
 /// original, so receivers unmarshal translated data through it too.
 pub(crate) fn pack(w: &mut CdrWriter, src: &[u8], elem_size: usize, translate: bool) {
-    if translate && matches!(elem_size, 4 | 8) {
+    if translates(elem_size, translate) {
         w.put_swapped(src, elem_size);
     } else {
         w.put_bytes(src);
@@ -105,7 +111,7 @@ pub(crate) fn pack(w: &mut CdrWriter, src: &[u8], elem_size: usize, translate: b
 /// otherwise the pieces are unmarshaled into one new buffer.
 pub(crate) fn unpack(parts: &[Bytes], elem_size: usize, translate: bool) -> Bytes {
     if let [only] = parts {
-        if !translate || !matches!(elem_size, 4 | 8) {
+        if !translates(elem_size, translate) {
             return only.clone();
         }
     }
@@ -128,7 +134,7 @@ pub(crate) fn transfer_frame(
 ) -> PardisResult<Bytes> {
     let mut f = FrameWriter::new(endian, header, src.len())?;
     pack(f.body(), src, elem_size, translate);
-    Ok(f.finish())
+    Ok(f.finish()?)
 }
 
 /// A zero-filled local part for an `out` argument.

@@ -22,7 +22,7 @@ use crate::client::{PendingInvoke, Proxy};
 use crate::error::{PardisError, PardisResult};
 use crate::orb::OrbCtx;
 use crate::request::{
-    frame, ReplyBody, ReplyParts, ReplyResult, RequestBody, RequestParts, RequestSpec,
+    frame, ReplyBody, ReplyParts, ReplyResult, RequestBody, RequestParts, RequestSpec, Slots,
 };
 use crate::server::{DistIn, ServerRequest};
 use crate::transfer::{
@@ -48,7 +48,7 @@ pub(crate) fn client_send(
     if let Some(conn) = proxy.conn.as_ref() {
         let tp = Instant::now();
         let metas: Vec<_> = spec.dist_args.iter().map(|a| a.meta()).collect();
-        let body = RequestParts {
+        let body = RequestParts::<Slots> {
             nondist: &spec.nondist_body,
             dist: metas.iter().map(|m| (m, None)).collect(),
         };
@@ -288,7 +288,7 @@ pub(crate) fn server_send_reply(
         }
     }
     if ctx.is_comm_thread() {
-        let body = ReplyParts {
+        let body = ReplyParts::<Slots> {
             nondist: &sreq.reply_nondist_bytes(),
             dist_out: dist_out_meta.clone(),
         };

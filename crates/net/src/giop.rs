@@ -12,7 +12,7 @@
 use crate::fabric::{HostId, PortId};
 use crate::{NetError, NetResult};
 use bytes::Bytes;
-use pardis_cdr::{CdrReader, CdrResult, CdrWriter, Decode, Encode, Endian};
+use pardis_cdr::{CdrReader, CdrResult, CdrWriter, Decode, Encode, Endian, SlotError, SlottedBuf};
 
 /// Protocol magic, "PARD".
 pub const MAGIC: [u8; 4] = *b"PARD";
@@ -359,12 +359,28 @@ fn put_preamble(w: &mut CdrWriter, kind: u8) {
 /// [`FrameWriter::body`], and [`FrameWriter::finish`] patches the body
 /// length in. A payload therefore reaches the wire with one copy, the
 /// one into this buffer. [`GiopMessage::encode`] goes through here too.
+///
+/// A body may also leave *holes* ([`FrameWriter::hole`]) for data other
+/// threads marshal in place. Such a frame comes out of
+/// [`FrameWriter::finish_slotted`] as a [`SlottedBuf`] whose slots are,
+/// in frame order: the bytes written before the first hole (already
+/// filled), that hole's parts (empty), the bytes written between the
+/// first and second hole (filled), the second hole's parts, and so on,
+/// ending with the bytes written after the last hole (filled, possibly
+/// empty).
 #[derive(Debug)]
 pub struct FrameWriter {
+    /// The bytes written since the last hole (from frame offset 0 when
+    /// there is none); its stream positions are frame offsets.
     w: CdrWriter,
-    /// Buffer offset of the body-length field.
+    /// Per hole: the bytes written before it since the previous hole,
+    /// and how many parts the hole has.
+    holes: Vec<(CdrWriter, usize)>,
+    /// The lengths of every hole's parts, in frame order.
+    parts: Vec<usize>,
+    /// Frame offset of the body-length field.
     len_at: usize,
-    /// Buffer offset of the body's first byte (8-aligned).
+    /// Frame offset of the body's first byte (8-aligned).
     body_at: usize,
 }
 
@@ -384,26 +400,95 @@ impl FrameWriter {
         w.align(8); // bodies start 8-aligned so f64 slices copy cleanly
         w.reserve(body_capacity);
         let body_at = w.len();
-        Ok(FrameWriter { w, len_at, body_at })
+        Ok(FrameWriter {
+            w,
+            holes: Vec::new(),
+            parts: Vec::new(),
+            len_at,
+            body_at,
+        })
     }
 
-    /// The writer positioned at the start of the body. The body starts
+    /// The writer positioned at the end of the body. The body starts
     /// at an 8-aligned frame offset, so CDR alignment within it is the
     /// same as in a stand-alone body stream.
     pub fn body(&mut self) -> &mut CdrWriter {
         &mut self.w
     }
 
-    /// Bytes written into the body so far.
-    pub fn body_len(&self) -> usize {
-        self.w.len() - self.body_at
+    /// Leave a hole at the end of the body, one slot per part of
+    /// `parts` bytes, for other threads to fill. The body continues
+    /// after the hole.
+    pub fn hole(&mut self, parts: impl IntoIterator<Item = usize>) {
+        let first = self.parts.len();
+        self.parts.extend(parts);
+        let end = self.w.position() + self.parts[first..].iter().sum::<usize>();
+        let after = CdrWriter::at_offset(self.w.endian(), end);
+        let before = std::mem::replace(&mut self.w, after);
+        self.holes.push((before, self.parts.len() - first));
     }
 
-    /// Patch the body length and hand the frame out.
-    pub fn finish(mut self) -> Bytes {
+    /// Bytes of the body so far, holes included.
+    pub fn body_len(&self) -> usize {
+        self.w.position() - self.body_at
+    }
+
+    /// Patch the body length into the first bytes written.
+    fn patch_len(&mut self) {
         let len = self.body_len() as u32;
-        self.w.patch_u32(self.len_at, len);
-        self.w.into_shared()
+        let first = match self.holes.first_mut() {
+            Some((w, _)) => w,
+            None => &mut self.w,
+        };
+        first.patch_u32(self.len_at, len);
+    }
+
+    /// Patch the body length and hand the frame out. A frame with
+    /// holes has unfilled bytes: it is refused here
+    /// ([`SlotError::Unfilled`]) and finished with
+    /// [`FrameWriter::finish_slotted`] instead.
+    pub fn finish(mut self) -> NetResult<Bytes> {
+        if !self.holes.is_empty() {
+            return Err(SlotError::Unfilled { slot: 1 }.into());
+        }
+        self.patch_len();
+        Ok(self.w.into_shared())
+    }
+
+    /// Patch the body length and hand the frame out as a buffer of its
+    /// final length, with every byte written so far in place and the
+    /// holes' parts as empty slots (numbered as the type's
+    /// documentation describes). The buffer is the allocation the first
+    /// bytes were written into, so a body capacity that covered the
+    /// holes spares a copy.
+    pub fn finish_slotted(mut self) -> NetResult<SlottedBuf> {
+        self.patch_len();
+        let written = |w: &CdrWriter| w.position() - w.len()..w.position();
+        let mut slots = Vec::with_capacity(self.holes.len() + self.parts.len() + 1);
+        let mut parts = self.parts.iter();
+        for (before, n) in &self.holes {
+            slots.push(written(before));
+            let mut at = before.position();
+            for &p in parts.by_ref().take(*n) {
+                slots.push(at..at + p);
+                at += p;
+            }
+        }
+        slots.push(written(&self.w));
+        let len = self.w.position();
+        let mut segments = self.holes.into_iter().chain([(self.w, 0)]);
+        let Some((head, mut skip)) = segments.next() else {
+            // Never: the chain ends with the bytes after the last hole.
+            return Err(SlotError::NoSuchSlot { slot: 0, slots: 0 }.into());
+        };
+        let frame = SlottedBuf::with_head(head.into_bytes(), len, slots)?;
+        let mut slot = 0;
+        for (segment, parts) in segments {
+            slot += 1 + skip;
+            frame.fill(slot, segment.as_slice())?;
+            skip = parts;
+        }
+        Ok(frame)
     }
 }
 
@@ -437,7 +522,7 @@ impl GiopMessage {
             }
         };
         frame.body().put_bytes(body);
-        Ok(frame.finish())
+        frame.finish()
     }
 
     /// Decode a message from the wire.
@@ -607,11 +692,50 @@ mod tests {
             let mut frame = FrameWriter::new(endian, &sample_request(), 0).unwrap();
             frame.body().put_bytes(&body);
             assert_eq!(frame.body_len(), body.len());
-            let built = frame.finish();
+            let built = frame.finish().unwrap();
             let msg = GiopMessage::Request(sample_request(), Bytes::from(body.clone()));
             assert_eq!(built, msg.encode(endian).unwrap());
             assert_eq!(GiopMessage::decode(&built).unwrap(), msg);
         }
+    }
+
+    #[test]
+    fn holes_filled_in_place_match_the_frame_written_whole() {
+        for endian in [Endian::Big, Endian::Little] {
+            let mut whole = FrameWriter::new(endian, &sample_request(), 0).unwrap();
+            let mut holed = FrameWriter::new(endian, &sample_request(), 0).unwrap();
+            for f in [&mut whole, &mut holed] {
+                f.body().put_u32(7);
+                f.body().align(8);
+            }
+            whole.body().put_bytes(b"abcdefghij");
+            holed.hole([4, 0, 6]);
+            for f in [&mut whole, &mut holed] {
+                f.body().put_u8(1);
+                f.body().put_u64(9);
+            }
+            whole.body().put_bytes(b"xyz");
+            holed.hole([3]);
+            assert_eq!(holed.body_len(), whole.body_len());
+            let frame = holed.finish_slotted().unwrap();
+            // Written, three parts, written, one part, written (empty).
+            assert_eq!(frame.slots(), 7);
+            assert_eq!(frame.unfilled(), Some(1));
+            for (slot, part) in [(1, &b"abcd"[..]), (2, b""), (3, b"efghij"), (5, b"xyz")] {
+                frame.fill(slot, part).unwrap();
+            }
+            assert_eq!(frame.into_bytes().unwrap(), whole.finish().unwrap());
+        }
+    }
+
+    #[test]
+    fn a_frame_with_holes_is_not_finished_whole() {
+        let mut f = FrameWriter::new(Endian::native(), &sample_request(), 0).unwrap();
+        f.hole([8]);
+        assert_eq!(
+            f.finish(),
+            Err(NetError::Slot(SlotError::Unfilled { slot: 1 }))
+        );
     }
 
     #[test]

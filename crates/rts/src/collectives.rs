@@ -9,17 +9,21 @@
 //! The collectives that move data are *linear through a root*: gather
 //! is `size-1` receives at the root, scatter is `size-1` sends from the
 //! root. This matches the era's MPICH on small shared-memory machines
-//! and is deliberately kept so that the centralized transfer method
-//! exhibits the gather/scatter scaling the paper measures in Table 1
-//! (cost grows with the number of computing threads). Barrier and
-//! allreduce carry no payload and meet in the domain's shared-memory
-//! rendezvous instead (`crate::rendezvous`).
+//! and is deliberately kept so that the centralized transfer method's
+//! scatter exhibits the scaling the paper measures in Table 1 (cost
+//! grows with the number of computing threads). Barrier and allreduce
+//! carry no payload and meet in the domain's shared-memory rendezvous
+//! instead (`crate::rendezvous`), and so does
+//! [`Endpoint::gather_into`], where every rank marshals its block
+//! straight into the root's frame: the centralized method's gather,
+//! whose only cost is the copy each rank makes of its own block.
 
 use crate::endpoint::Endpoint;
 use crate::error::{RtsError, RtsResult};
 use crate::reduce::ReduceOp;
 use crate::{tags, Tag};
 use bytes::Bytes;
+use pardis_cdr::{SlotError, SlottedBuf};
 // The byte-view reinterpretation and its inverse live in pardis-cdr
 // (one documented unsafe block for the whole workspace); intra-machine
 // transfers are native order, so no translation is applied here.
@@ -131,6 +135,45 @@ impl Endpoint {
             self.send_internal(root, tags::GATHER, bytes)?;
             Ok(None)
         };
+        if out.is_ok() {
+            self.collective_done(scope, dead);
+        }
+        out
+    }
+
+    /// Gather into one frame at `root`, with no payload moving between
+    /// ranks: the root supplies `frame`, every rank (the root too) runs
+    /// `fill` on it to marshal its own blocks into its own slots, in
+    /// parallel, and the root gets the finished frame once every live
+    /// rank has filled and arrived. The frame is shared through the
+    /// domain's rendezvous; waiting spins, yields, then parks.
+    ///
+    /// Returns `Some(frame)` at the root and `None` elsewhere, or the
+    /// same error on every live rank: the lowest-ranked failed fill's
+    /// ([`RtsError::Slot`], e.g. a block whose length differs from its
+    /// slot), [`RtsError::DeadRank`] naming a rank confirmed dead
+    /// before it filled a non-empty slot, or naming the root if it was
+    /// confirmed dead before it posted the frame. A dead rank's empty
+    /// slot leaves nothing to fill, so the round completes without it.
+    pub fn gather_into(
+        &self,
+        root: usize,
+        frame: Option<SlottedBuf>,
+        fill: impl FnOnce(&SlottedBuf) -> Result<(), SlotError>,
+    ) -> RtsResult<Option<Bytes>> {
+        if root >= self.size() {
+            return Err(RtsError::BadRank {
+                rank: root,
+                size: self.size(),
+            });
+        }
+        let dead = self.dead_mask();
+        self.check_participants(dead, root)?;
+        let scope = self.collective_enter("gather");
+        let out = self
+            .membership()
+            .rendezvous()
+            .gather(self.rank(), root, frame, fill, || self.dead_mask());
         if out.is_ok() {
             self.collective_done(scope, dead);
         }

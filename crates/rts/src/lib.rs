@@ -20,6 +20,9 @@
 //!   domain: each rank fills its slot, the last live rank to arrive
 //!   folds the slots in rank order and wakes the rest (one round, no
 //!   messages),
+//! * [`Endpoint::gather_into`] meets there too: the root posts a frame
+//!   buffer (`pardis_cdr::SlottedBuf`) and every rank packs its own
+//!   block into its own slot of it, in place and in parallel,
 //! * the collectives that move data (broadcast, gather, scatter,
 //!   allgather, alltoallv) use linear (root-relayed) algorithms,
 //!   matching mid-90s MPICH behaviour on small SMPs — this is what

@@ -17,12 +17,21 @@
 //! that moment* has arrived. Confirming a death wakes parked waiters
 //! ([`Rendezvous::wake`]), so they re-check against the smaller live
 //! set; a dead rank's slot is never folded.
+//!
+//! The same lock, condition variable and waiting style serve the
+//! gather that moves a frame instead of a few words
+//! ([`Rendezvous::gather`]): the root posts a [`SlottedBuf`], every
+//! rank fills its own slots of it in place and arrives, and the last
+//! live rank to arrive hands the finished frame to the root. The
+//! payload never moves between ranks; only the buffer's `Arc` does.
 
 use crate::collectives::live;
 use crate::error::{RtsError, RtsResult};
 use crate::reduce::ReduceOp;
+use bytes::Bytes;
+use pardis_cdr::{SlotError, SlottedBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Polls of the generation (with `spin_loop`) before a waiter starts
 /// yielding: about 4 µs on a 2-vCPU Xeon, long enough for a peer that
@@ -47,6 +56,10 @@ pub(crate) struct Rendezvous {
     /// the new value therefore also sees every rank's writes from
     /// before its arrival.
     gen: AtomicU64,
+    /// `Gather::posted`, mirrored for ranks spinning on the post.
+    posted: AtomicU64,
+    /// `Gather::gen`, mirrored for ranks spinning on the completion.
+    gathered: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -61,6 +74,65 @@ struct Round {
     result: RtsResult<Vec<f64>>,
     /// Waiters blocked on `wakeup`.
     parked: usize,
+    /// The gather round.
+    gather: Gather,
+}
+
+/// The state of the domain's gather rounds.
+#[derive(Debug)]
+struct Gather {
+    /// Gather rounds completed so far.
+    gen: u64,
+    /// Gather rounds whose frame has been posted: `gen + 1` once the
+    /// open round's root has posted, `gen` before.
+    posted: u64,
+    /// The root that posted the open round's frame.
+    root: usize,
+    /// The open round's frame, shared with the ranks filling it.
+    frame: Option<Arc<SlottedBuf>>,
+    /// Ranks holding a reference to `frame` while they fill it. The
+    /// round does not complete while any does, so the frame is never
+    /// handed out under a writer, not even a rank confirmed dead
+    /// mid-fill.
+    filling: usize,
+    /// Which ranks have filled and arrived in the open round.
+    arrived: Vec<bool>,
+    /// The lowest-ranked failed fill of the open round.
+    failed: Option<(usize, RtsError)>,
+    /// Outcome of the last completed round: the finished frame, until
+    /// the root takes it, or the error every rank returns.
+    outcome: RtsResult<Option<Bytes>>,
+}
+
+impl Gather {
+    /// Complete the open round if its frame is posted, every live rank
+    /// has arrived and nobody is still filling: finish the frame, or
+    /// record why it cannot be finished.
+    fn try_complete(&mut self, dead: u64) -> bool {
+        let size = self.arrived.len();
+        if self.posted == self.gen
+            || self.filling > 0
+            || !(0..size).all(|r| self.arrived[r] || !live(dead, r))
+        {
+            return false;
+        }
+        // A rank that never arrived was confirmed dead before it could
+        // fill: if the frame has a hole, that rank's slot is it.
+        let missing = (0..size).find(|&r| !self.arrived[r]);
+        let frame = self.frame.take();
+        self.outcome = match (self.failed.take(), frame) {
+            (Some((_, e)), _) => Err(e),
+            (None, None) => Err(RtsError::Internal("gather round without a frame".into())),
+            (None, Some(frame)) => match (SlottedBuf::try_into_bytes(frame), missing) {
+                (Ok(bytes), _) => Ok(Some(bytes)),
+                (Err(SlotError::Unfilled { .. }), Some(rank)) => Err(RtsError::DeadRank { rank }),
+                (Err(e), _) => Err(e.into()),
+            },
+        };
+        self.arrived.iter_mut().for_each(|a| *a = false);
+        self.gen += 1;
+        true
+    }
 }
 
 impl Round {
@@ -99,9 +171,21 @@ impl Rendezvous {
                 slots: vec![(Vec::new(), ReduceOp::Sum); n],
                 result: Ok(Vec::new()),
                 parked: 0,
+                gather: Gather {
+                    gen: 0,
+                    posted: 0,
+                    root: 0,
+                    frame: None,
+                    filling: 0,
+                    arrived: vec![false; n],
+                    failed: None,
+                    outcome: Ok(None),
+                },
             }),
             wakeup: Condvar::new(),
             gen: AtomicU64::new(0),
+            posted: AtomicU64::new(0),
+            gathered: AtomicU64::new(0),
         }
     }
 
@@ -148,7 +232,8 @@ impl Rendezvous {
             self.publish(&round);
         } else {
             drop(round);
-            if self.spin_then_yield(gen) && out.is_none() {
+            let moved = self.spin_then_yield(|| self.gen.load(Ordering::Acquire) != gen);
+            if moved && out.is_none() {
                 return Ok(());
             }
             round = self.lock();
@@ -157,9 +242,7 @@ impl Rendezvous {
                     self.publish(&round);
                     break;
                 }
-                round.parked += 1;
-                round = self.wakeup.wait(round).unwrap_or_else(|e| e.into_inner());
-                round.parked -= 1;
+                round = self.park(round);
             }
         }
         let Some(out) = out else {
@@ -174,24 +257,155 @@ impl Rendezvous {
         Ok(())
     }
 
-    /// Wait for the generation to move past `gen` without the lock:
-    /// spin, then yield. Returns whether it moved; the caller parks if
-    /// it has not.
-    fn spin_then_yield(&self, gen: u64) -> bool {
-        let moved = || self.gen.load(Ordering::Acquire) != gen;
+    /// Wait for `done` without the lock: spin, then yield. Returns
+    /// whether it came true; the caller parks if it has not.
+    fn spin_then_yield(&self, done: impl Fn() -> bool) -> bool {
         for _ in 0..SPINS {
-            if moved() {
+            if done() {
                 return true;
             }
             std::hint::spin_loop();
         }
         for _ in 0..YIELDS {
-            if moved() {
+            if done() {
                 return true;
             }
             std::thread::yield_now();
         }
-        moved()
+        done()
+    }
+
+    /// Park on `wakeup` until notified.
+    fn park<'a>(&'a self, mut round: MutexGuard<'a, Round>) -> MutexGuard<'a, Round> {
+        round.parked += 1;
+        round = self.wakeup.wait(round).unwrap_or_else(|e| e.into_inner());
+        round.parked -= 1;
+        round
+    }
+
+    /// One gather round for `rank`. The root posts `frame`; every rank
+    /// waits for the post, runs `fill` on the shared frame (its own
+    /// slots, in parallel with the others) and arrives; the last live
+    /// rank to arrive finishes the frame. `dead` reads the current dead
+    /// mask. Returns the finished frame at the root and `None`
+    /// elsewhere, or the same error on every live rank:
+    ///
+    /// - the lowest-ranked failed fill's error;
+    /// - [`RtsError::DeadRank`] naming a rank confirmed dead before it
+    ///   filled, if that left a slot unfilled;
+    /// - [`RtsError::DeadRank`] naming the root, if it was confirmed
+    ///   dead before it posted.
+    ///
+    /// A rank that was confirmed dead itself gets
+    /// [`RtsError::DeadRank`] naming itself.
+    pub(crate) fn gather(
+        &self,
+        rank: usize,
+        root: usize,
+        frame: Option<SlottedBuf>,
+        fill: impl FnOnce(&SlottedBuf) -> Result<(), SlotError>,
+        dead: impl Fn() -> u64,
+    ) -> RtsResult<Option<Bytes>> {
+        let mut round = self.lock();
+        let gen = round.gather.gen;
+        if rank == root {
+            let frame =
+                frame.ok_or_else(|| RtsError::Internal("root must supply the frame".into()))?;
+            // Checked under the lock: a root seen dead here never
+            // posts, so the ranks that gave up on it (below) agree.
+            if !live(dead(), rank) {
+                return Err(RtsError::DeadRank { rank });
+            }
+            round.gather.frame = Some(Arc::new(frame));
+            round.gather.root = root;
+            round.gather.posted = gen + 1;
+            self.posted.store(gen + 1, Ordering::Release);
+            if round.parked > 0 {
+                self.wakeup.notify_all();
+            }
+        } else if round.gather.posted == gen {
+            drop(round);
+            self.spin_then_yield(|| {
+                self.posted.load(Ordering::Acquire) != gen || !live(dead(), root)
+            });
+            round = self.lock();
+            while round.gather.posted == gen && round.gather.gen == gen {
+                let mask = dead();
+                if !live(mask, rank) {
+                    return Err(RtsError::DeadRank { rank });
+                }
+                if !live(mask, root) {
+                    return Err(RtsError::DeadRank { rank: root });
+                }
+                round = self.park(round);
+            }
+        }
+        if round.gather.gen != gen || !live(dead(), rank) {
+            return Err(RtsError::DeadRank { rank });
+        }
+        if round.gather.root != root {
+            // The frame is another root's: this rank waited for a root
+            // that died and the survivors moved on to a new one.
+            return Err(if live(dead(), root) {
+                RtsError::Internal(format!(
+                    "gather at root {root} met a frame posted by root {}",
+                    round.gather.root
+                ))
+            } else {
+                RtsError::DeadRank { rank: root }
+            });
+        }
+        let shared = round
+            .gather
+            .frame
+            .clone()
+            .ok_or_else(|| RtsError::Internal("gather frame missing".into()))?;
+        round.gather.filling += 1;
+        drop(round);
+
+        let filled = fill(&shared);
+        drop(shared);
+
+        let mut round = self.lock();
+        let g = &mut round.gather;
+        g.filling -= 1;
+        g.arrived[rank] = true;
+        if let Err(e) = filled {
+            if g.failed.as_ref().is_none_or(|(r, _)| rank < *r) {
+                g.failed = Some((rank, e.into()));
+            }
+        }
+        if round.gather.try_complete(dead()) {
+            self.publish_gather(&round);
+        } else {
+            drop(round);
+            self.spin_then_yield(|| self.gathered.load(Ordering::Acquire) != gen);
+            round = self.lock();
+            while round.gather.gen == gen {
+                if round.gather.try_complete(dead()) {
+                    self.publish_gather(&round);
+                    break;
+                }
+                round = self.park(round);
+            }
+        }
+        if round.gather.gen != gen + 1 {
+            return Err(RtsError::DeadRank { rank });
+        }
+        match &mut round.gather.outcome {
+            Err(e) => Err(e.clone()),
+            Ok(frame) if rank == root => Ok(frame.take()),
+            Ok(_) => Ok(None),
+        }
+    }
+
+    /// Publish a completed gather round: mirror its generation and
+    /// wake the parked waiters.
+    fn publish_gather(&self, round: &Round) {
+        self.gathered.store(round.gather.gen, Ordering::Release);
+        if round.parked > 0 {
+            self.wakeup.notify_all();
+        }
     }
 
     /// Wake every parked waiter so it re-checks the round against the
@@ -375,5 +589,159 @@ mod tests {
             ep.allreduce_scalar(mine, ReduceOp::Sum)
         });
         assert_eq!(results, vec![Ok(6.0); 4]);
+    }
+
+    /// A frame of a 16-byte head (the root's) and one slot per rank,
+    /// rank `r` owning `r * 8` bytes.
+    fn frame_for(size: usize) -> SlottedBuf {
+        let mut at = 16;
+        let blocks: Vec<_> = (0..size)
+            .map(|r| {
+                at += r * 8;
+                at - r * 8..at
+            })
+            .collect();
+        SlottedBuf::new(at, std::iter::once(0..16).chain(blocks)).unwrap()
+    }
+
+    /// Rank `r`'s block: `r * 8` bytes of `r`.
+    fn block(r: usize) -> Vec<u8> {
+        vec![r as u8; r * 8]
+    }
+
+    /// Rank `rank`'s part of a gather into [`frame_for`] at root 0.
+    fn gather_blocks(ep: &Endpoint, block: &[u8]) -> RtsResult<Option<Bytes>> {
+        let frame = (ep.rank() == 0).then(|| {
+            let f = frame_for(ep.size());
+            f.fill(0, &[0xAB; 16]).unwrap();
+            f
+        });
+        ep.gather_into(0, frame, |f| f.fill(1 + ep.rank(), block))
+    }
+
+    fn expected_frame(size: usize) -> Vec<u8> {
+        let mut want = vec![0xAB; 16];
+        (0..size).for_each(|r| want.extend(block(r)));
+        want
+    }
+
+    #[test]
+    fn rendezvous_gather_into_fills_every_slot() {
+        const ROUNDS: usize = 2_000;
+        for size in [1, 2, 4] {
+            let results = run_bounded(size, Duration::from_secs(60), |ep| {
+                let mut frames = Vec::new();
+                for _ in 0..ROUNDS {
+                    let got = gather_blocks(&ep, &block(ep.rank())).unwrap();
+                    assert_eq!(got.is_some(), ep.rank() == 0);
+                    frames.extend(got);
+                    // Interleave with the other rendezvous rounds.
+                    ep.barrier();
+                }
+                (frames, ep.collectives_completed())
+            });
+            let want = expected_frame(size);
+            assert_eq!(results[0].0.len(), ROUNDS);
+            assert!(results[0].0.iter().all(|f| f[..] == want[..]));
+            assert!(results.iter().all(|(_, n)| *n == 2 * ROUNDS as u64));
+        }
+    }
+
+    #[test]
+    fn rendezvous_gather_into_rank_dead_before_its_fill() {
+        // Rank 3 never fills: ranks 0–2 fill and park, then rank 3 is
+        // confirmed dead. Its slot stays a hole, so every live rank gets
+        // the same typed error; a later round whose frame gives the dead
+        // rank no bytes completes.
+        let results = run_bounded(4, Duration::from_secs(30), |ep| {
+            if ep.rank() == 3 {
+                wait_until_parked(&ep, 3);
+                ep.membership().mark_dead(3);
+                return None;
+            }
+            let first = gather_blocks(&ep, &block(ep.rank()));
+            let frame = (ep.rank() == 0).then(|| {
+                let f = SlottedBuf::new(24, [0..8, 8..16, 16..24, 24..24]).unwrap();
+                f.fill(0, b"survivor").unwrap();
+                f
+            });
+            let second = ep.gather_into(0, frame, |f| {
+                if ep.rank() > 0 {
+                    f.fill(ep.rank(), &[ep.rank() as u8; 8])
+                } else {
+                    Ok(())
+                }
+            });
+            Some((first, second.map(|f| f.map(|b| b.to_vec()))))
+        });
+        for (rank, r) in results.iter().enumerate().take(3) {
+            let (first, second) = r.clone().unwrap();
+            assert_eq!(first, Err(RtsError::DeadRank { rank: 3 }), "rank {rank}");
+            let want = (rank == 0).then(|| {
+                let mut v = b"survivor".to_vec();
+                v.extend([1; 8]);
+                v.extend([2; 8]);
+                v
+            });
+            assert_eq!(second, Ok(want), "rank {rank}");
+        }
+        assert!(results[3].is_none());
+    }
+
+    #[test]
+    fn rendezvous_gather_into_dead_root() {
+        // Ranks 1 and 2 wait for a post that never comes: confirming
+        // the root dead releases both with the same error, and the
+        // survivors can gather at another root afterwards.
+        let results = run_bounded(3, Duration::from_secs(30), |ep| {
+            if ep.rank() == 0 {
+                wait_until_parked(&ep, 2);
+                ep.membership().mark_dead(0);
+                return None;
+            }
+            let lost = ep.gather_into(0, None, |f| f.fill(1 + ep.rank(), &block(ep.rank())));
+            // At entry, a dead root is refused the same way.
+            let refused = ep.gather_into(0, None, |_| Ok(()));
+            let frame = (ep.rank() == 1).then(|| SlottedBuf::new(2, [0..1, 1..2]).unwrap());
+            let again = ep.gather_into(1, frame, |f| f.fill(ep.rank() - 1, &[ep.rank() as u8]));
+            Some((lost, refused, again))
+        });
+        for (rank, r) in results.iter().enumerate().skip(1) {
+            let (lost, refused, again) = r.clone().unwrap();
+            assert_eq!(lost, Err(RtsError::DeadRank { rank: 0 }), "rank {rank}");
+            assert_eq!(refused, Err(RtsError::DeadRank { rank: 0 }), "rank {rank}");
+            let want = (rank == 1).then(|| Bytes::from(vec![1u8, 2]));
+            assert_eq!(again, Ok(want), "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn rendezvous_gather_into_length_mismatch_is_typed_on_every_rank() {
+        // Rank 1 brings one byte too many for its 8-byte slot.
+        let results = run_bounded(3, Duration::from_secs(30), |ep| {
+            let mut mine = block(ep.rank());
+            if ep.rank() == 1 {
+                mine.push(0);
+            }
+            let first = gather_blocks(&ep, &mine);
+            // The domain stays usable after the failed round.
+            let after = gather_blocks(&ep, &block(ep.rank()));
+            (first, after)
+        });
+        for (rank, (first, after)) in results.into_iter().enumerate() {
+            assert_eq!(
+                first,
+                Err(RtsError::Slot(SlotError::Length {
+                    slot: 2,
+                    expected: 8,
+                    got: 9
+                })),
+                "rank {rank}"
+            );
+            assert_eq!(
+                after.unwrap().map(|f| f.to_vec()),
+                (rank == 0).then(|| expected_frame(3))
+            );
+        }
     }
 }
