@@ -5,7 +5,7 @@
 //!
 //! Unlike the `fig4` binary (which replays the 1997 testbed in a
 //! simulator), this drives the actual ORB — generated stubs, CDR
-//! marshaling, RTS gather/scatter, per-thread ports — so it shows which
+//! marshaling, RTS collectives, per-thread ports — so it shows which
 //! of the paper's effects survive on modern hardware: parallel
 //! marshaling and gather/scatter elimination do; scheduler interference
 //! does not (we have plenty of cores).

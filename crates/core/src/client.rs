@@ -27,7 +27,7 @@ use crate::request::{ArgDir, DistArgSend, InvokeTiming, ReplyResult, RequestSpec
 use crate::transfer::{centralized, multiport};
 use bytes::Bytes;
 use pardis_net::conn::Connection;
-use pardis_net::giop::{GiopMessage, ReplyHeader, TransferMode};
+use pardis_net::giop::{GiopMessage, TransferMode};
 use pardis_net::ObjectRef;
 use pardis_rts::ReduceOp;
 use std::cell::{Cell, RefCell};
@@ -79,8 +79,9 @@ pub struct Proxy {
     pub(crate) conn: Option<Connection>,
     /// Transfer method used by `invoke`.
     pub(crate) mode: TransferMode,
-    /// Replies that arrived out of order (outstanding futures).
-    pub(crate) reply_buf: RefCell<Vec<(ReplyHeader, Bytes)>>,
+    /// Reply frames that arrived out of order (outstanding futures),
+    /// with their request ids.
+    pub(crate) reply_buf: RefCell<Vec<(u64, Bytes)>>,
     /// Retry policy applied by `invoke` to idempotent requests.
     pub(crate) retry: Option<RetryPolicy>,
     /// Default invocation deadline when the spec does not carry one.
@@ -742,29 +743,26 @@ impl Proxy {
         result
     }
 
-    /// Receive the Reply for `req_id` on `conn`, buffering replies to
-    /// other outstanding requests on the same connection. `deadline`
-    /// bounds the wait; `None` blocks indefinitely.
+    /// Receive the Reply frame for `req_id` on `conn`, buffering frames
+    /// of replies to other outstanding requests on the same connection.
+    /// `deadline` bounds the wait; `None` blocks indefinitely.
     pub(crate) fn recv_reply(
         &self,
         conn: &Connection,
         req_id: u64,
         deadline: Option<Instant>,
-    ) -> PardisResult<(ReplyHeader, Bytes)> {
+    ) -> PardisResult<Bytes> {
         {
             let mut buf = self.reply_buf.borrow_mut();
-            if let Some(i) = buf.iter().position(|(h, _)| h.request_id == req_id) {
-                return Ok(buf.remove(i));
+            if let Some(i) = buf.iter().position(|(id, _)| *id == req_id) {
+                return Ok(buf.remove(i).1);
             }
         }
         loop {
-            match conn.recv_deadline(deadline)? {
-                GiopMessage::Reply(h, body) => {
-                    if h.request_id == req_id {
-                        return Ok((h, body));
-                    }
-                    self.reply_buf.borrow_mut().push((h, body));
-                }
+            let frame = conn.recv_frame(deadline)?;
+            match GiopMessage::decode(&frame)? {
+                GiopMessage::Reply(h, _) if h.request_id == req_id => return Ok(frame),
+                GiopMessage::Reply(h, _) => self.reply_buf.borrow_mut().push((h.request_id, frame)),
                 other => {
                     return Err(PardisError::Net(format!(
                         "unexpected message on reply port: {other:?}"
@@ -780,13 +778,16 @@ impl Proxy {
         if !self.reply_buf.borrow().is_empty() {
             return true;
         }
-        if let Some(conn) = self.conn.as_ref() {
-            if let Ok(Some(GiopMessage::Reply(h, b))) = conn.try_recv() {
-                self.reply_buf.borrow_mut().push((h, b));
-                return true;
+        let Some(frame) = self.conn.as_ref().and_then(Connection::try_recv_frame) else {
+            return false;
+        };
+        match GiopMessage::decode(&frame) {
+            Ok(GiopMessage::Reply(h, _)) => {
+                self.reply_buf.borrow_mut().push((h.request_id, frame));
+                true
             }
+            _ => false,
         }
-        false
     }
 }
 

@@ -610,8 +610,9 @@ pub struct InvokeTiming {
     /// blocks; on the others, for the frame to pack into and for the
     /// gather to complete.
     pub gather: Duration,
-    /// Scattering received arguments to computing threads (centralized
-    /// method only).
+    /// The centralized method's scatter (centralized method only): this
+    /// thread checking each received argument's inline section and
+    /// taking its own block from the relayed frame, in place.
     pub scatter: Duration,
     /// Receive + unmarshal time.
     pub recv_unpack: Duration,

@@ -11,9 +11,9 @@
 //!   machine's request port and relays them to all threads through the
 //!   RTS,
 //! * every thread materializes its local parts of the distributed
-//!   arguments (scattered centrally or assembled from multi-port
-//!   fragments), dispatches into its servant, synchronizes, and the
-//!   reply flows back by the same method the request used.
+//!   arguments (read in place from the relayed frame, or assembled from
+//!   multi-port fragments), dispatches into its servant, synchronizes,
+//!   and the reply flows back by the same method the request used.
 //!
 //! Serve loops come in three flavors: [`OrbCtx::serve_forever`] (until a
 //! shutdown message), [`OrbCtx::serve_n`], and [`OrbCtx::poll_requests`]
@@ -25,10 +25,10 @@ use crate::dseq::{DSequence, Elem};
 use crate::error::{PardisError, PardisResult};
 use crate::orb::OrbCtx;
 use crate::request::{ArgDir, InvokeTiming, RequestBody};
-use crate::transfer::{centralized, multiport};
+use crate::transfer::{centralized, error_reply, multiport};
 use bytes::Bytes;
 use pardis_cdr::{CdrReader, CdrResult, CdrWriter, Endian};
-use pardis_net::giop::{GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferMode};
+use pardis_net::giop::{GiopMessage, ReplyStatus, RequestHeader, TransferMode};
 use pardis_rts::ReduceOp;
 use std::time::{Duration, Instant};
 
@@ -230,14 +230,10 @@ impl OrbCtx {
     /// received frame itself, or an empty payload when a non-blocking
     /// poll found nothing (then every thread returns `None`).
     ///
-    /// Every thread keeps only the control part of the request — the
-    /// header, the non-distributed arguments and the distributed
-    /// arguments' metadata. In the centralized method the inline
-    /// argument data stays with the communicating thread, which
-    /// scatters it separately, so the cost model matches the real
-    /// system (only the communicating thread ever holds the whole
-    /// argument); the other threads drop the inline sections of the
-    /// relayed frame unread.
+    /// Every thread decodes the same frame, inline sections included:
+    /// in the centralized method each thread then takes its own block
+    /// of every distributed argument from it in place, so no scatter
+    /// follows the relay.
     fn next_served_payload(&self, poll: Option<Duration>) -> PardisResult<Option<ServedPayload>> {
         if self.is_comm_thread() {
             let request_port = self.request_port.as_ref().ok_or_else(|| {
@@ -287,10 +283,9 @@ impl OrbCtx {
             self.rts.broadcast(0, Some(relay))?;
             match parsed {
                 None => Ok(None),
-                Some((Some((header, mut req)), payload)) => {
+                Some((Some((header, body)), payload)) => {
                     let endian = GiopMessage::body_endian(&payload)?;
-                    let inline = take_inline(&mut req);
-                    Ok(Some(ServedPayload::new(header, req, endian, Some(inline))))
+                    Ok(Some(ServedPayload::request(header, body, endian)))
                 }
                 Some((None, payload)) => {
                     let endian = GiopMessage::body_endian(&payload)?;
@@ -305,9 +300,8 @@ impl OrbCtx {
             let endian = GiopMessage::body_endian(&wire)?;
             match GiopMessage::decode(&wire)? {
                 GiopMessage::Request(header, body) => {
-                    let mut req = RequestBody::decode(&body, endian)?;
-                    take_inline(&mut req);
-                    Ok(Some(ServedPayload::new(header, req, endian, None)))
+                    let body = RequestBody::decode(&body, endian)?;
+                    Ok(Some(ServedPayload::request(header, body, endian)))
                 }
                 GiopMessage::CloseConnection => Ok(Some(ServedPayload::shutdown(endian))),
                 other => Err(PardisError::Net(format!(
@@ -359,7 +353,6 @@ impl OrbCtx {
             header,
             body,
             endian,
-            inline,
         } = p;
         let header = match header {
             Some(h) => h,
@@ -428,22 +421,9 @@ impl OrbCtx {
                             "communication failure: data port closed by thread death; retry".into(),
                         )
                     };
-                    let empty = crate::request::ReplyBody {
-                        nondist: Bytes::new(),
-                        dist_out: vec![],
-                    };
-                    let reply = GiopMessage::Reply(
-                        ReplyHeader {
-                            request_id: header.request_id,
-                            status,
-                        },
-                        empty.to_bytes(endian),
-                    );
-                    self.host.send_to(
-                        header.reply_host,
-                        header.reply_port,
-                        reply.encode(endian)?,
-                    )?;
+                    let reply = error_reply(endian, header.request_id, status)?;
+                    self.host
+                        .send_to(header.reply_host, header.reply_port, reply)?;
                 }
                 return Ok(true);
             }
@@ -463,9 +443,7 @@ impl OrbCtx {
         // joins the machine-wide error agreement below, so the client
         // gets an error Reply and the server stays up.
         let received = match header.mode {
-            TransferMode::Centralized => {
-                centralized::server_receive_args(self, &body, inline, &mut timing)
-            }
+            TransferMode::Centralized => centralized::server_receive_args(self, &body, &mut timing),
             TransferMode::MultiPort => {
                 multiport::server_receive_args(self, header.request_id, &body, &mut timing)
             }
@@ -557,22 +535,9 @@ impl OrbCtx {
                     } else {
                         ReplyStatus::SystemException(first)
                     };
-                    let empty = crate::request::ReplyBody {
-                        nondist: Bytes::new(),
-                        dist_out: vec![],
-                    };
-                    let reply = GiopMessage::Reply(
-                        ReplyHeader {
-                            request_id: header.request_id,
-                            status,
-                        },
-                        empty.to_bytes(endian),
-                    );
-                    self.host.send_to(
-                        header.reply_host,
-                        header.reply_port,
-                        reply.encode(endian)?,
-                    )?;
+                    let reply = error_reply(endian, header.request_id, status)?;
+                    self.host
+                        .send_to(header.reply_host, header.reply_port, reply)?;
                 }
             } else {
                 match header.mode {
@@ -594,24 +559,23 @@ impl OrbCtx {
     }
 }
 
-/// Detach a request's inline argument data (centralized method),
-/// leaving its control part. Returns the data per argument.
-fn take_inline(req: &mut RequestBody) -> Vec<Option<Bytes>> {
-    req.dist.iter_mut().map(|(_, data)| data.take()).collect()
-}
-
 /// A request after relay to all threads.
 struct ServedPayload {
     /// `None` signals shutdown.
     header: Option<RequestHeader>,
     body: RequestBody,
     endian: Endian,
-    /// Inline argument data, present only on the communicating thread in
-    /// centralized mode.
-    inline: Option<Vec<Option<Bytes>>>,
 }
 
 impl ServedPayload {
+    fn request(header: RequestHeader, body: RequestBody, endian: Endian) -> ServedPayload {
+        ServedPayload {
+            header: Some(header),
+            body,
+            endian,
+        }
+    }
+
     fn shutdown(endian: Endian) -> ServedPayload {
         ServedPayload {
             header: None,
@@ -620,25 +584,6 @@ impl ServedPayload {
                 dist: vec![],
             },
             endian,
-            inline: None,
-        }
-    }
-}
-
-// ServedPayload carries Option<RequestHeader>; adapt construction sites.
-#[allow(clippy::needless_update)]
-impl ServedPayload {
-    fn new(
-        header: RequestHeader,
-        body: RequestBody,
-        endian: Endian,
-        inline: Option<Vec<Option<Bytes>>>,
-    ) -> ServedPayload {
-        ServedPayload {
-            header: Some(header),
-            body,
-            endian,
-            inline,
         }
     }
 }

@@ -9,31 +9,36 @@
 //! threads of the client and server as part of the marshaling or
 //! unmarshaling process."
 //!
-//! The total invocation time decomposes as
-//! `T = t_gather + t_pack + t_wire + t_unpack + t_scatter`, and both the
-//! gather/scatter terms grow with the number of computing threads — the
-//! effect Table 1 measures.
+//! The paper decomposes the total invocation time as
+//! `T = t_gather + t_pack + t_wire + t_unpack + t_scatter`, with both
+//! the gather and scatter terms growing with the number of computing
+//! threads — the effect Table 1 measures, and `pardis-sim` reproduces.
+//! Here neither term moves data through the communicating thread:
 //!
-//! Marshaling runs on every computing thread: the communicating thread
-//! writes the frame's skeleton (header and metadata, with a hole per
-//! distributed argument), and each thread packs its own block straight
-//! into its slot of the hole, in parallel (DESIGN.md §13). The gather is
-//! then no copy of its own, only the wait for the slowest block.
+//! * marshaling runs on every computing thread: the communicating
+//!   thread writes the frame's skeleton (header and metadata, with a
+//!   hole per distributed argument), and each thread packs its own
+//!   block straight into its slot of the hole, in parallel (DESIGN.md
+//!   §13). The gather is then no copy of its own, only the wait for the
+//!   slowest block;
+//! * the communicating thread relays the frame it received, unchanged,
+//!   and every thread checks the whole inline section of each argument
+//!   and takes its own block from it in place. The scatter is that
+//!   slice ([`InvokeTiming::scatter`]), with no collective of its own.
 
 use crate::client::{PendingInvoke, Proxy};
+use crate::dist::DistTempl;
 use crate::error::{PardisError, PardisResult};
 use crate::orb::OrbCtx;
 use crate::request::{
-    byte_len, slotted_frame, InvokeTiming, ReplyBody, ReplyParts, ReplyResult, RequestBody,
-    RequestParts, RequestSpec, Slots,
+    byte_len, slotted_frame, InvokeTiming, ReplyParts, ReplyResult, RequestBody, RequestParts,
+    RequestSpec, Slots,
 };
 use crate::server::{DistIn, ServerRequest};
-use crate::transfer::{
-    service_context_entries, status_to_result, synthetic_status, translates, unpack, zeroed_local,
-};
+use crate::transfer::{relay_reply, service_context_entries, translates, unpack, zeroed_local};
 use bytes::Bytes;
 use pardis_cdr::{SlotError, SlottedBuf};
-use pardis_net::giop::{GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferMode};
+use pardis_net::giop::{ReplyHeader, ReplyStatus, RequestHeader, TransferMode};
 use pardis_rts::{Endpoint, RtsError};
 use std::time::{Duration, Instant};
 
@@ -180,164 +185,69 @@ fn pack_blocks(
     Ok(())
 }
 
-/// Client receive phase: the communicating thread receives the single
-/// Reply, relays status and non-distributed results, and scatters the
-/// distributed results to the computing threads.
+/// Client receive phase: every thread reads the relayed Reply (see
+/// [`relay_reply`]) and takes its own block of each returning argument
+/// from it in place.
 pub(crate) fn client_recv(
     ctx: &OrbCtx,
     proxy: &Proxy,
     pending: &PendingInvoke,
 ) -> PardisResult<ReplyResult> {
     let mut timing = pending.timing;
-
-    // Communicating thread: pull the reply off the wire, strip inline
-    // data, relay the control part. A local receive failure (deadline
-    // exceeded, connection reset, undecodable reply) is converted into
-    // a synthetic error Reply and relayed the same way, so the other
-    // computing threads resolve to the same error instead of hanging.
-    let mut inline: Vec<Option<Bytes>> = Vec::new();
-    let control: (ReplyHeader, ReplyBody);
-    if let Some(conn) = proxy.conn.as_ref() {
-        let tr = Instant::now();
-        let received = pending
-            .send_failure()
-            .map(Err)
-            .unwrap_or_else(|| proxy.recv_reply(conn, pending.req_id, pending.deadline))
-            .and_then(|(header, body_bytes)| {
-                Ok((header, ReplyBody::decode(&body_bytes, ctx.endian)?))
-            });
-        let (header, stripped) = match received {
-            Ok((header, body)) => {
-                inline = body.dist_out.iter().map(|(_, _, d)| d.clone()).collect();
-                let stripped = ReplyBody {
-                    nondist: body.nondist.clone(),
-                    dist_out: body
-                        .dist_out
-                        .iter()
-                        .map(|(i, l, _)| (*i, *l, None))
-                        .collect(),
-                };
-                (header, stripped)
-            }
-            Err(e) => (
-                ReplyHeader {
-                    request_id: pending.req_id,
-                    status: synthetic_status(&e),
-                },
-                ReplyBody {
-                    nondist: Bytes::new(),
-                    dist_out: vec![],
-                },
-            ),
-        };
-        timing.recv_unpack += tr.elapsed();
-        if proxy.collective {
-            let wire = GiopMessage::Reply(header.clone(), stripped.to_bytes(ctx.endian))
-                .encode(ctx.endian)?;
-            ctx.rts.broadcast(0, Some(wire))?;
-        }
-        control = (header, stripped);
-    } else {
-        // Non-communicating threads learn the outcome by relay.
-        let wire = ctx.rts.broadcast(0, None)?;
-        match GiopMessage::decode(&wire)? {
-            GiopMessage::Reply(h, b) => {
-                let body = ReplyBody::decode(&b, ctx.endian)?;
-                control = (h, body);
-            }
-            other => {
-                return Err(PardisError::Net(format!(
-                    "unexpected relayed reply: {other:?}"
-                )))
-            }
-        }
-    }
-
-    let (header, body) = control;
-    status_to_result(&header.status)?;
-
-    // Scatter each returning distributed argument from the communicating
-    // thread to its owners.
-    let mut dist_out = Vec::new();
-    for (pos, (arg_idx, total_len, _)) in body.dist_out.iter().enumerate() {
-        let d = pending
-            .dist
-            .get(*arg_idx as usize)
-            .ok_or_else(|| PardisError::BadDistArg(format!("reply names unknown arg {arg_idx}")))?;
-        if d.client_templ.len() != *total_len {
-            return Err(PardisError::BadDistArg(format!(
-                "reply length {total_len} differs from argument length {}",
-                d.client_templ.len()
-            )));
-        }
-        if !d.dir.returns() {
-            return Err(PardisError::BadDistArg(format!(
-                "reply returns data for `in` argument {arg_idx}"
-            )));
-        }
-        let my_bytes = if proxy.collective {
-            let ts = Instant::now();
-            let chunks = if ctx.is_comm_thread() {
-                let data = inline[pos].as_ref().ok_or_else(|| {
-                    PardisError::BadDistArg("centralized reply missing inline data".into())
-                })?;
-                Some(split_by_templ(data, &d.client_templ, d.elem_size)?)
-            } else {
-                None
-            };
-            let mine = ctx.rts.scatterv_bytes(0, chunks)?;
-            timing.scatter += ts.elapsed();
-            mine
-        } else {
-            let data = inline[pos].as_ref().ok_or_else(|| {
-                PardisError::BadDistArg("centralized reply missing inline data".into())
-            })?;
-            data.clone()
-        };
+    let reply = relay_reply(ctx, proxy, pending, &mut timing)?;
+    let rank = if proxy.collective { ctx.rank() } else { 0 };
+    let mut dist_out = Vec::with_capacity(reply.dist_out.len());
+    for (arg_idx, d, data) in reply.dist_out {
+        let ts = Instant::now();
+        let mine = own_block(arg_idx, data, &d.client_templ, rank, d.elem_size)?;
+        timing.scatter += ts.elapsed();
         let tu = Instant::now();
-        let local = unpack(&[my_bytes], d.elem_size, ctx.translate);
+        dist_out.push((arg_idx, unpack(&[mine], d.elem_size, ctx.translate)));
         timing.recv_unpack += tu.elapsed();
-        dist_out.push((*arg_idx, local));
     }
-
     Ok(ReplyResult {
-        nondist_body: body.nondist,
+        nondist_body: reply.nondist,
         dist_out,
         timing,
     })
 }
 
-/// Split a full gathered buffer into per-thread chunks by a template.
-fn split_by_templ(
-    data: &Bytes,
-    templ: &crate::dist::DistTempl,
+/// Thread `rank`'s block of argument `arg`'s inline section `data`,
+/// laid out by `templ`: a view of the frame it arrived in. Every thread
+/// holds the whole frame and checks the whole section, so all of them
+/// reach the same verdict on it.
+fn own_block(
+    arg: u32,
+    data: Option<Bytes>,
+    templ: &DistTempl,
+    rank: usize,
     elem_size: usize,
-) -> PardisResult<Vec<Bytes>> {
+) -> PardisResult<Bytes> {
+    let data = data.ok_or_else(|| {
+        PardisError::BadDistArg(format!(
+            "centralized frame carries no data for argument {arg}"
+        ))
+    })?;
     let want = byte_len(templ.len(), elem_size)?;
     if data.len() != want {
         return Err(PardisError::BadDistArg(format!(
-            "inline data {} bytes, template covers {want}",
+            "argument {arg}: inline data {} bytes, template covers {want}",
             data.len()
         )));
     }
-    Ok((0..templ.nthreads())
-        .map(|t| {
-            let r = templ.range(t);
-            data.slice(r.start * elem_size..r.end * elem_size)
-        })
-        .collect())
+    let r = templ.range(rank);
+    Ok(data.slice(r.start * elem_size..r.end * elem_size))
 }
 
-/// Server side: materialize each thread's local parts of the distributed
-/// arguments by scattering from the communicating thread.
+/// Server side: every thread takes its local part of each sending
+/// distributed argument from the relayed Request frame in place.
 pub(crate) fn server_receive_args(
     ctx: &OrbCtx,
     body: &RequestBody,
-    inline: Option<Vec<Option<Bytes>>>,
     timing: &mut InvokeTiming,
 ) -> PardisResult<Vec<DistIn>> {
     let mut out = Vec::with_capacity(body.dist.len());
-    for (i, (meta, _)) in body.dist.iter().enumerate() {
+    for (i, (meta, data)) in body.dist.iter().enumerate() {
         let server_templ = meta.server_templ();
         let client_templ = meta.client_templ();
         if server_templ.nthreads() != ctx.nthreads() {
@@ -352,18 +262,8 @@ pub(crate) fn server_receive_args(
         let server_templ = ctx.effective_server_templ(server_templ)?;
         let local = if meta.dir.sends() {
             let ts = Instant::now();
-            let chunks = match &inline {
-                Some(v) => {
-                    let data = v[i].as_ref().ok_or_else(|| {
-                        PardisError::BadDistArg(format!(
-                            "centralized request missing inline data for argument {i}"
-                        ))
-                    })?;
-                    Some(split_by_templ(data, &server_templ, meta.elem_size)?)
-                }
-                None => None,
-            };
-            let mine = ctx.rts.scatterv_bytes(0, chunks)?;
+            let data = data.clone();
+            let mine = own_block(i as u32, data, &server_templ, ctx.rank(), meta.elem_size)?;
             timing.scatter += ts.elapsed();
             let tu = Instant::now();
             let local = unpack(&[mine], meta.elem_size, ctx.translate);
@@ -443,10 +343,10 @@ pub(crate) fn server_send_reply(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::DistTempl;
-    use crate::request::{ArgDir, DistArgMeta};
+    use crate::request::{ArgDir, DistArgMeta, ReplyBody};
     use crate::transfer::pack;
     use pardis_cdr::{CdrWriter, Endian};
+    use pardis_net::giop::GiopMessage;
     use pardis_net::HostId;
     use pardis_rts::Domain;
     use proptest::prelude::*;

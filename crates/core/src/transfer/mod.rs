@@ -12,27 +12,28 @@
 //!   thread-to-thread according to the overlap of the two distribution
 //!   templates (figure 3).
 //!
-//! This module holds the pieces both engines share: the one marshaling
-//! copy (with optional data translation), fragment reassembly, and
-//! phase timing.
+//! This module holds the pieces both engines share: the client's Reply
+//! relay, the one marshaling copy (with optional data translation),
+//! fragment reassembly, and phase timing.
 
 pub mod centralized;
 pub mod multiport;
 
+use crate::client::{PendingDist, PendingInvoke, Proxy};
 use crate::error::{PardisError, PardisResult};
 use crate::orb::OrbCtx;
-use crate::request::byte_len;
+use crate::request::{byte_len, InvokeTiming, ReplyBody};
 use bytes::Bytes;
 use pardis_cdr::{CdrWriter, Endian};
-use pardis_net::giop::{FrameWriter, GiopMessage, ReplyStatus, TransferHeader};
+use pardis_net::giop::{FrameWriter, GiopMessage, ReplyHeader, ReplyStatus, TransferHeader};
 use std::time::Instant;
 
 /// Prefix used when the communicating thread converts a local receive
 /// timeout into a synthetic relayed Reply, so every computing thread of
 /// the client resolves to the same [`PardisError::Timeout`].
-pub(crate) const SYNTH_TIMEOUT: &str = "TIMEOUT:";
+const SYNTH_TIMEOUT: &str = "TIMEOUT:";
 /// Same, for transport failures → [`PardisError::CommFailure`].
-pub(crate) const SYNTH_COMM_FAILURE: &str = "COMM_FAILURE:";
+const SYNTH_COMM_FAILURE: &str = "COMM_FAILURE:";
 
 /// The service-context entries for the header of outgoing request
 /// `req_id`: its tracing context when observability is compiled in,
@@ -52,7 +53,7 @@ pub(crate) fn service_context_entries(ctx: &OrbCtx, req_id: u64) -> Vec<(u32, By
 /// Map a reply status to a client-visible result. Synthetic statuses
 /// fabricated by the communicating thread on a local receive failure
 /// are converted back to their typed CORBA-style errors.
-pub(crate) fn status_to_result(status: &ReplyStatus) -> PardisResult<()> {
+fn status_to_result(status: &ReplyStatus) -> PardisResult<()> {
     match status {
         ReplyStatus::NoException => Ok(()),
         ReplyStatus::UserException(name) => Err(PardisError::UserException(name.clone())),
@@ -79,11 +80,110 @@ pub(crate) fn status_to_result(status: &ReplyStatus) -> PardisResult<()> {
 
 /// Build the synthetic status the communicating thread relays when its
 /// own receive phase failed.
-pub(crate) fn synthetic_status(e: &PardisError) -> ReplyStatus {
+fn synthetic_status(e: &PardisError) -> ReplyStatus {
     match e {
         PardisError::Timeout => ReplyStatus::SystemException(format!("{SYNTH_TIMEOUT} {e}")),
         other => ReplyStatus::SystemException(format!("{SYNTH_COMM_FAILURE} {other}")),
     }
+}
+
+/// A Reply frame with `status` and an empty body: what a server sends
+/// when an invocation failed, and what a client's communicating thread
+/// relays when its own receive did.
+pub(crate) fn error_reply(
+    endian: Endian,
+    request_id: u64,
+    status: ReplyStatus,
+) -> PardisResult<Bytes> {
+    let empty = ReplyBody {
+        nondist: Bytes::new(),
+        dist_out: vec![],
+    };
+    let header = ReplyHeader { request_id, status };
+    Ok(GiopMessage::Reply(header, empty.to_bytes(endian)).encode(endian)?)
+}
+
+/// A successful Reply as every computing thread of the client reads it
+/// from the relayed frame.
+pub(crate) struct RelayedReply<'p> {
+    /// The marshaled non-distributed results.
+    pub nondist: Bytes,
+    /// Per returning argument: its index in the request, its routing,
+    /// and the inline data the frame carries for it (the centralized
+    /// method's; none in the multi-port method).
+    pub dist_out: Vec<(u32, &'p PendingDist, Option<Bytes>)>,
+}
+
+/// The client's receive relay, one for both transfer methods. The
+/// communicating thread receives the Reply frame, or builds a small
+/// synthetic error Reply when its receive failed (deadline exceeded,
+/// connection reset, undecodable frame), and a collective binding
+/// broadcasts that frame unchanged. Every thread then decodes it and
+/// checks each returning argument against the request, so all of them
+/// reach the same verdict from the same bytes. Adds the receive and the
+/// decode to `timing.recv_unpack`.
+pub(crate) fn relay_reply<'p>(
+    ctx: &OrbCtx,
+    proxy: &Proxy,
+    pending: &'p PendingInvoke,
+    timing: &mut InvokeTiming,
+) -> PardisResult<RelayedReply<'p>> {
+    let frame = match proxy.conn.as_ref() {
+        Some(conn) => {
+            let tr = Instant::now();
+            let received = match pending.send_failure() {
+                Some(e) => Err(e),
+                None => proxy.recv_reply(conn, pending.req_id, pending.deadline),
+            };
+            let frame = received
+                .or_else(|e| error_reply(ctx.endian, pending.req_id, synthetic_status(&e)))?;
+            timing.recv_unpack += tr.elapsed();
+            if proxy.collective {
+                ctx.rts.broadcast(0, Some(frame.clone()))?;
+            }
+            frame
+        }
+        None => ctx.rts.broadcast(0, None)?,
+    };
+
+    let td = Instant::now();
+    let decoded = match GiopMessage::decode(&frame) {
+        Ok(GiopMessage::Reply(header, body)) => {
+            ReplyBody::decode(&body, ctx.endian).map(|body| (header, body))
+        }
+        Ok(other) => Err(PardisError::Net(format!(
+            "unexpected relayed reply: {other:?}"
+        ))),
+        Err(e) => Err(e.into()),
+    };
+    timing.recv_unpack += td.elapsed();
+    // An undecodable Reply is a transport failure, as a failed receive is.
+    let (header, body) = decoded.map_err(|e| PardisError::CommFailure(e.to_string()))?;
+    status_to_result(&header.status)?;
+
+    let mut dist_out = Vec::with_capacity(body.dist_out.len());
+    for (arg_idx, total_len, data) in body.dist_out {
+        let d = pending
+            .dist
+            .get(arg_idx as usize)
+            .ok_or_else(|| PardisError::BadDistArg(format!("reply names unknown arg {arg_idx}")))?;
+        if d.client_templ.len() != total_len {
+            return Err(PardisError::BadDistArg(format!(
+                "reply length {total_len} differs from argument length {}",
+                d.client_templ.len()
+            )));
+        }
+        if !d.dir.returns() {
+            return Err(PardisError::BadDistArg(format!(
+                "reply returns data for `in` argument {arg_idx}"
+            )));
+        }
+        dist_out.push((arg_idx, d, data));
+    }
+    Ok(RelayedReply {
+        nondist: body.nondist,
+        dist_out,
+    })
 }
 
 /// Whether data translation byte-swaps elements of `elem_size` bytes:

@@ -22,16 +22,11 @@ use crate::client::{PendingInvoke, Proxy};
 use crate::error::{PardisError, PardisResult};
 use crate::orb::OrbCtx;
 use crate::request::{
-    frame, ReplyBody, ReplyParts, ReplyResult, RequestBody, RequestParts, RequestSpec, Slots,
+    frame, ReplyParts, ReplyResult, RequestBody, RequestParts, RequestSpec, Slots,
 };
 use crate::server::{DistIn, ServerRequest};
-use crate::transfer::{
-    service_context_entries, status_to_result, synthetic_status, transfer_frame, zeroed_local,
-};
-use bytes::Bytes;
-use pardis_net::giop::{
-    GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferHeader, TransferMode,
-};
+use crate::transfer::{relay_reply, service_context_entries, transfer_frame, zeroed_local};
+use pardis_net::giop::{ReplyHeader, ReplyStatus, RequestHeader, TransferHeader, TransferMode};
 use pardis_net::{HostId, PortId};
 use std::time::Instant;
 
@@ -128,97 +123,31 @@ pub(crate) fn client_send(
     Ok(())
 }
 
-/// Client receive phase: learn the outcome from the (relayed) Reply
-/// first, then collect the returning fragments on each thread's own
-/// port.
+/// Client receive phase: learn the outcome from the relayed Reply (see
+/// [`relay_reply`]) first, then collect the returning fragments on each
+/// thread's own port.
 pub(crate) fn client_recv(
     ctx: &OrbCtx,
     proxy: &Proxy,
     pending: &PendingInvoke,
 ) -> PardisResult<ReplyResult> {
     let mut timing = pending.timing;
-
-    let control: (ReplyHeader, ReplyBody);
-    if let Some(conn) = proxy.conn.as_ref() {
-        let tr = Instant::now();
-        // A local receive failure becomes a synthetic error Reply,
-        // relayed like a real one so no computing thread hangs.
-        let received = pending
-            .send_failure()
-            .map(Err)
-            .unwrap_or_else(|| proxy.recv_reply(conn, pending.req_id, pending.deadline))
-            .and_then(|(header, body_bytes)| {
-                Ok((
-                    header,
-                    body_bytes.clone(),
-                    ReplyBody::decode(&body_bytes, ctx.endian)?,
-                ))
-            });
-        let (header, body_bytes, body) = match received {
-            Ok(ok) => ok,
-            Err(e) => {
-                let header = ReplyHeader {
-                    request_id: pending.req_id,
-                    status: synthetic_status(&e),
-                };
-                let body = ReplyBody {
-                    nondist: Bytes::new(),
-                    dist_out: vec![],
-                };
-                let bytes = body.to_bytes(ctx.endian);
-                (header, bytes, body)
-            }
-        };
-        timing.recv_unpack += tr.elapsed();
-        if proxy.collective {
-            let wire = GiopMessage::Reply(header.clone(), body_bytes.clone()).encode(ctx.endian)?;
-            ctx.rts.broadcast(0, Some(wire))?;
-        }
-        control = (header, body);
-    } else {
-        let wire = ctx.rts.broadcast(0, None)?;
-        match GiopMessage::decode(&wire)? {
-            GiopMessage::Reply(h, b) => control = (h, ReplyBody::decode(&b, ctx.endian)?),
-            other => {
-                return Err(PardisError::Net(format!(
-                    "unexpected relayed reply: {other:?}"
-                )))
-            }
-        }
-    }
-
-    let (header, body) = control;
-    status_to_result(&header.status)?;
+    let reply = relay_reply(ctx, proxy, pending, &mut timing)?;
 
     // Collect this thread's fragments for each returning argument.
     let my_thread = if proxy.collective { ctx.rank() } else { 0 };
-    let mut dist_out = Vec::new();
-    for (arg_idx, total_len, _) in &body.dist_out {
-        let d = pending
-            .dist
-            .get(*arg_idx as usize)
-            .ok_or_else(|| PardisError::BadDistArg(format!("reply names unknown arg {arg_idx}")))?;
-        if d.client_templ.len() != *total_len {
-            return Err(PardisError::BadDistArg(format!(
-                "reply length {total_len} differs from argument length {}",
-                d.client_templ.len()
-            )));
-        }
-        if !d.dir.returns() {
-            return Err(PardisError::BadDistArg(format!(
-                "reply returns data for `in` argument {arg_idx}"
-            )));
-        }
+    let mut dist_out = Vec::with_capacity(reply.dist_out.len());
+    for (arg_idx, d, _) in reply.dist_out {
         let expected = d.client_templ.incoming_count(my_thread, &d.server_templ);
         let tr = Instant::now();
-        let mut frags = ctx.recv_fragments(pending.req_id, *arg_idx, expected, pending.deadline)?;
+        let mut frags = ctx.recv_fragments(pending.req_id, arg_idx, expected, pending.deadline)?;
         let local = ctx.assemble_local(&mut frags, &d.client_templ, d.elem_size)?;
         timing.recv_unpack += tr.elapsed();
-        dist_out.push((*arg_idx, local));
+        dist_out.push((arg_idx, local));
     }
 
     Ok(ReplyResult {
-        nondist_body: body.nondist,
+        nondist_body: reply.nondist,
         dist_out,
         timing,
     })

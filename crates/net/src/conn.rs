@@ -72,12 +72,16 @@ impl Connection {
         GiopMessage::decode(&dg.payload)
     }
 
-    /// Receive with an optional absolute deadline; `None` blocks like
-    /// [`Connection::recv`], `Some` fails with [`NetError::Timeout`]
-    /// once the deadline passes.
-    pub fn recv_deadline(&self, deadline: Option<std::time::Instant>) -> NetResult<GiopMessage> {
-        let dg = self.local.recv_deadline(deadline)?;
-        GiopMessage::decode(&dg.payload)
+    /// The next frame on our local port, undecoded, with an optional
+    /// absolute deadline: `None` blocks like [`Connection::recv`], `Some`
+    /// fails with [`NetError::Timeout`] once the deadline passes.
+    pub fn recv_frame(&self, deadline: Option<std::time::Instant>) -> NetResult<Bytes> {
+        Ok(self.local.recv_deadline(deadline)?.payload)
+    }
+
+    /// The next frame on our local port, undecoded, if one is waiting.
+    pub fn try_recv_frame(&self) -> Option<Bytes> {
+        self.local.try_recv().map(|dg| dg.payload)
     }
 
     /// Receive with a timeout; `None` on timeout.

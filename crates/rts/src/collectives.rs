@@ -8,15 +8,17 @@
 //!
 //! The collectives that move data are *linear through a root*: gather
 //! is `size-1` receives at the root, scatter is `size-1` sends from the
-//! root. This matches the era's MPICH on small shared-memory machines
-//! and is deliberately kept so that the centralized transfer method's
-//! scatter exhibits the scaling the paper measures in Table 1 (cost
-//! grows with the number of computing threads). Barrier and allreduce
-//! carry no payload and meet in the domain's shared-memory rendezvous
-//! instead (`crate::rendezvous`), and so does
-//! [`Endpoint::gather_into`], where every rank marshals its block
-//! straight into the root's frame: the centralized method's gather,
-//! whose only cost is the copy each rank makes of its own block.
+//! root. This matches the era's MPICH on small shared-memory machines.
+//! Of these, the ORB's centralized method uses only the broadcast, to
+//! relay the one received frame (a refcounted buffer, not a copy);
+//! every thread reads its own block from it, with no scatter. The
+//! scaling of the paper's Table 1 is therefore `pardis-sim`'s to
+//! reproduce, not this crate's. Barrier and allreduce carry no payload and meet in the
+//! domain's shared-memory rendezvous instead (`crate::rendezvous`), and
+//! so does [`Endpoint::gather_into`], where every rank marshals its
+//! block straight into the root's frame: the centralized method's
+//! gather, whose only cost is the copy each rank makes of its own
+//! block.
 
 use crate::endpoint::Endpoint;
 use crate::error::{RtsError, RtsResult};

@@ -25,9 +25,12 @@
 //!   block into its own slot of it, in place and in parallel,
 //! * the collectives that move data (broadcast, gather, scatter,
 //!   allgather, alltoallv) use linear (root-relayed) algorithms,
-//!   matching mid-90s MPICH behaviour on small SMPs — this is what
-//!   makes the cost of the centralized method's gather/scatter grow
-//!   with thread count, the effect Table 1 of the paper measures.
+//!   matching mid-90s MPICH behaviour on small SMPs. The ORB's
+//!   centralized method packs through `gather_into` and uses only the
+//!   broadcast among these, to relay the one received frame, from
+//!   which every thread reads its own block. Table 1's shape
+//!   (gather/scatter cost growing with thread count) is reproduced by
+//!   `pardis-sim`.
 //!
 //! Two features add analysis without adding messages. `analyze`
 //! compiles the collective-consistency verifier (`verify`), the

@@ -7,9 +7,14 @@
 //! the wrong offset). A final test feeds real corrupted frames through
 //! the fault-injecting fabric, closing the loop with the chaos
 //! machinery: the exact damage the [`pardis_net::FaultPlan`] inflicts
-//! is the damage the decoders must survive. The last two tests feed
-//! well-formed frames whose length fields overflow when multiplied out,
-//! to the body decoder and to a live server, in both transfer modes.
+//! is the damage the decoders must survive. Two tests feed well-formed
+//! frames whose length fields overflow when multiplied out, to the body
+//! decoder and to a live server, in both transfer modes. The last two
+//! send a two-thread server centralized Requests whose inline sections
+//! do not fit their argument, and a two-thread client centralized
+//! Replies that do not fit its request: every thread must reach the
+//! same typed verdict within a bound instead of leaving one thread
+//! waiting for the others.
 
 use bytes::Bytes;
 use pardis::apps::diffusion::DiffusionServant;
@@ -19,7 +24,9 @@ use pardis_cdr::Endian;
 use pardis_core::request::{DistArgMeta, ReplyBody, RequestBody};
 use pardis_net::fault::PER_MILLION;
 use pardis_net::giop::{GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferHeader};
+use pardis_net::ior::ObjectRef;
 use pardis_net::{Fabric, FaultPlan, HostId};
+use std::sync::mpsc;
 use std::time::Duration;
 
 fn sample_request(endian: Endian) -> Bytes {
@@ -387,4 +394,175 @@ fn server_survives_overflowing_frames() {
     });
     client.join();
     assert_eq!(server.join()[0], sent);
+}
+
+/// How long a test below waits for a reply or a machine. A thread left
+/// waiting in a collective its peers skipped fails the test here
+/// instead of hanging it.
+const BOUND: Duration = Duration::from_secs(20);
+
+/// `f`'s result, if it returns within [`BOUND`].
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(BOUND)
+        .unwrap_or_else(|_| panic!("{what}: not done within {BOUND:?} (hung or panicked)"))
+}
+
+#[test]
+fn centralized_server_agrees_on_a_bad_inline_section() {
+    let world = World::new(LinkSpec::unlimited());
+    let server = world.spawn_machine("server", 2, |ctx| {
+        diff_objectSkeleton::register(&ctx, "heat", DiffusionServant::new(), vec![]).unwrap();
+        ctx.serve_forever().unwrap();
+    });
+    let tap = world.fabric().add_host("tap");
+    let reply_port = tap.open_port();
+    let srv = world
+        .naming()
+        .resolve("heat", None, Duration::from_secs(30))
+        .unwrap();
+    let endian = Endian::native();
+    let meta = DistArgMeta {
+        dir: ArgDir::In,
+        elem_size: 8,
+        total_len: 8,
+        client_counts: vec![8],
+        server_counts: vec![4, 4],
+    };
+
+    // 56 bytes for 8 doubles, and no inline section at all: each thread
+    // holds the whole frame, so both threads refuse the argument.
+    for (request_id, inline) in [(1, Some(Bytes::from(vec![0u8; 56]))), (2, None)] {
+        let header = RequestHeader {
+            request_id,
+            object_name: "heat".into(),
+            operation: "total_heat".into(),
+            response_expected: true,
+            reply_host: tap.id(),
+            reply_port: reply_port.port(),
+            mode: TransferMode::Centralized,
+            client_threads: 1,
+            client_data_ports: vec![],
+            service_context: vec![],
+        };
+        let body = RequestBody {
+            nondist: Bytes::new(),
+            dist: vec![(meta.clone(), inline)],
+        };
+        let wire = GiopMessage::Request(header, body.to_bytes(endian))
+            .encode(endian)
+            .unwrap();
+        tap.send_to(srv.host, srv.request_port, wire).unwrap();
+        let dg = reply_port
+            .recv_timeout(BOUND)
+            .unwrap_or_else(|| panic!("request {request_id}: no reply within {BOUND:?}"));
+        match GiopMessage::decode(&dg.payload).unwrap() {
+            GiopMessage::Reply(h, _) => {
+                assert_eq!(h.request_id, request_id);
+                assert!(
+                    matches!(&h.status, ReplyStatus::SystemException(m) if m.contains("bad distributed argument")),
+                    "request {request_id}: {:?}",
+                    h.status
+                );
+            }
+            other => panic!("expected a reply, got {other:?}"),
+        }
+    }
+
+    // The server still serves well-formed invocations in both modes.
+    let client = world.spawn_machine("client", 2, |ctx| {
+        let mut heat = diff_objectProxy::_spmd_bind(&ctx, "heat", None).unwrap();
+        let mut arr = DSequence::<f64>::new(ctx.rts(), 64, None).unwrap();
+        arr.local_data_mut().fill(1.5);
+        for mode in [TransferMode::Centralized, TransferMode::MultiPort] {
+            heat._set_transfer_mode(mode).unwrap();
+            assert_eq!(heat.total_heat(&ctx, &arr).unwrap(), 96.0);
+        }
+        if ctx.is_comm_thread() {
+            ctx.send_shutdown(heat.proxy.objref()).unwrap();
+        }
+    });
+    within("client", move || client.join());
+    within("server", move || server.join());
+}
+
+#[test]
+fn centralized_client_threads_agree_on_a_bad_reply() {
+    const LEN: usize = 8;
+    let world = World::new(LinkSpec::unlimited());
+    let tap = world.fabric().add_host("tap");
+    let request_port = tap.open_port();
+    world.naming().register(ObjectRef {
+        name: "fake".into(),
+        type_id: "IDL:diff_object:1.0".into(),
+        host: tap.id(),
+        request_port: request_port.port(),
+        data_ports: vec![],
+        nthreads: 2,
+        distributions: vec![],
+        epoch: 0,
+    });
+    let client = world.spawn_machine("client", 2, |ctx| {
+        let mut diff = diff_objectProxy::_spmd_bind(&ctx, "fake", None).unwrap();
+        diff._set_transfer_mode(TransferMode::Centralized).unwrap();
+        let mut arr = DSequence::<f64>::new(ctx.rts(), LEN, None).unwrap();
+        let errors = vec![
+            diff.diffusion(&ctx, 0, &mut arr).unwrap_err(),
+            diff.diffusion(&ctx, 0, &mut arr).unwrap_err(),
+            diff.total_heat(&ctx, &arr).unwrap_err(),
+        ];
+        // A well-formed reply after them still reaches every thread.
+        diff.diffusion(&ctx, 0, &mut arr).unwrap();
+        (errors, arr.local_data().to_vec())
+    });
+
+    let endian = Endian::native();
+    let full: Vec<u8> = (0..LEN).flat_map(|i| (i as f64).to_ne_bytes()).collect();
+    let replies: [Vec<(u32, usize, Option<Bytes>)>; 4] = [
+        // `diffusion`: an inline section one double short.
+        vec![(0, LEN, Some(Bytes::from(full[8..].to_vec())))],
+        // `diffusion`: data for an argument the request does not have.
+        vec![(1, LEN, Some(Bytes::from(full.clone())))],
+        // `total_heat`: data for its `in` argument.
+        vec![(0, LEN, Some(Bytes::from(full.clone())))],
+        // `diffusion`: well formed.
+        vec![(0, LEN, Some(Bytes::from(full.clone())))],
+    ];
+    for (i, dist_out) in replies.into_iter().enumerate() {
+        let dg = request_port
+            .recv_timeout(BOUND)
+            .unwrap_or_else(|| panic!("invocation {i}: no request within {BOUND:?}"));
+        let GiopMessage::Request(h, _) = GiopMessage::decode(&dg.payload).unwrap() else {
+            panic!("invocation {i}: expected a request");
+        };
+        let body = ReplyBody {
+            nondist: Bytes::new(),
+            dist_out,
+        };
+        let reply = ReplyHeader {
+            request_id: h.request_id,
+            status: ReplyStatus::NoException,
+        };
+        let wire = GiopMessage::Reply(reply, body.to_bytes(endian))
+            .encode(endian)
+            .unwrap();
+        tap.send_to(h.reply_host, h.reply_port, wire).unwrap();
+    }
+
+    let threads = within("client", move || client.join());
+    let (first, _) = &threads[0];
+    for (rank, (errors, local)) in threads.iter().enumerate() {
+        for e in errors {
+            assert!(
+                matches!(e, PardisError::BadDistArg(_)),
+                "rank {rank}: {e:?}"
+            );
+        }
+        assert_eq!(errors, first, "rank {rank} disagrees with rank 0");
+        let want: Vec<f64> = (rank * LEN / 2..(rank + 1) * LEN / 2)
+            .map(|i| i as f64)
+            .collect();
+        assert_eq!(local, &want, "rank {rank}'s block of the good reply");
+    }
 }

@@ -3,16 +3,19 @@
 //!
 //! The serve loop's own protocol — relaying the request, agreeing that
 //! every thread received its arguments, and the exit synchronization
-//! that doubles as the success agreement — may take at most three
+//! that doubles as the success agreement — takes exactly three
 //! collectives per request on each server thread. The collectives that
-//! move argument data (the centralized method's scatter and gather) and
-//! the servant's own collectives are counted separately and excluded.
+//! move argument data (the centralized method's gather) and the
+//! servant's own collectives are counted separately and excluded.
 //!
-//! A collective client (c = 2) may spend one collective on entry
+//! A collective client (c = 2) spends exactly one collective on entry
 //! (synchronize and agree on the request id and method), one on the
-//! reply relay (the reply's status and non-distributed results reach
-//! every thread), one on exit, plus the centralized method's gather and
-//! scatter of distributed data.
+//! reply relay (the reply frame reaches every thread), one on exit,
+//! plus the centralized method's gather of the data it sends.
+//!
+//! Receiving distributed data costs no collective in either method:
+//! every thread reads its own block from the relayed frame in place
+//! (centralized) or from its own data port (multi-port).
 
 use pardis::apps::diffusion::DiffusionServant;
 use pardis::prelude::*;
@@ -35,15 +38,24 @@ enum Op {
     Diffusion,
 }
 
-/// Distributed-data collectives one thread takes part in for `op`: the
-/// centralized method scatters each sent argument and gathers each
-/// returned one (on both machines); the multi-port method moves data
-/// over the data ports instead.
-fn data_collectives(mode: TransferMode, op: Op) -> u64 {
-    match (mode, op) {
-        (TransferMode::MultiPort, _) => 0,
-        (TransferMode::Centralized, Op::TotalHeat) => 1,
-        (TransferMode::Centralized, Op::Diffusion) => 2,
+/// The machine a counting thread belongs to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Side {
+    Client,
+    Server,
+}
+
+/// Distributed-data collectives one thread of `side` takes part in for
+/// `op`: a centralized side spends one `gather_into` per direction in
+/// which it sends distributed data (the client sends `darray` in both
+/// operations, the server returns it only from `diffusion`) and none
+/// to receive; the multi-port method moves data over the data ports.
+fn data_collectives(side: Side, mode: TransferMode, op: Op) -> u64 {
+    match (mode, side, op) {
+        (TransferMode::MultiPort, _, _) => 0,
+        (TransferMode::Centralized, Side::Client, _) => 1,
+        (TransferMode::Centralized, Side::Server, Op::TotalHeat) => 0,
+        (TransferMode::Centralized, Side::Server, Op::Diffusion) => 1,
     }
 }
 
@@ -175,9 +187,10 @@ fn serve_loop_takes_at_most_three_collectives_per_request() {
         for (rank, counted) in servers.iter().enumerate() {
             assert_eq!(counted.len(), 2 * MODES.len() * REPS);
             for c in counted {
-                let protocol = c.total - c.servant - data_collectives(c.mode, c.op);
-                assert!(
-                    protocol <= 3,
+                let data = data_collectives(Side::Server, c.mode, c.op);
+                let protocol = c.total - c.servant - data;
+                assert_eq!(
+                    protocol, 3,
                     "c={client_threads}, server rank {rank}: {c:?} makes {protocol} \
                      protocol collectives"
                 );
@@ -192,9 +205,9 @@ fn collective_client_takes_entry_relay_and_exit_collectives() {
     for (rank, counted) in clients.iter().enumerate() {
         assert_eq!(counted.len(), 2 * MODES.len() * REPS);
         for c in counted {
-            let budget = 3 + data_collectives(c.mode, c.op);
-            assert!(
-                c.total <= budget,
+            let budget = 3 + data_collectives(Side::Client, c.mode, c.op);
+            assert_eq!(
+                c.total, budget,
                 "client rank {rank}: {c:?} makes {} collectives, budget {budget} \
                  (entry, reply relay, exit and data)",
                 c.total
