@@ -1,5 +1,5 @@
 //! Criterion benchmarks of the RTS collectives that carry the
-//! centralized method: linear gather and scatter through a root, the
+//! centralized method: gather and scatter (rendezvous rounds), the
 //! gather of one frame that every rank packs its block into, plus
 //! barrier and allreduce.
 

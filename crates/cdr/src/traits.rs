@@ -85,11 +85,13 @@ impl<T: Decode> Decode for Vec<T> {
         let n = r.get_u32()? as usize;
         // A length field cannot promise more elements than bytes remain;
         // this guards against corrupt or hostile streams allocating
-        // gigabytes up front. Every element is at least one octet.
+        // gigabytes up front. Every element is at least one octet, but
+        // may be many times larger in memory, so the reservation is
+        // bounded by the remaining bytes too.
         if n > r.remaining() {
             return Err(CdrError::LengthOverflow(n as u64));
         }
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(r.remaining() / std::mem::size_of::<T>().max(1)));
         for _ in 0..n {
             out.push(T::decode(r)?);
         }

@@ -58,7 +58,7 @@ impl Decode for DistSpec {
             0 => Ok(DistSpec::Block),
             1 => {
                 let n = r.get_u32()? as usize;
-                if n > r.remaining() {
+                if n > r.remaining() / 4 {
                     return Err(CdrError::LengthOverflow(n as u64));
                 }
                 let mut p = Vec::with_capacity(n);
@@ -177,7 +177,7 @@ impl Decode for ObjectRef {
         let host = HostId(r.get_u32()?);
         let request_port = r.get_u32()?;
         let nports = r.get_u32()? as usize;
-        if nports > r.remaining() {
+        if nports > r.remaining() / 4 {
             return Err(CdrError::LengthOverflow(nports as u64));
         }
         let mut data_ports = Vec::with_capacity(nports);

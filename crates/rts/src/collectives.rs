@@ -6,24 +6,24 @@
 //! SPMD-style, that is they will be called collectively by all the
 //! computing threads" (§2.2).
 //!
-//! The collectives that move data are *linear through a root*: gather
-//! is `size-1` receives at the root, scatter is `size-1` sends from the
-//! root. This matches the era's MPICH on small shared-memory machines.
-//! Of these, the ORB's centralized method uses only the broadcast, to
-//! relay the one received frame (a refcounted buffer, not a copy);
-//! every thread reads its own block from it, with no scatter. The
-//! scaling of the paper's Table 1 is therefore `pardis-sim`'s to
-//! reproduce, not this crate's. Barrier and allreduce carry no payload and meet in the
-//! domain's shared-memory rendezvous instead (`crate::rendezvous`), and
-//! so does [`Endpoint::gather_into`], where every rank marshals its
-//! block straight into the root's frame: the centralized method's
-//! gather, whose only cost is the copy each rank makes of its own
-//! block.
+//! Every collective is one round of the domain's shared-memory
+//! rendezvous (`crate::rendezvous`): each rank deposits its
+//! contribution in its own slot, and once every live rank has arrived
+//! each reads what it needs from the same outcome, `Bytes` by refcount.
+//! No collective sends a message or is relayed through its root, so a
+//! broadcast, gather or scatter is one round whatever the number of
+//! ranks. The growth of the paper's Table 1 gather and scatter costs
+//! with the thread count (its MPICH collectives were linear) is
+//! therefore `pardis-sim`'s to reproduce, not this crate's.
+//! [`Endpoint::gather_into`] is a round too, in which every rank
+//! marshals its block straight into the root's frame: the centralized
+//! method's gather, whose only cost is the copy each rank makes of its
+//! own block.
 
 use crate::endpoint::Endpoint;
 use crate::error::{RtsError, RtsResult};
 use crate::reduce::ReduceOp;
-use crate::{tags, Tag};
+use crate::rendezvous::{Rendezvous, Slot};
 use bytes::Bytes;
 use pardis_cdr::{SlotError, SlottedBuf};
 // The byte-view reinterpretation and its inverse live in pardis-cdr
@@ -44,6 +44,25 @@ pub(crate) fn live(dead: u64, rank: usize) -> bool {
 pub(crate) struct CollectiveScope {
     #[cfg(feature = "analyze")]
     _wait: crate::lockgraph::CollectiveToken,
+}
+
+/// Why the root's `slot` holds nothing to read: the root's own error,
+/// an empty slot because the root was confirmed dead, or a deposit of
+/// another collective's kind.
+fn failure(slot: &Slot, root: usize) -> RtsError {
+    match slot {
+        Slot::Empty => RtsError::DeadRank { rank: root },
+        Slot::Failed(e) => e.clone(),
+        _ => RtsError::Internal(format!("root {root} deposited for another collective")),
+    }
+}
+
+/// A rank's gathered chunk: empty for a rank confirmed dead.
+fn chunk(slot: &Slot) -> Bytes {
+    match slot {
+        Slot::One(bytes) => bytes.clone(),
+        _ => Bytes::new(),
+    }
 }
 
 impl Endpoint {
@@ -70,9 +89,17 @@ impl Endpoint {
         let _ = (scope, dead);
     }
 
-    /// Broadcast `data` from `root` to every rank; returns the payload on
-    /// every rank (on the root it is the input, refcounted).
-    pub fn broadcast(&self, root: usize, data: Option<Bytes>) -> RtsResult<Bytes> {
+    /// One collective, `name`d for the wait-for graph and rooted at
+    /// `root` (the caller, for collectives without a root): reject a
+    /// root out of range and a confirmed-dead caller or root, `meet` in
+    /// the domain's rendezvous, and count the collective if it
+    /// succeeded.
+    fn collective<T>(
+        &self,
+        name: &'static str,
+        root: usize,
+        meet: impl FnOnce(&Rendezvous) -> RtsResult<T>,
+    ) -> RtsResult<T> {
         if root >= self.size() {
             return Err(RtsError::BadRank {
                 rank: root,
@@ -81,66 +108,49 @@ impl Endpoint {
         }
         let dead = self.dead_mask();
         self.check_participants(dead, root)?;
-        let scope = self.collective_enter("broadcast");
-        let out = if self.rank() == root {
-            let data =
-                data.ok_or_else(|| RtsError::Internal("root must supply broadcast data".into()))?;
-            for to in 0..self.size() {
-                if to != root && live(dead, to) {
-                    self.send_internal(to, tags::BCAST, data.clone())?;
-                }
-            }
-            Ok(data)
-        } else {
-            self.recv_internal(root, tags::BCAST)
-        };
+        let scope = self.collective_enter(name);
+        let out = meet(self.membership().rendezvous());
         if out.is_ok() {
             self.collective_done(scope, dead);
         }
         out
     }
 
-    /// Gather each rank's `bytes` at `root`. Returns `Some(chunks)` in
-    /// rank order at the root, `None` elsewhere.
-    pub fn gather_bytes(&self, root: usize, bytes: Bytes) -> RtsResult<Option<Vec<Bytes>>> {
-        if root >= self.size() {
-            return Err(RtsError::BadRank {
-                rank: root,
-                size: self.size(),
-            });
-        }
-        let dead = self.dead_mask();
-        self.check_participants(dead, root)?;
-        let scope = self.collective_enter("gather");
-        let out = if self.rank() == root {
-            // Dead ranks contribute an empty chunk; stale messages they
-            // sent before dying are discarded, not counted.
-            let mut chunks: Vec<Option<Bytes>> = vec![None; self.size()];
-            chunks[root] = Some(bytes);
-            let mut remaining = (0..self.size())
-                .filter(|&r| r != root && live(dead, r))
-                .count();
-            while remaining > 0 {
-                let m = self.recv_any_internal(tags::GATHER)?;
-                if !live(dead, m.from) {
-                    continue;
-                }
-                if chunks[m.from].is_none() {
-                    remaining -= 1;
-                }
-                chunks[m.from] = Some(m.payload);
-            }
-            Ok(Some(
-                chunks.into_iter().map(Option::unwrap_or_default).collect(),
-            ))
-        } else {
-            self.send_internal(root, tags::GATHER, bytes)?;
-            Ok(None)
+    /// A collective that deposits `slot` and `read`s every rank's slot.
+    fn exchange<T>(
+        &self,
+        name: &'static str,
+        root: usize,
+        slot: Slot,
+        read: impl FnOnce(&[Slot]) -> RtsResult<T>,
+    ) -> RtsResult<T> {
+        self.collective(name, root, |rv| {
+            rv.round(self.rank(), slot, || self.dead_mask(), read)
+        })
+    }
+
+    /// Broadcast `data` from `root` to every rank; returns the payload on
+    /// every rank (on the root it is the input, refcounted).
+    pub fn broadcast(&self, root: usize, data: Option<Bytes>) -> RtsResult<Bytes> {
+        let slot = match data {
+            _ if self.rank() != root => Slot::Empty,
+            Some(data) => Slot::One(data),
+            None => Slot::Failed(RtsError::Internal("root must supply broadcast data".into())),
         };
-        if out.is_ok() {
-            self.collective_done(scope, dead);
-        }
-        out
+        self.exchange("broadcast", root, slot, |outcome| match &outcome[root] {
+            Slot::One(data) => Ok(data.clone()),
+            other => Err(failure(other, root)),
+        })
+    }
+
+    /// Gather each rank's `bytes` at `root`. Returns `Some(chunks)` in
+    /// rank order at the root, `None` elsewhere. A rank confirmed dead
+    /// contributes an empty chunk.
+    pub fn gather_bytes(&self, root: usize, bytes: Bytes) -> RtsResult<Option<Vec<Bytes>>> {
+        let rank = self.rank();
+        self.exchange("gather", root, Slot::One(bytes), |outcome| {
+            Ok((rank == root).then(|| outcome.iter().map(chunk).collect()))
+        })
     }
 
     /// Gather into one frame at `root`, with no payload moving between
@@ -155,7 +165,8 @@ impl Endpoint {
     /// ([`RtsError::Slot`], e.g. a block whose length differs from its
     /// slot), [`RtsError::DeadRank`] naming a rank confirmed dead
     /// before it filled a non-empty slot, or naming the root if it was
-    /// confirmed dead before it posted the frame. A dead rank's empty
+    /// confirmed dead before it posted the frame or before the round
+    /// completed. A dead rank's empty
     /// slot leaves nothing to fill, so the round completes without it.
     pub fn gather_into(
         &self,
@@ -163,23 +174,9 @@ impl Endpoint {
         frame: Option<SlottedBuf>,
         fill: impl FnOnce(&SlottedBuf) -> Result<(), SlotError>,
     ) -> RtsResult<Option<Bytes>> {
-        if root >= self.size() {
-            return Err(RtsError::BadRank {
-                rank: root,
-                size: self.size(),
-            });
-        }
-        let dead = self.dead_mask();
-        self.check_participants(dead, root)?;
-        let scope = self.collective_enter("gather");
-        let out = self
-            .membership()
-            .rendezvous()
-            .gather(self.rank(), root, frame, fill, || self.dead_mask());
-        if out.is_ok() {
-            self.collective_done(scope, dead);
-        }
-        out
+        self.collective("gather", root, |rv| {
+            rv.gather_into(self.rank(), root, frame, fill, || self.dead_mask())
+        })
     }
 
     /// Gather a distributed `f64` buffer at `root`, concatenated in rank
@@ -203,41 +200,23 @@ impl Endpoint {
 
     /// Scatter variable-size chunks from `root`: the root supplies one
     /// `Bytes` per rank (in rank order); every rank receives its chunk.
+    /// A root without exactly one chunk per rank gives every rank the
+    /// same error.
     pub fn scatterv_bytes(&self, root: usize, chunks: Option<Vec<Bytes>>) -> RtsResult<Bytes> {
-        if root >= self.size() {
-            return Err(RtsError::BadRank {
-                rank: root,
-                size: self.size(),
-            });
-        }
-        let dead = self.dead_mask();
-        self.check_participants(dead, root)?;
-        let scope = self.collective_enter("scatter");
-        let out = if self.rank() == root {
-            let chunks = chunks
-                .ok_or_else(|| RtsError::Internal("root must supply scatter chunks".into()))?;
-            if chunks.len() != self.size() {
-                return Err(RtsError::BadCounts {
-                    expected: self.size(),
-                    got: chunks.len(),
-                });
-            }
-            let mut mine = None;
-            for (to, chunk) in chunks.into_iter().enumerate() {
-                if to == root {
-                    mine = Some(chunk);
-                } else if live(dead, to) {
-                    self.send_internal(to, tags::SCATTER, chunk)?;
-                }
-            }
-            mine.ok_or_else(|| RtsError::Internal("root's own scatter chunk missing".into()))
-        } else {
-            self.recv_internal(root, tags::SCATTER)
+        let (rank, size) = (self.rank(), self.size());
+        let slot = match chunks {
+            _ if rank != root => Slot::Empty,
+            Some(chunks) if chunks.len() == size => Slot::Many(chunks),
+            Some(chunks) => Slot::Failed(RtsError::BadCounts {
+                expected: size,
+                got: chunks.len(),
+            }),
+            None => Slot::Failed(RtsError::Internal("root must supply scatter chunks".into())),
         };
-        if out.is_ok() {
-            self.collective_done(scope, dead);
-        }
-        out
+        self.exchange("scatter", root, slot, |outcome| match &outcome[root] {
+            Slot::Many(chunks) if rank < chunks.len() => Ok(chunks[rank].clone()),
+            other => Err(failure(other, root)),
+        })
     }
 
     /// Scatter an `f64` buffer held at `root` according to per-rank
@@ -280,33 +259,12 @@ impl Endpoint {
         Ok(out)
     }
 
-    /// All ranks receive every rank's `bytes`, in rank order.
-    /// Linear: gather to rank 0 then broadcast.
+    /// All ranks receive every rank's `bytes`, in rank order; a rank
+    /// confirmed dead contributes an empty chunk.
     pub fn allgather_bytes(&self, bytes: Bytes) -> RtsResult<Vec<Bytes>> {
-        let gathered = self.gather_bytes(0, bytes)?;
-        // Rank 0 re-broadcasts each chunk; cheap for the metadata-sized
-        // payloads this is used for (object references, lengths). Dead
-        // ranks' chunks come back empty from the gather.
-        let dead = self.dead_mask();
-        if self.rank() == 0 {
-            let chunks = gathered
-                .ok_or_else(|| RtsError::Internal("rank 0 missing its gathered chunks".into()))?;
-            for to in 1..self.size() {
-                if !live(dead, to) {
-                    continue;
-                }
-                for chunk in &chunks {
-                    self.send_internal(to, tags::ALLGATHER, chunk.clone())?;
-                }
-            }
-            Ok(chunks)
-        } else {
-            let mut chunks = Vec::with_capacity(self.size());
-            for _ in 0..self.size() {
-                chunks.push(self.recv_internal(0, tags::ALLGATHER)?);
-            }
-            Ok(chunks)
-        }
+        self.exchange("allgather", self.rank(), Slot::One(bytes), |outcome| {
+            Ok(outcome.iter().map(chunk).collect())
+        })
     }
 
     /// All-gather a small `u64` (lengths, ports, flags). Returns the
@@ -327,19 +285,24 @@ impl Endpoint {
     }
 
     /// Element-wise reduction of `local` across all live ranks; every
-    /// rank receives the result. One round of the domain's rendezvous:
-    /// the live contributions are folded in rank order, so every rank
-    /// gets the same bits whatever the arrival order. Contributions of
-    /// different lengths give every rank [`RtsError::LengthMismatch`].
+    /// rank receives the result. Every rank folds the live
+    /// contributions in rank order, so every rank gets the same bits
+    /// whatever the arrival order. Contributions of different lengths
+    /// give every rank [`RtsError::LengthMismatch`].
     pub fn allreduce_f64(&self, local: &[f64], op: ReduceOp) -> RtsResult<Vec<f64>> {
-        let dead = self.dead_mask();
-        // No root: only the caller has to be live.
-        self.check_participants(dead, self.rank())?;
-        let scope = self.collective_enter("allreduce");
-        let mut out = Vec::with_capacity(local.len());
-        self.rendezvous(local, op, Some(&mut out))?;
-        self.collective_done(scope, dead);
-        Ok(out)
+        let slot = Slot::Words(local.to_vec(), op);
+        self.exchange("allreduce", self.rank(), slot, |outcome| {
+            let mut words = outcome.iter().filter_map(|slot| match slot {
+                Slot::Words(words, op) => Some((words, *op)),
+                _ => None,
+            });
+            let mut out = Vec::with_capacity(local.len());
+            if let Some((first, op)) = words.next() {
+                out.extend_from_slice(first);
+                words.try_for_each(|(words, _)| op.fold_into(&mut out, words))?;
+            }
+            Ok(out)
+        })
     }
 
     /// Scalar allreduce convenience.
@@ -348,52 +311,36 @@ impl Endpoint {
     }
 
     /// Personalized all-to-all: `outgoing[j]` goes to rank `j`; returns
-    /// the chunk received from each rank, in rank order. The workhorse of
-    /// distributed-sequence redistribution.
+    /// the chunk received from each rank, in rank order, empty from a
+    /// rank confirmed dead. The workhorse of distributed-sequence
+    /// redistribution. A rank without exactly one chunk per rank gives
+    /// every rank the same error.
     pub fn alltoallv_bytes(&self, outgoing: Vec<Bytes>) -> RtsResult<Vec<Bytes>> {
-        if outgoing.len() != self.size() {
-            return Err(RtsError::BadCounts {
-                expected: self.size(),
+        let (rank, size) = (self.rank(), self.size());
+        let slot = if outgoing.len() == size {
+            Slot::Many(outgoing)
+        } else {
+            Slot::Failed(RtsError::BadCounts {
+                expected: size,
                 got: outgoing.len(),
-            });
-        }
-        let dead = self.dead_mask();
-        if !live(dead, self.rank()) {
-            return Err(RtsError::DeadRank { rank: self.rank() });
-        }
-        let scope = self.collective_enter("alltoall");
-        let mut incoming: Vec<Option<Bytes>> = vec![None; self.size()];
-        for (to, chunk) in outgoing.into_iter().enumerate() {
-            if to == self.rank() {
-                incoming[to] = Some(chunk);
-            } else if live(dead, to) {
-                self.send_internal(to, tags::ALLTOALL, chunk)?;
-            }
-        }
-        let mut remaining = (0..self.size())
-            .filter(|&r| r != self.rank() && live(dead, r))
-            .count();
-        while remaining > 0 {
-            let m = self.recv_any_internal(tags::ALLTOALL)?;
-            if !live(dead, m.from) {
-                continue;
-            }
-            if incoming[m.from].is_none() {
-                remaining -= 1;
-            }
-            incoming[m.from] = Some(m.payload);
-        }
-        self.collective_done(scope, dead);
-        Ok(incoming
-            .into_iter()
-            .map(Option::unwrap_or_default)
-            .collect())
+            })
+        };
+        self.exchange("alltoall", rank, slot, |outcome| {
+            outcome
+                .iter()
+                .map(|slot| match slot {
+                    Slot::Many(row) => Ok(row.get(rank).cloned().unwrap_or_default()),
+                    Slot::Failed(e) => Err(e.clone()),
+                    _ => Ok(Bytes::new()),
+                })
+                .collect()
+        })
     }
 
     /// Reject collectives that cannot make progress under `dead`: a
-    /// confirmed-dead caller, or a confirmed-dead root (survivors would
-    /// block forever on its relay). With `dead == 0` this is two
-    /// comparisons — the zero-overhead healthy path.
+    /// confirmed-dead caller, or a confirmed-dead root (its slot would
+    /// stay empty). With `dead == 0` this is one comparison — the
+    /// zero-overhead healthy path.
     fn check_participants(&self, dead: u64, root: usize) -> RtsResult<()> {
         if dead == 0 {
             return Ok(());
@@ -405,17 +352,6 @@ impl Endpoint {
             return Err(RtsError::DeadRank { rank: root });
         }
         Ok(())
-    }
-
-    // Internal recv helpers that bypass the user-tag check (collective
-    // tags live in the reserved space).
-    fn recv_internal(&self, from: usize, tag: Tag) -> RtsResult<Bytes> {
-        self.recv_filtered(move |m| m.from == from && m.tag == tag)
-            .map(|m| m.payload)
-    }
-
-    fn recv_any_internal(&self, tag: Tag) -> RtsResult<crate::Message> {
-        self.recv_filtered(move |m| m.tag == tag)
     }
 }
 
@@ -618,8 +554,8 @@ mod tests {
                     Err(RtsError::DeadRank { rank: 1 })
                 ));
             } else {
-                // A dead *root* is rejected too — survivors would block
-                // forever on its relay.
+                // A dead *root* is rejected too — its slot would stay
+                // empty.
                 assert!(matches!(
                     ep.broadcast(1, None),
                     Err(RtsError::DeadRank { rank: 1 })

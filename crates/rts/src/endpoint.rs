@@ -8,7 +8,6 @@
 
 use crate::error::{RtsError, RtsResult};
 use crate::membership::Membership;
-use crate::reduce::ReduceOp;
 use crate::Tag;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
@@ -21,7 +20,7 @@ use std::sync::Arc;
 pub struct Message {
     /// Rank that sent the message.
     pub from: usize,
-    /// User- or collective-assigned tag.
+    /// User-assigned tag.
     pub tag: Tag,
     /// The payload. `Bytes` so intra-machine transfers are refcounted,
     /// not copied — shared-memory MPICH semantics.
@@ -102,25 +101,12 @@ impl Endpoint {
         }
     }
 
-    fn check_user_tag(&self, tag: Tag) -> RtsResult<()> {
-        if tag >= crate::RESERVED_TAG_BASE {
-            Err(RtsError::ReservedTag(tag))
-        } else {
-            Ok(())
-        }
-    }
-
     /// Send `payload` to rank `to` with `tag`. Asynchronous and always
     /// buffered (channels are unbounded); completion semantics of large
     /// network sends are modeled at the `pardis-net` layer, not here —
     /// intra-machine shared-memory sends really are buffered copies.
     pub fn send(&self, to: usize, tag: Tag, payload: Bytes) -> RtsResult<()> {
         self.check_rank(to)?;
-        self.check_user_tag(tag)?;
-        self.send_internal(to, tag, payload)
-    }
-
-    pub(crate) fn send_internal(&self, to: usize, tag: Tag, payload: Bytes) -> RtsResult<()> {
         self.peers[to]
             .send(Message {
                 from: self.rank,
@@ -173,7 +159,7 @@ impl Endpoint {
         }
     }
 
-    pub(crate) fn recv_filtered(&self, pred: impl Fn(&Message) -> bool) -> RtsResult<Message> {
+    fn recv_filtered(&self, pred: impl Fn(&Message) -> bool) -> RtsResult<Message> {
         // First look at buffered out-of-order messages.
         {
             let mut pending = self.pending.borrow_mut();
@@ -220,32 +206,18 @@ impl Endpoint {
     }
 
     /// Block until every *live* rank in the domain reaches the barrier:
-    /// a rendezvous with an empty contribution. A confirmed-dead caller
-    /// returns at once — there is nobody it could wait for.
+    /// a rendezvous round that deposits and reads nothing. A
+    /// confirmed-dead caller returns at once — there is nobody it could
+    /// wait for.
     pub fn barrier(&self) {
         let dead = self.membership.dead_mask();
         let scope = self.collective_enter("barrier");
         if crate::collectives::live(dead, self.rank) {
-            // Without a result to copy out, the round cannot fail.
-            let _ = self.rendezvous(&[], ReduceOp::Sum, None);
+            self.membership
+                .rendezvous()
+                .barrier(self.rank, || self.membership.dead_mask());
         }
         self.collective_done(scope, dead);
-    }
-
-    /// One round of the domain's rendezvous for this rank.
-    pub(crate) fn rendezvous(
-        &self,
-        local: &[f64],
-        op: ReduceOp,
-        out: Option<&mut Vec<f64>>,
-    ) -> RtsResult<()> {
-        self.membership.rendezvous().round(
-            self.rank,
-            local,
-            op,
-            || self.membership.dead_mask(),
-            out,
-        )
     }
 }
 
@@ -380,16 +352,6 @@ mod tests {
                 Err(RtsError::BadRank { rank: 5, size: 2 })
             ));
             assert!(ep.recv(9, 0).is_err());
-        });
-    }
-
-    #[test]
-    fn reserved_tag_rejected() {
-        run_on_all(1, |ep| {
-            assert!(matches!(
-                ep.send(0, crate::RESERVED_TAG_BASE, Bytes::new()),
-                Err(RtsError::ReservedTag(_))
-            ));
         });
     }
 

@@ -13,8 +13,6 @@ pub enum RtsError {
     /// A peer endpoint was dropped while we were sending to or receiving
     /// from it (the parallel program is tearing down unevenly).
     Disconnected { peer: usize },
-    /// A user tag collided with the reserved internal tag space.
-    ReservedTag(crate::Tag),
     /// Counts passed to a v-collective did not match the domain size.
     BadCounts { expected: usize, got: usize },
     /// Buffer lengths disagreed with the counts metadata.
@@ -31,8 +29,8 @@ pub enum RtsError {
     },
     /// A collective was asked to involve a rank the domain membership
     /// has confirmed dead — either the caller itself (it must stop
-    /// participating) or the collective's root (survivors would block
-    /// forever on its relay).
+    /// participating) or the collective's root (its slot in the
+    /// rendezvous round stays empty).
     DeadRank { rank: usize },
     /// A rank's fill of a shared frame failed
     /// ([`crate::Endpoint::gather_into`]): its block does not match its
@@ -51,9 +49,6 @@ impl fmt::Display for RtsError {
             }
             RtsError::Disconnected { peer } => {
                 write!(f, "peer rank {peer} disconnected")
-            }
-            RtsError::ReservedTag(t) => {
-                write!(f, "tag {t:#x} lies in the reserved internal tag space")
             }
             RtsError::BadCounts { expected, got } => {
                 write!(f, "expected {expected} per-rank counts, got {got}")

@@ -1,36 +1,36 @@
 //! # pardis-rts — the PARDIS generic run-time system interface
 //!
 //! PARDIS does not talk to a parallel application's computing threads
-//! directly; it goes through a *generic run-time system interface* that
-//! "encompasses the functionality of message-passing libraries" (§2.3 of
-//! the paper — tested there against MPI and Tulip). This crate is that
-//! interface plus an in-process implementation: a [`Domain`] of `n`
-//! ranks, each an OS thread holding an [`Endpoint`], communicating over
-//! lock-free channels — the moral equivalent of MPICH compiled for
-//! shared memory, which is exactly how the paper ran its client and
-//! server machines.
+//! directly. The paper (§2.3): "A generic run-time system interface has
+//! therefore been built into PARDIS libraries and may also be used by
+//! the compiler-generated stubs. To date only one run-time system
+//! interface has been specified; it encompasses the functionality of
+//! message-passing libraries" — tested there against MPI and Tulip.
+//! [`Endpoint`] is that interface, one per computing thread, and this
+//! crate its in-process implementation: a [`Domain`] of `n` ranks, each
+//! an OS thread holding an [`Endpoint`] — the moral equivalent of MPICH
+//! compiled for shared memory, which is exactly how the paper ran its
+//! client and server machines.
 //!
 //! The interface surface is deliberately MPI-shaped:
 //!
 //! * point-to-point [`Endpoint::send`] / [`Endpoint::recv`] with
-//!   `(source, tag)` matching,
+//!   `(source, tag)` matching, through each rank's mailbox,
 //! * collectives: barrier, broadcast, gather(v), scatter(v), allgather,
 //!   allreduce, alltoallv,
-//! * barrier and allreduce meet in one shared-memory rendezvous per
-//!   domain: each rank fills its slot, the last live rank to arrive
-//!   folds the slots in rank order and wakes the rest (one round, no
-//!   messages),
-//! * [`Endpoint::gather_into`] meets there too: the root posts a frame
+//! * every collective is one round of the domain's shared-memory
+//!   rendezvous: each rank deposits its contribution in its own slot,
+//!   and once every live rank has arrived each reads what it needs
+//!   from the same outcome (`Bytes` by refcount, allreduce folded in
+//!   rank order). No collective sends a message, so none is linear in
+//!   the number of ranks; Table 1's shape (gather/scatter cost growing
+//!   with thread count) is reproduced by `pardis-sim`,
+//! * [`Endpoint::gather_into`] is a round too: the root posts a frame
 //!   buffer (`pardis_cdr::SlottedBuf`) and every rank packs its own
-//!   block into its own slot of it, in place and in parallel,
-//! * the collectives that move data (broadcast, gather, scatter,
-//!   allgather, alltoallv) use linear (root-relayed) algorithms,
-//!   matching mid-90s MPICH behaviour on small SMPs. The ORB's
-//!   centralized method packs through `gather_into` and uses only the
-//!   broadcast among these, to relay the one received frame, from
-//!   which every thread reads its own block. Table 1's shape
-//!   (gather/scatter cost growing with thread count) is reproduced by
-//!   `pardis-sim`.
+//!   block into its own slot of it, in place and in parallel. The
+//!   ORB's centralized method packs through it and relays the one
+//!   received frame with a broadcast, from which every thread reads
+//!   its own block.
 //!
 //! Two features add analysis without adding messages. `analyze`
 //! compiles the collective-consistency verifier (`verify`), the
@@ -74,7 +74,6 @@ pub mod membership;
 pub mod reduce;
 mod rendezvous;
 pub mod rma;
-pub mod traits;
 #[cfg(feature = "analyze")]
 pub mod verify;
 
@@ -84,64 +83,7 @@ pub use error::{RtsError, RtsResult};
 pub use membership::{Liveness, Membership, MembershipView, PhiDetector};
 pub use reduce::ReduceOp;
 pub use rma::Window;
-pub use traits::RtsComm;
 
 /// Message tag: distinguishes independent conversations between the same
 /// pair of ranks, exactly as in MPI.
 pub type Tag = u32;
-
-/// Tags at or above this value are reserved for internal use by the
-/// collective algorithms; user code must stay below it.
-pub const RESERVED_TAG_BASE: Tag = 0xF000_0000;
-
-macro_rules! reserved_tags {
-    ($($(#[$doc:meta])* $name:ident = $offset:literal;)*) => {
-        $($(#[$doc])* pub const $name: Tag = RESERVED_TAG_BASE + $offset;)*
-        #[cfg(test)]
-        pub(crate) const ALL: &[(&str, Tag)] = &[$((stringify!($name), $name)),*];
-    };
-}
-
-/// Every reserved tag, in one table. Each internal protocol gets its
-/// own tags, so a mis-nested program fails loudly instead of
-/// cross-matching another protocol's messages.
-pub mod tags {
-    use super::{Tag, RESERVED_TAG_BASE};
-
-    reserved_tags! {
-        /// Broadcast payload (root → rank).
-        BCAST = 1;
-        /// Gather chunk (rank → root).
-        GATHER = 2;
-        /// Scatter chunk (root → rank).
-        SCATTER = 3;
-        /// All-gather re-broadcast (rank 0 → rank).
-        ALLGATHER = 4;
-        /// Personalized all-to-all chunk.
-        ALLTOALL = 6;
-        /// Collective-verify fingerprint (rank → 0).
-        VERIFY = 9;
-        /// Collective-verify verdict (0 → rank).
-        VERDICT = 10;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reserved_base_leaves_user_space() {
-        const { assert!(RESERVED_TAG_BASE > 1_000_000) };
-    }
-
-    #[test]
-    fn reserved_tags_are_distinct() {
-        for (i, &(name, tag)) in tags::ALL.iter().enumerate() {
-            assert!(tag >= RESERVED_TAG_BASE, "{name} is a user tag");
-            for &(other, other_tag) in &tags::ALL[i + 1..] {
-                assert_ne!(tag, other_tag, "{name} and {other} collide");
-            }
-        }
-    }
-}

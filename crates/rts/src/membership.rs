@@ -63,8 +63,8 @@ impl MembershipView {
 
 /// Domain-shared membership record. One per [`crate::Domain`], shared
 /// by every [`crate::Endpoint`] through an `Arc`. It also holds the
-/// domain's rendezvous (barrier and allreduce), so that confirming a
-/// death can wake the ranks parked in it.
+/// domain's rendezvous, where every collective meets, so that
+/// confirming a death can wake the ranks parked in it.
 #[derive(Debug)]
 pub struct Membership {
     size: usize,

@@ -1,13 +1,19 @@
-//! The domain's shared-memory rendezvous: barrier and allreduce in one
+//! The domain's shared-memory rendezvous: every collective in one
 //! round.
 //!
 //! The ranks of a domain are threads of one process, so a collective
-//! that only has to combine a few words needs no messages. Each rank
-//! writes its contribution into its own slot and marks itself arrived;
-//! the last live rank to arrive folds the live slots **in rank order**
-//! (so the result is bit-for-bit the same whatever the arrival order),
-//! bumps the generation counter and wakes the rest. A barrier is a
-//! rendezvous with an empty contribution.
+//! needs no messages. Each rank deposits its contribution into its own
+//! [`Slot`] and marks itself arrived; the rank whose arrival or
+//! re-check finds every live rank arrived completes the round: it
+//! moves the slots into the round's outcome, bumps the generation
+//! counter and wakes the rest. Every rank then reads what it needs from
+//! that one outcome: the root's slot (broadcast), chunk `rank` of the
+//! root's chunks (scatter), every slot (gather, allgather), entry
+//! `rank` of every slot (all-to-all), or the fold of every slot **in
+//! rank order** (allreduce, the same bits on every rank whatever the
+//! arrival order). `Bytes` move by refcount; no payload is copied. The
+//! last reader clears the outcome, so no payload outlives its round. A
+//! barrier deposits nothing and reads nothing.
 //!
 //! Waiters spin briefly on the generation, then yield, then park on a
 //! condition variable (see [`SPINS`] and [`YIELDS`]).
@@ -16,21 +22,23 @@
 //! re-checks, and a round completes once every rank that is live *at
 //! that moment* has arrived. Confirming a death wakes parked waiters
 //! ([`Rendezvous::wake`]), so they re-check against the smaller live
-//! set; a dead rank's slot is never folded.
+//! set. A dead rank's slot is empty in the outcome, so a root confirmed
+//! dead leaves its readers nothing but [`RtsError::DeadRank`].
 //!
-//! The same lock, condition variable and waiting style serve the
-//! gather that moves a frame instead of a few words
-//! ([`Rendezvous::gather`]): the root posts a [`SlottedBuf`], every
-//! rank fills its own slots of it in place and arrives, and the last
-//! live rank to arrive hands the finished frame to the root. The
-//! payload never moves between ranks; only the buffer's `Arc` does.
+//! A gather into one frame ([`Rendezvous::gather_into`]) is a round
+//! too, with one step before the arrivals: the root posts a
+//! [`SlottedBuf`], and every rank fills its own slots of it in place,
+//! outside the lock, before it arrives. The round does not complete
+//! while a rank is filling, and the rank that completes it finishes the
+//! frame into the root's slot. The payload never moves between ranks;
+//! only the buffer's `Arc` does.
 
 use crate::collectives::live;
 use crate::error::{RtsError, RtsResult};
 use crate::reduce::ReduceOp;
 use bytes::Bytes;
 use pardis_cdr::{SlotError, SlottedBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Polls of the generation (with `spin_loop`) before a waiter starts
@@ -45,147 +53,138 @@ pub(crate) const SPINS: u32 = 256;
 /// `inout_mid` p90 by a third.
 pub(crate) const YIELDS: u32 = 8;
 
+/// What a rank deposits in a round, and what the outcome holds for it.
+#[derive(Debug, Default)]
+pub(crate) enum Slot {
+    /// Nothing: a barrier, a broadcast or scatter off the root, a gather
+    /// into a frame, or a rank that did not arrive or is dead.
+    #[default]
+    Empty,
+    /// An allreduce contribution and its operator.
+    Words(Vec<f64>, ReduceOp),
+    /// One buffer: a broadcast root's payload, a gather or allgather
+    /// contribution, or the finished frame of a gather into one.
+    One(Bytes),
+    /// One buffer per rank, in rank order: a scatter root's chunks, or
+    /// a rank's all-to-all row.
+    Many(Vec<Bytes>),
+    /// A collective-verify fingerprint and its sequence number.
+    #[cfg(feature = "analyze")]
+    Print(crate::verify::Fingerprint, u64),
+    /// An error every reader returns: a root's bad arguments, or why a
+    /// frame could not be finished.
+    Failed(RtsError),
+}
+
 /// One rendezvous per domain, shared by every rank.
 #[derive(Debug)]
 pub(crate) struct Rendezvous {
     state: Mutex<Round>,
     wakeup: Condvar,
     /// `Round::gen`, readable without the lock so waiters can spin. The
-    /// folder stores it with `Release` after the fold, under the lock
-    /// every rank arrived through; a waiter's `Acquire` load that sees
-    /// the new value therefore also sees every rank's writes from
-    /// before its arrival.
+    /// completer stores it with `Release` under the lock every rank
+    /// arrived through; a waiter's `Acquire` load that sees the new
+    /// value therefore also sees every rank's writes from before its
+    /// arrival.
     gen: AtomicU64,
-    /// `Gather::posted`, mirrored for ranks spinning on the post.
-    posted: AtomicU64,
-    /// `Gather::gen`, mirrored for ranks spinning on the completion.
-    gathered: AtomicU64,
+    /// Whether the open round's frame is posted, for ranks spinning on
+    /// the post. A hint that publishes no data (`Relaxed`): a rank that
+    /// sees it set takes the lock and finds the frame there.
+    posted: AtomicBool,
 }
 
 #[derive(Debug)]
 struct Round {
     /// Rounds completed so far.
     gen: u64,
-    /// Which ranks have contributed to the open round.
+    /// Which ranks have arrived in the open round.
     arrived: Vec<bool>,
-    /// Each rank's contribution to the open round, and its operator.
-    slots: Vec<(Vec<f64>, ReduceOp)>,
-    /// Outcome of the last completed round.
-    result: RtsResult<Vec<f64>>,
-    /// Waiters blocked on `wakeup`.
-    parked: usize,
-    /// The gather round.
-    gather: Gather,
-}
-
-/// The state of the domain's gather rounds.
-#[derive(Debug)]
-struct Gather {
-    /// Gather rounds completed so far.
-    gen: u64,
-    /// Gather rounds whose frame has been posted: `gen + 1` once the
-    /// open round's root has posted, `gen` before.
-    posted: u64,
-    /// The root that posted the open round's frame.
-    root: usize,
-    /// The open round's frame, shared with the ranks filling it.
-    frame: Option<Arc<SlottedBuf>>,
+    /// Each rank's deposit in the open round.
+    slots: Vec<Slot>,
+    /// Ranks in the open round that will read its outcome.
+    readers: usize,
+    /// The last completed round's slots: a live rank's deposit, empty
+    /// for the others.
+    outcome: Vec<Slot>,
+    /// The last completed round's readers that have not read yet. The
+    /// last to read clears the outcome, and the open round cannot
+    /// complete before, so every rank that arrived gets the outcome,
+    /// even one confirmed dead after it arrived.
+    unread: usize,
+    /// The frame posted in the open round, with its root.
+    frame: Option<(usize, Arc<SlottedBuf>)>,
     /// Ranks holding a reference to `frame` while they fill it. The
     /// round does not complete while any does, so the frame is never
-    /// handed out under a writer, not even a rank confirmed dead
-    /// mid-fill.
+    /// finished under a writer, not even a rank confirmed dead mid-fill.
     filling: usize,
-    /// Which ranks have filled and arrived in the open round.
-    arrived: Vec<bool>,
     /// The lowest-ranked failed fill of the open round.
     failed: Option<(usize, RtsError)>,
-    /// Outcome of the last completed round: the finished frame, until
-    /// the root takes it, or the error every rank returns.
-    outcome: RtsResult<Option<Bytes>>,
+    /// Waiters blocked on `wakeup`.
+    parked: usize,
 }
 
-impl Gather {
-    /// Complete the open round if its frame is posted, every live rank
-    /// has arrived and nobody is still filling: finish the frame, or
-    /// record why it cannot be finished.
+impl Round {
+    /// Complete the open round if every live rank has arrived, nobody
+    /// is still filling the frame and the last round's outcome is read.
     fn try_complete(&mut self, dead: u64) -> bool {
         let size = self.arrived.len();
-        if self.posted == self.gen
-            || self.filling > 0
+        if self.filling > 0
+            || self.unread > 0
             || !(0..size).all(|r| self.arrived[r] || !live(dead, r))
         {
             return false;
         }
-        // A rank that never arrived was confirmed dead before it could
-        // fill: if the frame has a hole, that rank's slot is it.
-        let missing = (0..size).find(|&r| !self.arrived[r]);
-        let frame = self.frame.take();
-        self.outcome = match (self.failed.take(), frame) {
-            (Some((_, e)), _) => Err(e),
-            (None, None) => Err(RtsError::Internal("gather round without a frame".into())),
-            (None, Some(frame)) => match (SlottedBuf::try_into_bytes(frame), missing) {
-                (Ok(bytes), _) => Ok(Some(bytes)),
-                (Err(SlotError::Unfilled { .. }), Some(rank)) => Err(RtsError::DeadRank { rank }),
-                (Err(e), _) => Err(e.into()),
-            },
-        };
+        if let Some((root, frame)) = self.frame.take() {
+            self.slots[root] = self.finish(frame);
+        }
+        for r in 0..size {
+            let slot = std::mem::take(&mut self.slots[r]);
+            self.outcome[r] = if live(dead, r) { slot } else { Slot::Empty };
+        }
         self.arrived.iter_mut().for_each(|a| *a = false);
+        self.unread = std::mem::take(&mut self.readers);
         self.gen += 1;
         true
     }
-}
 
-impl Round {
-    /// Fold the open round if every live rank has arrived.
-    fn try_complete(&mut self, dead: u64) -> bool {
-        let size = self.arrived.len();
-        if !(0..size).all(|r| self.arrived[r] || !live(dead, r)) {
-            return false;
+    /// The posted frame, finished, or why it cannot be: the
+    /// lowest-ranked failed fill, or a rank that never arrived because
+    /// it was confirmed dead first, if that left a hole in the frame.
+    fn finish(&mut self, frame: Arc<SlottedBuf>) -> Slot {
+        let missing = (0..self.arrived.len()).find(|&r| !self.arrived[r]);
+        if let Some((_, e)) = self.failed.take() {
+            return Slot::Failed(e);
         }
-        // Reuse the previous result's buffer.
-        let mut acc = std::mem::replace(&mut self.result, Ok(Vec::new())).unwrap_or_default();
-        acc.clear();
-        let mut live_ranks = (0..size).filter(|&r| live(dead, r));
-        let folded = match live_ranks.next() {
-            None => Ok(()),
-            Some(first) => {
-                let (slot, op) = &self.slots[first];
-                acc.extend_from_slice(slot);
-                live_ranks.try_for_each(|r| op.fold_into(&mut acc, &self.slots[r].0))
+        match (SlottedBuf::try_into_bytes(frame), missing) {
+            (Ok(bytes), _) => Slot::One(bytes),
+            (Err(SlotError::Unfilled { .. }), Some(rank)) => {
+                Slot::Failed(RtsError::DeadRank { rank })
             }
-        };
-        self.result = folded.map(|()| acc);
-        self.arrived.iter_mut().for_each(|a| *a = false);
-        self.gen += 1;
-        true
+            (Err(e), _) => Slot::Failed(e.into()),
+        }
     }
 }
 
 impl Rendezvous {
     /// A rendezvous for an `n`-rank domain.
     pub(crate) fn new(n: usize) -> Rendezvous {
+        let empty = || (0..n).map(|_| Slot::Empty).collect();
         Rendezvous {
             state: Mutex::new(Round {
                 gen: 0,
                 arrived: vec![false; n],
-                slots: vec![(Vec::new(), ReduceOp::Sum); n],
-                result: Ok(Vec::new()),
+                slots: empty(),
+                readers: 0,
+                outcome: empty(),
+                unread: 0,
+                frame: None,
+                filling: 0,
+                failed: None,
                 parked: 0,
-                gather: Gather {
-                    gen: 0,
-                    posted: 0,
-                    root: 0,
-                    frame: None,
-                    filling: 0,
-                    arrived: vec![false; n],
-                    failed: None,
-                    outcome: Ok(None),
-                },
             }),
             wakeup: Condvar::new(),
             gen: AtomicU64::new(0),
-            posted: AtomicU64::new(0),
-            gathered: AtomicU64::new(0),
+            posted: AtomicBool::new(false),
         }
     }
 
@@ -198,63 +197,92 @@ impl Rendezvous {
     /// Publish a completed round: mirror the generation and wake the
     /// parked waiters.
     fn publish(&self, round: &Round) {
+        self.posted.store(false, Ordering::Relaxed);
         self.gen.store(round.gen, Ordering::Release);
         if round.parked > 0 {
             self.wakeup.notify_all();
         }
     }
 
-    /// Contribute `local` (folded with `op`) for `rank` and wait until
-    /// every live rank has contributed. `dead` reads the membership's
-    /// current dead mask. With `out`, the rank-order fold of the live
-    /// contributions is copied into it; every rank gets the same
-    /// result, or the same [`RtsError::LengthMismatch`].
-    ///
-    /// Returns [`RtsError::DeadRank`] if the others completed further
-    /// rounds without this rank, i.e. it was confirmed dead while it
-    /// waited and the round's result is gone.
-    pub(crate) fn round(
+    /// Block until every live rank has reached the barrier: a round
+    /// that deposits and reads nothing. `dead` reads the membership's
+    /// current dead mask.
+    pub(crate) fn barrier(&self, rank: usize, dead: impl Fn() -> u64) {
+        let round = self.lock();
+        let gen = round.gen;
+        self.arrive(round, gen, rank, Slot::Empty, &dead, false);
+    }
+
+    /// One round for `rank`: deposit `slot`, wait until every live rank
+    /// has arrived, then `read` the outcome (every rank's slot, in rank
+    /// order). `dead` reads the membership's current dead mask.
+    pub(crate) fn round<T>(
         &self,
         rank: usize,
-        local: &[f64],
-        op: ReduceOp,
+        slot: Slot,
         dead: impl Fn() -> u64,
-        out: Option<&mut Vec<f64>>,
-    ) -> RtsResult<()> {
-        let mut round = self.lock();
+        read: impl FnOnce(&[Slot]) -> RtsResult<T>,
+    ) -> RtsResult<T> {
+        let round = self.lock();
         let gen = round.gen;
-        let (slot, slot_op) = &mut round.slots[rank];
-        slot.clear();
-        slot.extend_from_slice(local);
-        *slot_op = op;
+        let round = self.arrive(round, gen, rank, slot, &dead, true);
+        self.collect(round, read)
+    }
+
+    /// Deposit `slot` for `rank` in round `gen` (open under `round`),
+    /// arrive, and wait for the round to complete. A rank that will
+    /// `read` the outcome gets the lock back; one that will not may
+    /// return without it.
+    fn arrive<'a>(
+        &'a self,
+        mut round: MutexGuard<'a, Round>,
+        gen: u64,
+        rank: usize,
+        slot: Slot,
+        dead: &impl Fn() -> u64,
+        read: bool,
+    ) -> Option<MutexGuard<'a, Round>> {
+        round.slots[rank] = slot;
         round.arrived[rank] = true;
+        round.readers += usize::from(read);
         if round.try_complete(dead()) {
             self.publish(&round);
-        } else {
-            drop(round);
-            let moved = self.spin_then_yield(|| self.gen.load(Ordering::Acquire) != gen);
-            if moved && out.is_none() {
-                return Ok(());
+            return Some(round);
+        }
+        drop(round);
+        let moved = self.spin_then_yield(|| self.gen.load(Ordering::Acquire) != gen);
+        if moved && !read {
+            return None;
+        }
+        round = self.lock();
+        while round.gen == gen {
+            if round.try_complete(dead()) {
+                self.publish(&round);
+                break;
             }
-            round = self.lock();
-            while round.gen == gen {
-                if round.try_complete(dead()) {
-                    self.publish(&round);
-                    break;
-                }
-                round = self.park(round);
+            round = self.park(round);
+        }
+        Some(round)
+    }
+
+    /// Read the last completed round's outcome with `read`. The last
+    /// reader clears the outcome and wakes the ranks that may be
+    /// waiting for it to complete the next round.
+    fn collect<T>(
+        &self,
+        round: Option<MutexGuard<'_, Round>>,
+        read: impl FnOnce(&[Slot]) -> RtsResult<T>,
+    ) -> RtsResult<T> {
+        let mut round = round.unwrap_or_else(|| self.lock());
+        let out = read(&round.outcome);
+        round.unread -= 1;
+        if round.unread == 0 {
+            round.outcome.iter_mut().for_each(|s| *s = Slot::Empty);
+            if round.parked > 0 {
+                self.wakeup.notify_all();
             }
         }
-        let Some(out) = out else {
-            return Ok(());
-        };
-        if round.gen != gen + 1 {
-            return Err(RtsError::DeadRank { rank });
-        }
-        let result = round.result.as_ref().map_err(Clone::clone)?;
-        out.clear();
-        out.extend_from_slice(result);
-        Ok(())
+        out
     }
 
     /// Wait for `done` without the lock: spin, then yield. Returns
@@ -283,22 +311,23 @@ impl Rendezvous {
         round
     }
 
-    /// One gather round for `rank`. The root posts `frame`; every rank
-    /// waits for the post, runs `fill` on the shared frame (its own
-    /// slots, in parallel with the others) and arrives; the last live
-    /// rank to arrive finishes the frame. `dead` reads the current dead
-    /// mask. Returns the finished frame at the root and `None`
-    /// elsewhere, or the same error on every live rank:
+    /// One round that gathers into one frame, for `rank`. The root
+    /// posts `frame`; every rank waits for the post, runs `fill` on the
+    /// shared frame (its own slots, in parallel with the others) and
+    /// arrives; the rank that completes the round finishes the frame.
+    /// `dead` reads the current dead mask. Returns the finished frame
+    /// at the root and `None` elsewhere, or the same error on every
+    /// live rank:
     ///
     /// - the lowest-ranked failed fill's error;
     /// - [`RtsError::DeadRank`] naming a rank confirmed dead before it
     ///   filled, if that left a slot unfilled;
     /// - [`RtsError::DeadRank`] naming the root, if it was confirmed
-    ///   dead before it posted.
+    ///   dead before it posted, or before the round completed.
     ///
     /// A rank that was confirmed dead itself gets
     /// [`RtsError::DeadRank`] naming itself.
-    pub(crate) fn gather(
+    pub(crate) fn gather_into(
         &self,
         rank: usize,
         root: usize,
@@ -307,7 +336,7 @@ impl Rendezvous {
         dead: impl Fn() -> u64,
     ) -> RtsResult<Option<Bytes>> {
         let mut round = self.lock();
-        let gen = round.gather.gen;
+        let gen = round.gen;
         if rank == root {
             let frame =
                 frame.ok_or_else(|| RtsError::Internal("root must supply the frame".into()))?;
@@ -316,20 +345,16 @@ impl Rendezvous {
             if !live(dead(), rank) {
                 return Err(RtsError::DeadRank { rank });
             }
-            round.gather.frame = Some(Arc::new(frame));
-            round.gather.root = root;
-            round.gather.posted = gen + 1;
-            self.posted.store(gen + 1, Ordering::Release);
+            round.frame = Some((root, Arc::new(frame)));
+            self.posted.store(true, Ordering::Relaxed);
             if round.parked > 0 {
                 self.wakeup.notify_all();
             }
-        } else if round.gather.posted == gen {
+        } else if round.frame.is_none() {
             drop(round);
-            self.spin_then_yield(|| {
-                self.posted.load(Ordering::Acquire) != gen || !live(dead(), root)
-            });
+            self.spin_then_yield(|| self.posted.load(Ordering::Relaxed) || !live(dead(), root));
             round = self.lock();
-            while round.gather.posted == gen && round.gather.gen == gen {
+            while round.frame.is_none() && round.gen == gen {
                 let mask = dead();
                 if !live(mask, rank) {
                     return Err(RtsError::DeadRank { rank });
@@ -340,72 +365,39 @@ impl Rendezvous {
                 round = self.park(round);
             }
         }
-        if round.gather.gen != gen || !live(dead(), rank) {
+        if round.gen != gen || !live(dead(), rank) {
             return Err(RtsError::DeadRank { rank });
         }
-        if round.gather.root != root {
+        let shared = match &round.frame {
+            Some((posted_by, frame)) if *posted_by == root => frame.clone(),
             // The frame is another root's: this rank waited for a root
             // that died and the survivors moved on to a new one.
-            return Err(if live(dead(), root) {
-                RtsError::Internal(format!(
-                    "gather at root {root} met a frame posted by root {}",
-                    round.gather.root
-                ))
-            } else {
-                RtsError::DeadRank { rank: root }
-            });
-        }
-        let shared = round
-            .gather
-            .frame
-            .clone()
-            .ok_or_else(|| RtsError::Internal("gather frame missing".into()))?;
-        round.gather.filling += 1;
+            Some((posted_by, _)) if live(dead(), root) => {
+                return Err(RtsError::Internal(format!(
+                    "gather at root {root} met a frame posted by root {posted_by}"
+                )))
+            }
+            _ => return Err(RtsError::DeadRank { rank: root }),
+        };
+        round.filling += 1;
         drop(round);
 
         let filled = fill(&shared);
         drop(shared);
 
         let mut round = self.lock();
-        let g = &mut round.gather;
-        g.filling -= 1;
-        g.arrived[rank] = true;
+        round.filling -= 1;
         if let Err(e) = filled {
-            if g.failed.as_ref().is_none_or(|(r, _)| rank < *r) {
-                g.failed = Some((rank, e.into()));
+            if round.failed.as_ref().is_none_or(|(r, _)| rank < *r) {
+                round.failed = Some((rank, e.into()));
             }
         }
-        if round.gather.try_complete(dead()) {
-            self.publish_gather(&round);
-        } else {
-            drop(round);
-            self.spin_then_yield(|| self.gathered.load(Ordering::Acquire) != gen);
-            round = self.lock();
-            while round.gather.gen == gen {
-                if round.gather.try_complete(dead()) {
-                    self.publish_gather(&round);
-                    break;
-                }
-                round = self.park(round);
-            }
-        }
-        if round.gather.gen != gen + 1 {
-            return Err(RtsError::DeadRank { rank });
-        }
-        match &mut round.gather.outcome {
-            Err(e) => Err(e.clone()),
-            Ok(frame) if rank == root => Ok(frame.take()),
-            Ok(_) => Ok(None),
-        }
-    }
-
-    /// Publish a completed gather round: mirror its generation and
-    /// wake the parked waiters.
-    fn publish_gather(&self, round: &Round) {
-        self.gathered.store(round.gather.gen, Ordering::Release);
-        if round.parked > 0 {
-            self.wakeup.notify_all();
-        }
+        let round = self.arrive(round, gen, rank, Slot::Empty, &dead, true);
+        self.collect(round, |outcome| match &outcome[root] {
+            Slot::One(frame) => Ok((rank == root).then(|| frame.clone())),
+            Slot::Failed(e) => Err(e.clone()),
+            _ => Err(RtsError::DeadRank { rank: root }),
+        })
     }
 
     /// Wake every parked waiter so it re-checks the round against the
@@ -743,5 +735,89 @@ mod tests {
                 (rank == 0).then(|| expected_frame(3))
             );
         }
+    }
+
+    #[test]
+    fn rendezvous_broadcast_dead_root_releases_survivors() {
+        // Ranks 1 and 2 park waiting for root 0's payload, which never
+        // comes: confirming the root dead releases both with the same
+        // error, and the survivors can broadcast from another root.
+        let results = run_bounded(3, Duration::from_secs(30), |ep| {
+            if ep.rank() == 0 {
+                wait_until_parked(&ep, 2);
+                ep.membership().mark_dead(0);
+                return None;
+            }
+            let lost = ep.broadcast(0, None);
+            let data = (ep.rank() == 1).then(|| Bytes::from_static(b"again"));
+            let again = ep.broadcast(1, data);
+            Some((lost, again))
+        });
+        assert!(results[0].is_none());
+        for (rank, r) in results.iter().enumerate().skip(1) {
+            let (lost, again) = r.clone().unwrap();
+            assert_eq!(lost, Err(RtsError::DeadRank { rank: 0 }), "rank {rank}");
+            assert_eq!(again, Ok(Bytes::from_static(b"again")), "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn rendezvous_gather_bytes_root_survives_a_dead_peer() {
+        // Root 0 and rank 1 park waiting for rank 2's chunk, which never
+        // comes: confirming rank 2 dead completes the gather over the
+        // survivors, with an empty chunk for it, and they gather again.
+        let results = run_bounded(3, Duration::from_secs(30), |ep| {
+            if ep.rank() == 2 {
+                wait_until_parked(&ep, 2);
+                ep.membership().mark_dead(2);
+                return None;
+            }
+            let mine = Bytes::from(vec![ep.rank() as u8; 4]);
+            let first = ep.gather_bytes(0, mine.clone());
+            let again = ep.gather_bytes(0, mine);
+            Some((first, again))
+        });
+        let want = Some(vec![
+            Bytes::from(vec![0u8; 4]),
+            Bytes::from(vec![1u8; 4]),
+            Bytes::new(),
+        ]);
+        assert_eq!(results[0], Some((Ok(want.clone()), Ok(want))));
+        assert_eq!(results[1], Some((Ok(None), Ok(None))));
+        assert!(results[2].is_none());
+    }
+
+    #[test]
+    fn rendezvous_alltoallv_peers_survive_a_dead_peer() {
+        // Ranks 0 and 1 park waiting for rank 2's row, which never
+        // comes: confirming rank 2 dead completes the exchange over the
+        // survivors, with an empty chunk from it, and they exchange
+        // again.
+        let results = run_bounded(3, Duration::from_secs(30), |ep| {
+            if ep.rank() == 2 {
+                wait_until_parked(&ep, 2);
+                ep.membership().mark_dead(2);
+                return None;
+            }
+            let row = |k: u8| -> Vec<Bytes> {
+                (0..3u8)
+                    .map(|to| Bytes::from(vec![k, ep.rank() as u8, to]))
+                    .collect()
+            };
+            let first = ep.alltoallv_bytes(row(1));
+            let again = ep.alltoallv_bytes(row(2));
+            Some((first, again))
+        });
+        for (rank, r) in results.iter().enumerate().take(2) {
+            let (first, again) = r.clone().unwrap();
+            for (k, got) in [(1u8, first), (2, again)] {
+                let want: Vec<Bytes> = (0..2u8)
+                    .map(|from| Bytes::from(vec![k, from, rank as u8]))
+                    .chain([Bytes::new()])
+                    .collect();
+                assert_eq!(got, Ok(want), "rank {rank}, exchange {k}");
+            }
+        }
+        assert!(results[2].is_none());
     }
 }

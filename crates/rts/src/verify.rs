@@ -10,20 +10,19 @@
 //! This module turns that deadlock into a typed error. Before the
 //! collective part of an invocation runs, every rank fingerprints its
 //! call site (operation, transfer mode, argument shapes, sequence
-//! number) and the ranks agree on the fingerprint over a dedicated
-//! reserved tag pair: rank 0 collects all fingerprints, compares them
-//! against its own, and broadcasts a verdict. On divergence, every
-//! rank returns [`RtsError::CollectiveMismatch`] naming the divergent
+//! number) and deposits the fingerprint in one round of the domain's
+//! rendezvous. Every rank then compares the same slots and reaches the
+//! same verdict: on divergence, every rank returns
+//! [`RtsError::CollectiveMismatch`] naming the lowest-ranked divergent
 //! thread and both call sites.
 //!
-//! The agreement itself must not use the high-level collectives (they
-//! would re-enter verification); it uses raw tagged sends on
-//! [`tags::VERIFY`] / [`tags::VERDICT`].
+//! The agreement is not counted as a collective
+//! ([`Endpoint::collectives_completed`]): it guards the collectives, it
+//! is not one of the program's.
 
 use crate::endpoint::Endpoint;
 use crate::error::{RtsError, RtsResult};
-use crate::tags;
-use bytes::Bytes;
+use crate::rendezvous::Slot;
 
 /// FNV-1a offset basis (64-bit).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -57,112 +56,39 @@ pub struct Fingerprint {
 }
 
 impl Endpoint {
-    /// Agree with every other rank that this rank's next collective has
-    /// fingerprint `fp`. Returns `Ok(())` when all ranks issued the
-    /// same collective; [`RtsError::CollectiveMismatch`] on every rank
-    /// when any rank diverged.
+    /// Agree with every other live rank that this rank's next
+    /// collective has fingerprint `fp`. Returns `Ok(())` when all ranks
+    /// issued the same collective; [`RtsError::CollectiveMismatch`] on
+    /// every rank when any rank diverged, naming the lowest-ranked rank
+    /// whose fingerprint differs from the lowest live rank's.
     ///
-    /// Must be called by all ranks (it is itself a collective, built
-    /// from raw sends so it cannot recurse into verification).
+    /// Must be called by all ranks (it is itself a round of the
+    /// rendezvous, outside the verified collectives).
     pub fn agree_collective(&self, fp: &Fingerprint) -> RtsResult<()> {
-        let seq = self.next_verify_seq();
-        if self.rank() == 0 {
-            // Collect every other rank's fingerprint and compare.
-            let mut divergent: Option<(usize, String)> = None;
-            for _ in 0..self.size() - 1 {
-                let m = self.recv_filtered(|m| m.tag == tags::VERIFY)?;
-                let (their_hash, their_seq, their_site) = decode_fingerprint(&m.payload)?;
-                if (their_hash, their_seq) != (fp.hash, seq) && divergent.is_none() {
-                    divergent = Some((m.from, their_site));
-                }
-            }
-            // Broadcast the verdict.
-            let verdict = match &divergent {
-                None => encode_ok(),
-                Some((rank, theirs)) => encode_mismatch(*rank, &fp.site, theirs),
+        let slot = Slot::Print(fp.clone(), self.next_verify_seq());
+        let read = |outcome: &[Slot]| {
+            let mut prints = outcome
+                .iter()
+                .enumerate()
+                .filter_map(|(r, slot)| match slot {
+                    Slot::Print(fp, seq) => Some((r, fp, *seq)),
+                    _ => None,
+                });
+            let Some((_, reference, seq)) = prints.next() else {
+                return Ok(());
             };
-            for to in 1..self.size() {
-                self.send_internal(to, tags::VERDICT, verdict.clone())?;
-            }
-            match divergent {
+            match prints.find(|(_, fp, s)| (fp.hash, *s) != (reference.hash, seq)) {
                 None => Ok(()),
-                Some((thread, theirs)) => Err(RtsError::CollectiveMismatch {
+                Some((thread, theirs, _)) => Err(RtsError::CollectiveMismatch {
                     thread,
-                    mine: fp.site.clone(),
-                    theirs,
+                    mine: reference.site.clone(),
+                    theirs: theirs.site.clone(),
                 }),
             }
-        } else {
-            self.send_internal(0, tags::VERIFY, encode_fingerprint(fp, seq))?;
-            let m = self.recv_filtered(|m| m.from == 0 && m.tag == tags::VERDICT)?;
-            decode_verdict(&m.payload)
-        }
-    }
-}
-
-fn encode_fingerprint(fp: &Fingerprint, seq: u64) -> Bytes {
-    let mut out = Vec::with_capacity(16 + fp.site.len());
-    out.extend_from_slice(&fp.hash.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(fp.site.as_bytes());
-    Bytes::from(out)
-}
-
-fn decode_fingerprint(payload: &[u8]) -> RtsResult<(u64, u64, String)> {
-    if payload.len() < 16 {
-        return Err(RtsError::Internal(
-            "short collective-verify fingerprint".into(),
-        ));
-    }
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&payload[..8]);
-    let hash = u64::from_le_bytes(a);
-    a.copy_from_slice(&payload[8..16]);
-    let seq = u64::from_le_bytes(a);
-    let site = String::from_utf8_lossy(&payload[16..]).into_owned();
-    Ok((hash, seq, site))
-}
-
-fn encode_ok() -> Bytes {
-    Bytes::from_static(&[0])
-}
-
-fn encode_mismatch(rank: usize, reference: &str, divergent: &str) -> Bytes {
-    let mut out = vec![1u8];
-    out.extend_from_slice(&(rank as u64).to_le_bytes());
-    out.extend_from_slice(&(reference.len() as u64).to_le_bytes());
-    out.extend_from_slice(reference.as_bytes());
-    out.extend_from_slice(divergent.as_bytes());
-    Bytes::from(out)
-}
-
-fn decode_verdict(payload: &[u8]) -> RtsResult<()> {
-    match payload.first() {
-        Some(0) => Ok(()),
-        Some(1) if payload.len() >= 17 => {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(&payload[1..9]);
-            let thread = u64::from_le_bytes(a) as usize;
-            a.copy_from_slice(&payload[9..17]);
-            let ref_len = u64::from_le_bytes(a) as usize;
-            let rest = &payload[17..];
-            let (reference, divergent) = if ref_len <= rest.len() {
-                (
-                    String::from_utf8_lossy(&rest[..ref_len]).into_owned(),
-                    String::from_utf8_lossy(&rest[ref_len..]).into_owned(),
-                )
-            } else {
-                (String::new(), String::new())
-            };
-            Err(RtsError::CollectiveMismatch {
-                thread,
-                mine: reference,
-                theirs: divergent,
-            })
-        }
-        _ => Err(RtsError::Internal(
-            "malformed collective-verify verdict".into(),
-        )),
+        };
+        self.membership()
+            .rendezvous()
+            .round(self.rank(), slot, || self.dead_mask(), read)
     }
 }
 
@@ -179,7 +105,7 @@ mod tests {
     }
 
     #[test]
-    fn matching_fingerprints_agree() {
+    fn rendezvous_verify_matching_fingerprints_agree() {
         let results = Domain::run(4, |ep| {
             for i in 0..3u64 {
                 ep.agree_collective(&fp(0xAB00 + i, "op `step`")).unwrap();
@@ -190,7 +116,7 @@ mod tests {
     }
 
     #[test]
-    fn divergent_rank_is_named_on_every_thread() {
+    fn rendezvous_verify_names_the_divergent_rank_on_every_thread() {
         let results = Domain::run(3, |ep| {
             let f = if ep.rank() == 2 {
                 fp(0xBAD, "op 9 `reset`")
@@ -216,9 +142,8 @@ mod tests {
     }
 
     #[test]
-    fn mismatch_does_not_poison_later_collectives() {
-        // After a detected mismatch every rank has consumed its verify
-        // traffic; the domain stays usable.
+    fn rendezvous_verify_mismatch_does_not_poison_later_collectives() {
+        // After a detected mismatch the domain stays usable.
         let results = Domain::run(2, |ep| {
             let f = if ep.rank() == 0 {
                 fp(1, "a")
@@ -229,6 +154,47 @@ mod tests {
             ep.agree_collective(&fp(3, "c")).is_ok()
         });
         assert_eq!(results, vec![true, true]);
+    }
+
+    #[test]
+    fn rendezvous_verify_names_the_lowest_divergent_rank() {
+        // Ranks 3 and 1 both diverge from rank 0; whatever the arrival
+        // order, every rank names rank 1.
+        for _ in 0..50 {
+            let results = Domain::run(4, |ep| {
+                let f = match ep.rank() {
+                    1 => fp(0xB1, "op 1 `one`"),
+                    3 => fp(0xB3, "op 3 `three`"),
+                    _ => fp(0x600D, "op 0 `step`"),
+                };
+                ep.agree_collective(&f)
+            });
+            for r in results {
+                assert_eq!(
+                    r,
+                    Err(RtsError::CollectiveMismatch {
+                        thread: 1,
+                        mine: "op 0 `step`".into(),
+                        theirs: "op 1 `one`".into(),
+                    })
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rendezvous_verify_completes_over_survivors() {
+        // Rank 2 is confirmed dead before the agreement: the survivors
+        // agree without it.
+        let results = Domain::run(3, |ep| {
+            ep.barrier();
+            ep.membership().mark_dead(2);
+            if ep.rank() == 2 {
+                return None;
+            }
+            Some(ep.agree_collective(&fp(7, "op 7 `seven`")))
+        });
+        assert_eq!(results, vec![Some(Ok(())), Some(Ok(())), None]);
     }
 
     #[test]
