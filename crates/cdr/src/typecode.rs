@@ -214,7 +214,9 @@ impl Decode for TypeCode {
             x if x == Tag::Struct as u32 => {
                 let name = r.get_string()?;
                 let n = r.get_u32()? as usize;
-                if n > r.remaining() {
+                // A member takes at least an empty name's length (4
+                // bytes) and a type code's tag (4).
+                if n > r.remaining() / 8 {
                     return Err(CdrError::LengthOverflow(n as u64));
                 }
                 let mut members = Vec::with_capacity(n);

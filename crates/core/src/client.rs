@@ -69,6 +69,15 @@ impl RetryPolicy {
     }
 }
 
+/// An attempt's verdict, as the exit round carries it (the max over the
+/// threads): all succeeded, one met a retryable fault, one failed.
+const OK: f64 = 0.0;
+const RETRY: f64 = 1.0;
+const FAIL: f64 = 2.0;
+
+/// One attempt's outcome: this thread's result and the machine's verdict.
+type Attempt = (PardisResult<ReplyResult>, f64);
+
 /// A client-side handle on a (possibly remote, possibly SPMD) object.
 pub struct Proxy {
     pub(crate) objref: ObjectRef,
@@ -121,13 +130,6 @@ pub struct PendingInvoke {
     /// What the invocation's spans need beyond its timing.
     #[cfg(feature = "obs")]
     pub(crate) trace: crate::obs::InvokeTrace,
-}
-
-impl PendingInvoke {
-    /// The deferred send-phase failure, if any.
-    pub(crate) fn send_failure(&self) -> Option<PardisError> {
-        self.send_error.clone()
-    }
 }
 
 /// Routing info for one distributed argument of a pending invocation.
@@ -291,9 +293,9 @@ impl Proxy {
     /// consecutive failed invocations, further calls fast-fail with
     /// [`PardisError::CircuitOpen`] without touching the wire, until
     /// [`Proxy::rebind`] replaces the binding. On a collective binding
-    /// every thread must arm the same threshold; the failure count is
-    /// then agreed machine-wide (one extra allreduce per invocation) so
-    /// all threads trip — and fast-fail — together.
+    /// every thread must arm the same threshold; the failure count then
+    /// follows the verdict the exit round agrees on, so all threads
+    /// trip — and fast-fail — together.
     pub fn set_circuit_breaker(&mut self, threshold: u32) {
         self.breaker = Some(threshold.max(1));
     }
@@ -389,51 +391,33 @@ impl Proxy {
         mode: TransferMode,
     ) -> PardisResult<ReplyResult> {
         // Open breaker: fast-fail before any collective or wire
-        // traffic. Counters are machine-agreed (below), so on a
-        // collective binding every thread takes this exit together.
+        // traffic. Counters follow the machine's verdict (below), so on
+        // a collective binding every thread takes this exit together.
         if let Some(threshold) = self.breaker {
             let failures = self.consecutive_failures.get();
             if failures >= threshold {
                 return Err(PardisError::CircuitOpen { failures });
             }
         }
-        let result = self.invoke_attempts(ctx, spec, mode);
+        let (result, verdict) = self.invoke_attempts(ctx, spec, mode);
         if self.breaker.is_some() {
-            let failed_here = result.is_err();
-            let failed = if self.collective {
-                ctx.rts
-                    .allreduce_f64(&[if failed_here { 1.0 } else { 0.0 }], ReduceOp::Max)?[0]
-                    > 0.0
-            } else {
-                failed_here
-            };
-            if failed {
-                self.consecutive_failures
-                    .set(self.consecutive_failures.get().saturating_add(1));
-            } else {
-                self.consecutive_failures.set(0);
-            }
+            let failures = self.consecutive_failures.get().saturating_add(1);
+            self.consecutive_failures
+                .set(if verdict == OK { 0 } else { failures });
         }
         result
     }
 
-    /// The invocation loop proper (retry policy, verdict agreement).
-    fn invoke_attempts(
-        &self,
-        ctx: &OrbCtx,
-        spec: RequestSpec,
-        mode: TransferMode,
-    ) -> PardisResult<ReplyResult> {
-        let Some(policy) = self.retry else {
-            let pending = self.begin_with_mode(ctx, &spec, mode)?;
-            return self.complete(ctx, pending);
-        };
-        let can_retry = spec.idempotent || !spec.response_expected;
+    /// The invocation loop proper: attempts under the retry policy,
+    /// each ending in one exit round. Returns this thread's result and
+    /// the machine's verdict on the last attempt.
+    fn invoke_attempts(&self, ctx: &OrbCtx, spec: RequestSpec, mode: TransferMode) -> Attempt {
+        let can_retry = self.retry.is_some() && (spec.idempotent || !spec.response_expected);
         // PA103: a retry policy on a non-idempotent two-way request is
         // legal but inert — the policy never fires. Surface the hazard
         // to the analyzer instead of silently ignoring it.
         #[cfg(feature = "analyze")]
-        if !can_retry {
+        if self.retry.is_some() && !can_retry {
             crate::analyze::record(
                 "PA103",
                 format!(
@@ -445,34 +429,23 @@ impl Proxy {
         }
         let mut attempt: u32 = 0;
         loop {
-            let result = self
-                .begin_with_mode(ctx, &spec, mode)
-                .and_then(|pending| self.complete(ctx, pending));
-            // 0 = success, 1 = retryable fault, 2 = fatal. Collective
-            // bindings take the max across the machine: one thread's
-            // fault retries (or fails) the invocation for everyone.
-            let verdict = match &result {
-                Ok(_) => 0.0,
-                Err(e) if can_retry && e.is_retryable() => 1.0,
-                Err(_) => 2.0,
+            let (result, verdict) = match self.begin(ctx, &spec, mode) {
+                Ok(pending) => self.complete(ctx, pending, can_retry),
+                Err(e) => self.exit_round(ctx, Err(e), can_retry),
             };
-            let verdict = if self.collective {
-                ctx.rts.allreduce_f64(&[verdict], ReduceOp::Max)?[0]
-            } else {
-                verdict
+            let Some(policy) = self.retry else {
+                return (result, verdict);
             };
-            if verdict == 0.0 {
-                return result;
-            }
-            if verdict > 1.0 || attempt + 1 >= policy.max_attempts {
-                return match result {
-                    Err(e) => Err(e),
+            if verdict != RETRY || attempt + 1 >= policy.max_attempts {
+                let result = match result {
                     // This thread succeeded but the machine failed:
                     // surface a consistent error everywhere.
-                    Ok(_) => Err(PardisError::CommFailure(
+                    Ok(_) if verdict != OK => Err(PardisError::CommFailure(
                         "collective invocation failed on another computing thread".into(),
                     )),
+                    result => result,
                 };
+                return (result, verdict);
             }
             self.retries.set(self.retries.get() + 1);
             #[cfg(feature = "obs")]
@@ -491,9 +464,9 @@ impl Proxy {
         ctx: &'a OrbCtx,
         spec: RequestSpec,
     ) -> PardisResult<PardisFuture<'a, ReplyResult>> {
-        let pending = self.begin(ctx, &spec)?;
+        let pending = self.begin(ctx, &spec, self.mode)?;
         let probe_ready = self.conn.is_some();
-        let fut = PardisFuture::pending(move || self.complete(ctx, pending));
+        let fut = PardisFuture::pending(move || self.complete(ctx, pending, false).0);
         Ok(if probe_ready {
             // On the thread holding the connection, readiness can be
             // probed by peeking the reply port.
@@ -504,12 +477,9 @@ impl Proxy {
     }
 
     /// Begin an invocation: synchronize, agree on a request id, run the
-    /// send phase of the selected transfer method.
-    fn begin(&self, ctx: &OrbCtx, spec: &RequestSpec) -> PardisResult<PendingInvoke> {
-        self.begin_with_mode(ctx, spec, self.mode)
-    }
-
-    fn begin_with_mode(
+    /// send phase of the transfer method (`mode`, or centralized if a
+    /// data port is dead).
+    fn begin(
         &self,
         ctx: &OrbCtx,
         spec: &RequestSpec,
@@ -699,9 +669,10 @@ impl Proxy {
         Ok(self.objref.epoch)
     }
 
-    /// Complete an invocation: run the receive phase, synchronize, stamp
-    /// the total time.
-    fn complete(&self, ctx: &OrbCtx, pending: PendingInvoke) -> PardisResult<ReplyResult> {
+    /// Complete an invocation: run the receive phase, take the exit
+    /// round, stamp the total time. Returns this thread's result and the
+    /// machine's verdict (see [`Proxy::exit_round`]).
+    fn complete(&self, ctx: &OrbCtx, pending: PendingInvoke, can_retry: bool) -> Attempt {
         let received = if pending.response_expected {
             match pending.mode {
                 TransferMode::Centralized => centralized::client_recv(ctx, self, &pending),
@@ -714,7 +685,7 @@ impl Proxy {
                 timing: pending.timing,
             })
         };
-        let mut result = match (received, &pending.send_error) {
+        let result = match (received, &pending.send_error) {
             (Ok(r), None) => Ok(r),
             // A deferred send failure outranks a nominal receive.
             (Ok(_), Some(e)) => Err(e.clone()),
@@ -724,23 +695,46 @@ impl Proxy {
         // access intervals so later buffer accesses are ordered.
         #[cfg(feature = "analyze")]
         crate::race::close_transfer(pending.req_id);
-        if self.collective {
-            // Exit barrier (§3.3 reads the send interleaving off the
-            // time threads spend here). Taken on the error path too, so
-            // a thread whose receive failed stays in lockstep with the
-            // ones that succeeded.
-            let tb = Instant::now();
-            ctx.rts.barrier();
-            if let Ok(r) = &mut result {
-                r.timing.barrier += tb.elapsed();
-            }
-        }
+        let (mut result, verdict) = self.exit_round(ctx, result, can_retry);
         if let Ok(r) = &mut result {
             r.timing.total = pending.started.elapsed();
         }
         #[cfg(feature = "obs")]
         crate::obs::complete(ctx, self, &pending, &result);
-        result
+        (result, verdict)
+    }
+
+    /// The exit round of an attempt (§3.3 reads the send interleaving
+    /// off the time threads spend in it; `timing.barrier`). A collective
+    /// binding takes it on the error path too, as one max allreduce of
+    /// this thread's verdict: [`OK`], [`RETRY`] (a retryable fault of a
+    /// request `can_retry`) or [`FAIL`]. Returns `result` and the
+    /// verdict of the machine, which the retry policy and the breaker
+    /// read.
+    fn exit_round(
+        &self,
+        ctx: &OrbCtx,
+        mut result: PardisResult<ReplyResult>,
+        can_retry: bool,
+    ) -> Attempt {
+        let verdict = match &result {
+            Ok(_) => OK,
+            Err(e) if can_retry && e.is_retryable() => RETRY,
+            Err(_) => FAIL,
+        };
+        if !self.collective {
+            return (result, verdict);
+        }
+        let tb = Instant::now();
+        match ctx.rts.allreduce_scalar(verdict, ReduceOp::Max) {
+            Ok(agreed) => {
+                if let Ok(r) = &mut result {
+                    r.timing.barrier += tb.elapsed();
+                }
+                (result, agreed)
+            }
+            Err(e) => (result.and(Err(e.into())), FAIL),
+        }
     }
 
     /// Receive the Reply frame for `req_id` on `conn`, buffering frames

@@ -362,7 +362,7 @@ fn encode_counts(w: &mut CdrWriter, counts: &[usize]) {
 
 fn decode_counts(r: &mut CdrReader<'_>) -> PardisResult<Vec<usize>> {
     let n = r.get_u32()? as usize;
-    if n > r.remaining() {
+    if n > r.remaining() / 8 {
         return Err(PardisError::Cdr("counts overflow".into()));
     }
     let mut out = Vec::with_capacity(n);
@@ -370,6 +370,24 @@ fn decode_counts(r: &mut CdrReader<'_>) -> PardisResult<Vec<usize>> {
         out.push(r.get_u64()? as usize);
     }
     Ok(out)
+}
+
+/// The next `len` bytes of `buf`, which `r` reads, 8-aligned: a view.
+fn section(r: &mut CdrReader<'_>, buf: &Bytes, len: usize) -> PardisResult<Bytes> {
+    r.align(8)?;
+    let start = r.position();
+    r.take(len)?;
+    Ok(buf.slice(start..start + len))
+}
+
+/// A distributed argument's inline data: a flag, then its length and
+/// its bytes (see [`section`]).
+fn inline(r: &mut CdrReader<'_>, buf: &Bytes) -> PardisResult<Option<Bytes>> {
+    if !r.get_bool()? {
+        return Ok(None);
+    }
+    let len = r.get_u64()? as usize;
+    section(r, buf, len).map(Some)
 }
 
 /// Decoded request body: the opaque non-distributed section plus, per
@@ -406,34 +424,17 @@ impl RequestBody {
     pub fn decode(buf: &Bytes, endian: Endian) -> PardisResult<RequestBody> {
         let mut r = CdrReader::new(buf, endian);
         let ndist = r.get_u32()? as usize;
-        if ndist > r.remaining() {
+        // An argument is at least 38 bytes: its direction, element
+        // size, length, two one-entry counts and inline flag.
+        if ndist > r.remaining() / 38 {
             return Err(PardisError::Cdr("dist count overflow".into()));
         }
         let nondist_len = r.get_u32()? as usize;
-        r.align(8)?;
-        let start = r.position();
-        if nondist_len > r.remaining() {
-            return Err(PardisError::Cdr("nondist body truncated".into()));
-        }
-        let nondist = buf.slice(start..start + nondist_len);
-        let _ = r.take(nondist_len)?;
+        let nondist = section(&mut r, buf, nondist_len)?;
         let mut dist = Vec::with_capacity(ndist);
         for _ in 0..ndist {
             let meta = DistArgMeta::decode(&mut r)?;
-            let data = if r.get_bool()? {
-                let len = r.get_u64()? as usize;
-                r.align(8)?;
-                let s = r.position();
-                if len > r.remaining() {
-                    return Err(PardisError::Cdr("dist data truncated".into()));
-                }
-                let d = buf.slice(s..s + len);
-                let _ = r.take(len)?;
-                Some(d)
-            } else {
-                None
-            };
-            dist.push((meta, data));
+            dist.push((meta, inline(&mut r, buf)?));
         }
         Ok(RequestBody { nondist, dist })
     }
@@ -477,35 +478,17 @@ impl ReplyBody {
     pub fn decode(buf: &Bytes, endian: Endian) -> PardisResult<ReplyBody> {
         let mut r = CdrReader::new(buf, endian);
         let nout = r.get_u32()? as usize;
-        if nout > r.remaining() {
+        // An entry is at least an index, a length and a flag (13 bytes).
+        if nout > r.remaining() / 13 {
             return Err(PardisError::Cdr("dist_out count overflow".into()));
         }
         let nondist_len = r.get_u32()? as usize;
-        r.align(8)?;
-        let start = r.position();
-        if nondist_len > r.remaining() {
-            return Err(PardisError::Cdr("nondist body truncated".into()));
-        }
-        let nondist = buf.slice(start..start + nondist_len);
-        let _ = r.take(nondist_len)?;
+        let nondist = section(&mut r, buf, nondist_len)?;
         let mut dist_out = Vec::with_capacity(nout);
         for _ in 0..nout {
             let idx = r.get_u32()?;
             let total_len = r.get_u64()? as usize;
-            let data = if r.get_bool()? {
-                let len = r.get_u64()? as usize;
-                r.align(8)?;
-                let s = r.position();
-                if len > r.remaining() {
-                    return Err(PardisError::Cdr("dist_out data truncated".into()));
-                }
-                let d = buf.slice(s..s + len);
-                let _ = r.take(len)?;
-                Some(d)
-            } else {
-                None
-            };
-            dist_out.push((idx, total_len, data));
+            dist_out.push((idx, total_len, inline(&mut r, buf)?));
         }
         Ok(ReplyBody { nondist, dist_out })
     }

@@ -440,8 +440,8 @@ impl OrbCtx {
         // arguments. A failure here (e.g. a multi-port fragment wait
         // that hit `frag_timeout` because the client's frames were
         // dropped) must NOT abort the serve loop: it is recorded and
-        // joins the machine-wide error agreement below, so the client
-        // gets an error Reply and the server stays up.
+        // becomes the receive verdict below, so the client gets an
+        // error Reply and the server stays up.
         let received = match header.mode {
             TransferMode::Centralized => centralized::server_receive_args(self, &body, &mut timing),
             TransferMode::MultiPort => {
@@ -453,15 +453,19 @@ impl OrbCtx {
             Err(e) => (Vec::new(), Some(e)),
         };
 
-        // Agree machine-wide on the receive outcome BEFORE dispatching:
-        // if one thread's fragments were lost, a thread that received
-        // everything must not enter the servant (whose SPMD code runs
-        // collectives) while its peer skips it — that mismatch
-        // deadlocks the machine.
-        let any_recv_err = self
-            .rts
-            .allreduce_f64(&[if recv_err.is_some() { 1.0 } else { 0.0 }], ReduceOp::Max)?[0]
-            > 0.0;
+        // Every thread must reach the same receive verdict BEFORE
+        // dispatching: a thread that received everything must not enter
+        // the servant (whose SPMD code runs collectives) while its peer
+        // skips it — that mismatch deadlocks the machine. A centralized
+        // verdict depends only on the relayed frame, the template and
+        // the survivors, which every thread holds. Agree where it does
+        // not: multi-port threads wait for different fragments under
+        // `frag_timeout`, and each thread allocates its own `out` block.
+        let mut any_recv_err = recv_err.is_some();
+        if header.mode == TransferMode::MultiPort || body.dist.iter().any(|(m, _)| !m.dir.sends()) {
+            let mine = f64::from(u8::from(any_recv_err));
+            any_recv_err = self.rts.allreduce_scalar(mine, ReduceOp::Max)? > 0.0;
+        }
 
         // Dispatch into this thread's servant (skipped when the
         // arguments never materialized).
@@ -505,10 +509,8 @@ impl OrbCtx {
         // for fragments that will never come. An allreduce is a
         // barrier, so no thread leaves before all have finished.
         let tb = Instant::now();
-        let any_err = self
-            .rts
-            .allreduce_f64(&[if result.is_err() { 1.0 } else { 0.0 }], ReduceOp::Max)?[0]
-            > 0.0;
+        let mine = f64::from(u8::from(result.is_err()));
+        let any_err = self.rts.allreduce_scalar(mine, ReduceOp::Max)? > 0.0;
         timing.barrier = tb.elapsed();
 
         if header.response_expected {

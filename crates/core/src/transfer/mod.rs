@@ -131,7 +131,7 @@ pub(crate) fn relay_reply<'p>(
     let frame = match proxy.conn.as_ref() {
         Some(conn) => {
             let tr = Instant::now();
-            let received = match pending.send_failure() {
+            let received = match pending.send_error.clone() {
                 Some(e) => Err(e),
                 None => proxy.recv_reply(conn, pending.req_id, pending.deadline),
             };
@@ -237,14 +237,21 @@ pub(crate) fn transfer_frame(
     Ok(f.finish()?)
 }
 
-/// A zero-filled local part for an `out` argument.
+/// A zero-filled local part for an `out` argument. An allocation that
+/// fails is a typed error, not an abort; it is this thread's alone, so
+/// the server agrees on the receive outcome of a request with one.
 pub(crate) fn zeroed_local(
     templ: &crate::dist::DistTempl,
     rank: usize,
     elem_size: usize,
 ) -> PardisResult<Bytes> {
     let len = byte_len(templ.count(rank), elem_size)?;
-    Ok(Bytes::from(vec![0u8; len]))
+    let mut local = Vec::new();
+    local
+        .try_reserve_exact(len)
+        .map_err(|e| PardisError::BadDistArg(format!("`out` argument of {len} bytes: {e}")))?;
+    local.resize(len, 0);
+    Ok(local.into())
 }
 
 impl OrbCtx {
@@ -384,6 +391,17 @@ mod tests {
         assert_eq!(local.as_ptr(), piece.as_ptr());
         let swapped = unpack(std::slice::from_ref(&piece), 8, true);
         assert_eq!(&swapped[..], &[9, 8, 7, 6, 5, 4, 3, 2]);
+    }
+
+    #[test]
+    fn zeroed_local_refuses_a_block_too_large_to_allocate() {
+        use crate::dist::DistTempl;
+        // Rank 0's block cannot be allocated, rank 1's can: a typed
+        // error on rank 0, not an abort.
+        let huge = DistTempl::from_counts(vec![1 << 61, 3]);
+        let e = zeroed_local(&huge, 0, 1).unwrap_err();
+        assert!(matches!(e, PardisError::BadDistArg(_)), "{e:?}");
+        assert_eq!(&zeroed_local(&huge, 1, 1).unwrap()[..], &[0, 0, 0]);
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl Decode for RequestHeader {
         let mode = TransferMode::decode(r)?;
         let client_threads = r.get_u32()?;
         let n = r.get_u32()? as usize;
-        if n > r.remaining() {
+        if n > r.remaining() / 4 {
             return Err(pardis_cdr::CdrError::LengthOverflow(n as u64));
         }
         let mut client_data_ports = Vec::with_capacity(n);
@@ -128,7 +128,8 @@ impl Decode for RequestHeader {
             client_data_ports.push(r.get_u32()?);
         }
         let nsc = r.get_u32()? as usize;
-        if nsc > r.remaining() {
+        // An entry takes at least its id and its length (8 bytes).
+        if nsc > r.remaining() / 8 {
             return Err(pardis_cdr::CdrError::LengthOverflow(nsc as u64));
         }
         let mut service_context = Vec::with_capacity(nsc);
@@ -220,7 +221,7 @@ impl Decode for ReplyStatus {
                 let epoch = r.get_u64()?;
                 let take_ranks = |r: &mut CdrReader<'_>| -> CdrResult<Vec<u32>> {
                     let n = r.get_u32()? as usize;
-                    if n > r.remaining() {
+                    if n > r.remaining() / 4 {
                         return Err(pardis_cdr::CdrError::LengthOverflow(n as u64));
                     }
                     (0..n).map(|_| r.get_u32()).collect()

@@ -23,7 +23,7 @@
 use crate::endpoint::Endpoint;
 use crate::error::{RtsError, RtsResult};
 use crate::reduce::ReduceOp;
-use crate::rendezvous::{Rendezvous, Slot};
+use crate::rendezvous::{Rendezvous, Slot, Words};
 use bytes::Bytes;
 use pardis_cdr::{SlotError, SlottedBuf};
 // The byte-view reinterpretation and its inverse live in pardis-cdr
@@ -285,29 +285,36 @@ impl Endpoint {
     }
 
     /// Element-wise reduction of `local` across all live ranks; every
-    /// rank receives the result. Every rank folds the live
-    /// contributions in rank order, so every rank gets the same bits
-    /// whatever the arrival order. Contributions of different lengths
-    /// give every rank [`RtsError::LengthMismatch`].
+    /// rank receives the result. The rank that completes the round
+    /// folds the live contributions once, in rank order, so every rank
+    /// gets the same bits whatever the arrival order; a contribution of
+    /// up to four words needs no allocation. Contributions of different
+    /// lengths give every rank [`RtsError::LengthMismatch`].
     pub fn allreduce_f64(&self, local: &[f64], op: ReduceOp) -> RtsResult<Vec<f64>> {
-        let slot = Slot::Words(local.to_vec(), op);
-        self.exchange("allreduce", self.rank(), slot, |outcome| {
-            let mut words = outcome.iter().filter_map(|slot| match slot {
-                Slot::Words(words, op) => Some((words, *op)),
-                _ => None,
-            });
-            let mut out = Vec::with_capacity(local.len());
-            if let Some((first, op)) = words.next() {
-                out.extend_from_slice(first);
-                words.try_for_each(|(words, _)| op.fold_into(&mut out, words))?;
-            }
-            Ok(out)
-        })
+        self.allreduce(local, op, <[f64]>::to_vec)
     }
 
-    /// Scalar allreduce convenience.
+    /// Scalar allreduce convenience; allocates nothing.
     pub fn allreduce_scalar(&self, value: f64, op: ReduceOp) -> RtsResult<f64> {
-        Ok(self.allreduce_f64(&[value], op)?[0])
+        self.allreduce(&[value], op, |folded| folded.first().map_or(value, |&v| v))
+    }
+
+    /// Allreduce `local` and `read` the folded result.
+    fn allreduce<T>(
+        &self,
+        local: &[f64],
+        op: ReduceOp,
+        read: impl FnOnce(&[f64]) -> T,
+    ) -> RtsResult<T> {
+        let slot = Slot::Words(Words::new(local), op);
+        self.exchange("allreduce", self.rank(), slot, |outcome| {
+            let folded = outcome.iter().find_map(|slot| match slot {
+                Slot::Words(words, _) => Some(Ok(words.as_slice())),
+                Slot::Failed(e) => Some(Err(e.clone())),
+                _ => None,
+            });
+            folded.unwrap_or(Ok(&[])).map(read)
+        })
     }
 
     /// Personalized all-to-all: `outgoing[j]` goes to rank `j`; returns

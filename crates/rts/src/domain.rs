@@ -1,7 +1,7 @@
 //! Domain construction: wire up `n` ranks into a fully connected
 //! in-process message-passing world.
 
-use crate::endpoint::{Endpoint, Message};
+use crate::endpoint::{Endpoint, Letter};
 use crate::membership::Membership;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::Arc;
@@ -26,14 +26,16 @@ impl Domain {
     /// Panics if `n == 0` — an SPMD program has at least one thread.
     pub fn new(n: usize) -> Vec<Endpoint> {
         assert!(n > 0, "domain must have at least one rank");
-        let mut senders: Vec<Sender<Message>> = Vec::with_capacity(n);
-        let mut receivers: Vec<Receiver<Message>> = Vec::with_capacity(n);
+        let mut senders: Vec<Sender<Letter>> = Vec::with_capacity(n);
+        let mut receivers: Vec<Receiver<Letter>> = Vec::with_capacity(n);
         for _ in 0..n {
             let (tx, rx) = unbounded();
             senders.push(tx);
             receivers.push(rx);
         }
-        let membership = Arc::new(Membership::new(n));
+        let mut membership = Membership::new(n);
+        membership.inboxes = senders.clone();
+        let membership = Arc::new(membership);
         receivers
             .into_iter()
             .enumerate()

@@ -27,13 +27,17 @@ pub struct Message {
     pub payload: Bytes,
 }
 
+/// What an inbox carries: a message, or `None`, which wakes a blocked
+/// receiver after a death was confirmed ([`Membership::mark_dead`]).
+pub(crate) type Letter = Option<Message>;
+
 /// One rank's handle on a domain.
 pub struct Endpoint {
     rank: usize,
     /// Senders to every rank's inbox (including our own, for self-sends).
-    peers: Vec<Sender<Message>>,
+    peers: Vec<Sender<Letter>>,
     /// Our inbox.
-    inbox: Receiver<Message>,
+    inbox: Receiver<Letter>,
     /// Messages received but not yet matched by a `recv` call
     /// (out-of-order arrivals under (source, tag) matching).
     pending: RefCell<VecDeque<Message>>,
@@ -54,8 +58,8 @@ pub struct Endpoint {
 impl Endpoint {
     pub(crate) fn new(
         rank: usize,
-        peers: Vec<Sender<Message>>,
-        inbox: Receiver<Message>,
+        peers: Vec<Sender<Letter>>,
+        inbox: Receiver<Letter>,
         membership: Arc<Membership>,
     ) -> Endpoint {
         Endpoint {
@@ -108,32 +112,34 @@ impl Endpoint {
     pub fn send(&self, to: usize, tag: Tag, payload: Bytes) -> RtsResult<()> {
         self.check_rank(to)?;
         self.peers[to]
-            .send(Message {
+            .send(Some(Message {
                 from: self.rank,
                 tag,
                 payload,
-            })
+            }))
             .map_err(|_| RtsError::Disconnected { peer: to })
     }
 
     /// Receive the next message matching `(from, tag)`, blocking until
     /// one arrives. Messages that do not match are buffered for later
     /// `recv` calls, preserving arrival order per (source, tag) pair —
-    /// MPI's non-overtaking guarantee.
+    /// MPI's non-overtaking guarantee. Once `from` is confirmed dead,
+    /// the messages it sent before are still delivered, in order, and
+    /// then [`RtsError::DeadRank`] is returned instead of blocking.
     pub fn recv(&self, from: usize, tag: Tag) -> RtsResult<Bytes> {
         self.check_rank(from)?;
-        self.recv_filtered(|m| m.from == from && m.tag == tag)
+        self.recv_filtered(Some(from), |m| m.from == from && m.tag == tag)
             .map(|m| m.payload)
     }
 
     /// Receive the next message with `tag` from any source.
     pub fn recv_any(&self, tag: Tag) -> RtsResult<Message> {
-        self.recv_filtered(|m| m.tag == tag)
+        self.recv_filtered(None, |m| m.tag == tag)
     }
 
     /// Receive the next message regardless of source or tag.
     pub fn recv_any_message(&self) -> RtsResult<Message> {
-        self.recv_filtered(|_| true)
+        self.recv_filtered(None, |_| true)
     }
 
     /// Non-blocking probe: return a matching message if one is already
@@ -154,31 +160,45 @@ impl Endpoint {
 
     fn drain_inbox(&self) {
         let mut pending = self.pending.borrow_mut();
-        while let Ok(m) = self.inbox.try_recv() {
-            pending.push_back(m);
+        while let Ok(letter) = self.inbox.try_recv() {
+            pending.extend(letter);
         }
     }
 
-    fn recv_filtered(&self, pred: impl Fn(&Message) -> bool) -> RtsResult<Message> {
+    /// The next message that matches `pred`, buffering the others. A
+    /// receive `from` one rank returns [`RtsError::DeadRank`] once that
+    /// rank is confirmed dead and nothing it sent matches.
+    fn recv_filtered(
+        &self,
+        from: Option<usize>,
+        pred: impl Fn(&Message) -> bool,
+    ) -> RtsResult<Message> {
+        let take = |pending: &mut VecDeque<Message>| {
+            let idx = pending.iter().position(&pred)?;
+            pending.remove(idx)
+        };
         // First look at buffered out-of-order messages.
-        {
-            let mut pending = self.pending.borrow_mut();
-            if let Some(idx) = pending.iter().position(&pred) {
-                return pending
-                    .remove(idx)
-                    .ok_or_else(|| RtsError::Internal("pending index vanished".into()));
-            }
+        if let Some(m) = take(&mut self.pending.borrow_mut()) {
+            return Ok(m);
         }
         // Then block on the inbox, buffering non-matches.
         loop {
-            let m = self
+            if let Some(rank) = from.filter(|&r| self.is_rank_dead(r)) {
+                // The death was confirmed after everything the rank
+                // sent before it was queued.
+                self.drain_inbox();
+                return take(&mut self.pending.borrow_mut()).ok_or(RtsError::DeadRank { rank });
+            }
+            let letter = self
                 .inbox
                 .recv()
                 .map_err(|_| RtsError::Disconnected { peer: usize::MAX })?;
-            if pred(&m) {
-                return Ok(m);
+            match letter {
+                Some(m) if pred(&m) => return Ok(m),
+                Some(m) => self.pending.borrow_mut().push_back(m),
+                // A death was confirmed: check `from` again.
+                None => {}
             }
-            self.pending.borrow_mut().push_back(m);
         }
     }
 

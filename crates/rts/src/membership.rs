@@ -28,7 +28,9 @@
 //!   steps, not wall clock, so the same heartbeat trace always yields
 //!   the same suspicion curve.
 
+use crate::endpoint::Letter;
 use crate::rendezvous::Rendezvous;
+use crossbeam::channel::Sender;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Largest domain the membership bitmask can track.
@@ -63,14 +65,17 @@ impl MembershipView {
 
 /// Domain-shared membership record. One per [`crate::Domain`], shared
 /// by every [`crate::Endpoint`] through an `Arc`. It also holds the
-/// domain's rendezvous, where every collective meets, so that
-/// confirming a death can wake the ranks parked in it.
+/// domain's rendezvous, where every collective meets, and a sender to
+/// every rank's inbox, so that confirming a death can wake the ranks
+/// parked in the rendezvous or blocked in a receive.
 #[derive(Debug)]
 pub struct Membership {
     size: usize,
     epoch: AtomicU64,
     dead: AtomicU64,
     rendezvous: Rendezvous,
+    /// Every rank's inbox; empty for a membership outside a domain.
+    pub(crate) inboxes: Vec<Sender<Letter>>,
 }
 
 impl Membership {
@@ -81,6 +86,7 @@ impl Membership {
             epoch: AtomicU64::new(0),
             dead: AtomicU64::new(0),
             rendezvous: Rendezvous::new(size),
+            inboxes: Vec::new(),
         }
     }
 
@@ -120,10 +126,10 @@ impl Membership {
     }
 
     /// Confirm `rank` dead, bumping the epoch if it was alive until
-    /// now, and wake the ranks parked in the rendezvous so they stop
-    /// waiting for it. Returns the epoch in force after the call.
-    /// Idempotent — every rank of the domain applies the same verdict,
-    /// and only the first application bumps the epoch.
+    /// now, and wake the ranks parked in the rendezvous or blocked in a
+    /// receive so they stop waiting for it. Returns the epoch in force
+    /// after the call. Idempotent — every rank of the domain applies the
+    /// same verdict, and only the first application bumps the epoch.
     ///
     /// Ranks outside the `u64` mask (>= [`MAX_RANKS`]) and out-of-range
     /// ranks are ignored.
@@ -136,6 +142,11 @@ impl Membership {
         if prev & bit == 0 {
             let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
             self.rendezvous.wake();
+            for inbox in &self.inboxes {
+                // A send fails only once the rank's endpoint is gone,
+                // and then nobody is blocked on its inbox.
+                let _ = inbox.send(None);
+            }
             epoch
         } else {
             self.epoch()

@@ -5,13 +5,13 @@
 //! needs no messages. Each rank deposits its contribution into its own
 //! [`Slot`] and marks itself arrived; the rank whose arrival or
 //! re-check finds every live rank arrived completes the round: it
-//! moves the slots into the round's outcome, bumps the generation
-//! counter and wakes the rest. Every rank then reads what it needs from
-//! that one outcome: the root's slot (broadcast), chunk `rank` of the
-//! root's chunks (scatter), every slot (gather, allgather), entry
-//! `rank` of every slot (all-to-all), or the fold of every slot **in
-//! rank order** (allreduce, the same bits on every rank whatever the
-//! arrival order). `Bytes` move by refcount; no payload is copied. The
+//! moves the slots into the round's outcome, folds an allreduce's
+//! contributions there once, **in rank order** (the same bits on every
+//! rank whatever the arrival order), bumps the generation counter and
+//! wakes the rest. Every rank then reads what it needs from that one
+//! outcome: the root's slot (broadcast), chunk `rank` of the root's
+//! chunks (scatter), every slot (gather, allgather), entry `rank` of
+//! every slot (all-to-all), or the fold (allreduce). `Bytes` move by refcount; no payload is copied. The
 //! last reader clears the outcome, so no payload outlives its round. A
 //! barrier deposits nothing and reads nothing.
 //!
@@ -60,8 +60,9 @@ pub(crate) enum Slot {
     /// into a frame, or a rank that did not arrive or is dead.
     #[default]
     Empty,
-    /// An allreduce contribution and its operator.
-    Words(Vec<f64>, ReduceOp),
+    /// An allreduce contribution and its operator. In the outcome, the
+    /// lowest-ranked one holds the fold of them all.
+    Words(Words, ReduceOp),
     /// One buffer: a broadcast root's payload, a gather or allgather
     /// contribution, or the finished frame of a gather into one.
     One(Bytes),
@@ -74,6 +75,66 @@ pub(crate) enum Slot {
     /// An error every reader returns: a root's bad arguments, or why a
     /// frame could not be finished.
     Failed(RtsError),
+}
+
+/// Words an allreduce contribution holds in place: the ORB's protocol
+/// rounds carry one to three.
+const INLINE_WORDS: usize = 4;
+
+/// An allreduce contribution: up to [`INLINE_WORDS`] words without a
+/// heap allocation, more in a `Vec`.
+#[derive(Debug)]
+pub(crate) enum Words {
+    Inline([f64; INLINE_WORDS], usize),
+    Heap(Vec<f64>),
+}
+
+impl Words {
+    pub(crate) fn new(src: &[f64]) -> Words {
+        if src.len() > INLINE_WORDS {
+            return Words::Heap(src.to_vec());
+        }
+        let mut words = [0.0; INLINE_WORDS];
+        words[..src.len()].copy_from_slice(src);
+        Words::Inline(words, src.len())
+    }
+
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        match self {
+            Words::Inline(words, len) => &words[..*len],
+            Words::Heap(words) => words,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [f64] {
+        match self {
+            Words::Inline(words, len) => &mut words[..*len],
+            Words::Heap(words) => words,
+        }
+    }
+}
+
+/// Fold an allreduce round's contributions into the lowest-ranked one,
+/// in rank order with its operator, once for every reader: the same
+/// bits on every rank whatever the arrival order. Contributions of
+/// different lengths leave the error there instead. A round without
+/// contributions is left as it is.
+fn fold(outcome: &mut [Slot]) {
+    let mut slots = outcome.iter_mut();
+    let Some(first) = slots.find(|s| matches!(s, Slot::Words(..))) else {
+        return;
+    };
+    let Slot::Words(acc, op) = first else {
+        return;
+    };
+    for slot in slots {
+        if let Slot::Words(words, _) = slot {
+            if let Err(e) = op.fold_into(acc.as_mut_slice(), words.as_slice()) {
+                *first = Slot::Failed(e);
+                return;
+            }
+        }
+    }
 }
 
 /// One rendezvous per domain, shared by every rank.
@@ -141,6 +202,7 @@ impl Round {
             let slot = std::mem::take(&mut self.slots[r]);
             self.outcome[r] = if live(dead, r) { slot } else { Slot::Empty };
         }
+        fold(&mut self.outcome);
         self.arrived.iter_mut().for_each(|a| *a = false);
         self.unread = std::mem::take(&mut self.readers);
         self.gen += 1;
@@ -819,5 +881,35 @@ mod tests {
             }
         }
         assert!(results[2].is_none());
+    }
+
+    #[test]
+    fn rendezvous_recv_from_a_dead_rank_returns_after_its_messages() {
+        let sent = Arc::new(std::sync::Barrier::new(2));
+        let results = run_bounded(2, Duration::from_secs(30), move |ep| {
+            if ep.rank() == 1 {
+                ep.send(0, 5, Bytes::from_static(b"first")).unwrap();
+                ep.send(0, 5, Bytes::from_static(b"second")).unwrap();
+                sent.wait();
+                // Give rank 0 time to block in its third receive.
+                std::thread::sleep(Duration::from_millis(50));
+                ep.membership().mark_dead(1);
+                return Vec::new();
+            }
+            let first = ep.recv(1, 5);
+            sent.wait();
+            // The second message was sent before the death, the third
+            // receive blocks until the death wakes it, and the fourth
+            // finds the rank dead at once.
+            vec![first, ep.recv(1, 5), ep.recv(1, 5), ep.recv(1, 5)]
+        });
+        let dead = Err(RtsError::DeadRank { rank: 1 });
+        let want = [
+            Ok(Bytes::from_static(b"first")),
+            Ok(Bytes::from_static(b"second")),
+            dead.clone(),
+            dead,
+        ];
+        assert_eq!(results[0], want);
     }
 }

@@ -9,12 +9,15 @@
 //! machinery: the exact damage the [`pardis_net::FaultPlan`] inflicts
 //! is the damage the decoders must survive. Two tests feed well-formed
 //! frames whose length fields overflow when multiplied out, to the body
-//! decoder and to a live server, in both transfer modes. The last two
+//! decoder and to a live server, in both transfer modes. The last three
 //! send a two-thread server centralized Requests whose inline sections
-//! do not fit their argument, and a two-thread client centralized
+//! do not fit their argument, a three-thread server Requests that break
+//! the other checks of its receive, and a two-thread client centralized
 //! Replies that do not fit its request: every thread must reach the
 //! same typed verdict within a bound instead of leaving one thread
-//! waiting for the others.
+//! waiting for the others. The servers reach a verdict on the frame
+//! with no collective, since every thread checks the same relayed
+//! frame; an `out` block one thread alone cannot allocate is agreed on.
 
 use bytes::Bytes;
 use pardis::apps::diffusion::DiffusionServant;
@@ -26,7 +29,8 @@ use pardis_net::fault::PER_MILLION;
 use pardis_net::giop::{GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferHeader};
 use pardis_net::ior::ObjectRef;
 use pardis_net::{Fabric, FaultPlan, HostId};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn sample_request(endian: Endian) -> Bytes {
@@ -484,6 +488,139 @@ fn centralized_server_agrees_on_a_bad_inline_section() {
         }
     });
     within("client", move || client.join());
+    within("server", move || server.join());
+}
+
+/// A servant that counts the threads that enter it.
+struct Entered {
+    inner: Box<dyn Servant>,
+    entered: Arc<AtomicU64>,
+}
+
+impl Servant for Entered {
+    fn type_id(&self) -> &str {
+        self.inner.type_id()
+    }
+
+    fn dispatch(&mut self, req: &mut ServerRequest<'_>) -> PardisResult<()> {
+        self.entered.fetch_add(1, Ordering::SeqCst);
+        self.inner.dispatch(req)
+    }
+}
+
+#[test]
+fn centralized_server_threads_reach_one_verdict() {
+    const THREADS: usize = 3;
+    let world = World::new(LinkSpec::unlimited());
+    let entered = Arc::new(AtomicU64::new(0));
+    let counter = entered.clone();
+    let server = world.spawn_machine("server", THREADS, move |ctx| {
+        let servant = Entered {
+            inner: Box::new(diff_objectSkeleton(DiffusionServant::new())),
+            entered: counter.clone(),
+        };
+        ctx.register("heat", Box::new(servant), vec![]).unwrap();
+        ctx.serve_forever().unwrap();
+    });
+    let tap = world.fabric().add_host("tap");
+    let reply_port = tap.open_port();
+    let srv = world
+        .naming()
+        .resolve("heat", None, Duration::from_secs(30))
+        .unwrap();
+    let endian = Endian::native();
+    let halves: Vec<u8> = (0..8).flat_map(|_| 1.5f64.to_ne_bytes()).collect();
+    let call = |request_id: u64, meta: DistArgMeta, inline: Option<Bytes>| {
+        let header = RequestHeader {
+            request_id,
+            object_name: "heat".into(),
+            operation: "total_heat".into(),
+            response_expected: true,
+            reply_host: tap.id(),
+            reply_port: reply_port.port(),
+            mode: TransferMode::Centralized,
+            client_threads: 1,
+            client_data_ports: vec![],
+            service_context: vec![],
+        };
+        let body = RequestBody {
+            nondist: Bytes::new(),
+            dist: vec![(meta, inline)],
+        };
+        let wire = GiopMessage::Request(header, body.to_bytes(endian))
+            .encode(endian)
+            .unwrap();
+        tap.send_to(srv.host, srv.request_port, wire).unwrap();
+        let dg = reply_port
+            .recv_timeout(BOUND)
+            .unwrap_or_else(|| panic!("request {request_id}: no reply within {BOUND:?}"));
+        match GiopMessage::decode(&dg.payload).unwrap() {
+            GiopMessage::Reply(h, _) if h.request_id == request_id => h.status,
+            other => panic!("request {request_id}: expected its reply, got {other:?}"),
+        }
+    };
+
+    let doubles = |dir: ArgDir, server_counts: Vec<usize>| DistArgMeta {
+        dir,
+        elem_size: 8,
+        total_len: 8,
+        client_counts: vec![8],
+        server_counts,
+    };
+    // An `out` argument whose block is too large to allocate on thread
+    // 1 alone: thread 1's typed error is agreed on.
+    let huge = 1usize << 58;
+    let unallocatable = DistArgMeta {
+        dir: ArgDir::Out,
+        elem_size: 8,
+        total_len: huge + 6,
+        client_counts: vec![huge + 6],
+        server_counts: vec![3, huge, 3],
+    };
+
+    // A server template for two threads, and an inline section one
+    // double short, refused by every thread on its own; then the `out`
+    // block, which the communicating thread allocates and reports as
+    // another thread's failure. None enters the servant.
+    let bad = [
+        (
+            1,
+            doubles(ArgDir::In, vec![4, 4]),
+            Some(Bytes::from(halves.clone())),
+            "bad distributed argument",
+        ),
+        (
+            2,
+            doubles(ArgDir::In, vec![3, 3, 2]),
+            Some(Bytes::from(halves[8..].to_vec())),
+            "bad distributed argument",
+        ),
+        (
+            3,
+            unallocatable,
+            None,
+            "argument receive failed on another computing thread",
+        ),
+    ];
+    for (request_id, meta, inline, verdict) in bad {
+        let status = call(request_id, meta, inline);
+        assert!(
+            matches!(&status, ReplyStatus::SystemException(m) if m.contains(verdict)),
+            "request {request_id}: {status:?}"
+        );
+        assert_eq!(entered.load(Ordering::SeqCst), 0, "request {request_id}");
+    }
+
+    // The next well-formed request reaches every thread's servant.
+    let status = call(
+        4,
+        doubles(ArgDir::In, vec![3, 3, 2]),
+        Some(Bytes::from(halves)),
+    );
+    assert_eq!(status, ReplyStatus::NoException);
+    assert_eq!(entered.load(Ordering::SeqCst), THREADS as u64);
+    let close = GiopMessage::CloseConnection.encode(endian).unwrap();
+    tap.send_to(srv.host, srv.request_port, close).unwrap();
     within("server", move || server.join());
 }
 

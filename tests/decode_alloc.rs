@@ -3,31 +3,48 @@
 //!
 //! A length field is checked against the bytes that remain, but an
 //! element that takes one octet on the wire can take dozens in memory
-//! (an `OpArgDist` is a `String`, a `u32` and a `Vec`). A counting
-//! global allocator measures what decoding an object reference whose
-//! length fields promise one element per remaining byte allocates; it
-//! must stay within the input's length plus a small constant.
+//! (an `OpArgDist` is a `String`, a `u32` and a `Vec`; a distributed
+//! argument of a request body about a hundred bytes). A counting global
+//! allocator measures what decoding an object reference, a request
+//! body or a request header whose length fields promise one element per
+//! remaining byte allocates; it must stay within the input's length
+//! plus a small constant.
 
-use pardis::pardis_cdr::{CdrReader, CdrWriter, Decode, Endian};
-use pardis::pardis_net::ObjectRef;
+use bytes::Bytes;
+use pardis::pardis_cdr::{CdrReader, CdrWriter, Decode, Encode, Endian};
+use pardis::pardis_core::request::RequestBody;
+use pardis::pardis_net::giop::{RequestHeader, TransferMode};
+use pardis::pardis_net::{HostId, ObjectRef};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every byte handed out by the allocator; a `realloc` counts
-/// its full new size.
+/// Counts every byte handed out by the allocator to the calling thread,
+/// so tests running in parallel do not count each other's; a `realloc`
+/// counts its full new size.
 struct CountingAlloc;
 
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATED.with(|a| a.set(a.get() + bytes as u64));
+}
+
+/// Bytes allocated on this thread so far.
+fn allocated() -> u64 {
+    ALLOCATED.with(Cell::get)
+}
 
 // SAFETY: every call is forwarded unchanged to the system allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -36,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -98,13 +115,81 @@ fn hostile_length_fields_allocate_no_more_than_the_input() {
         Hostile::Proportions,
     ] {
         let input = hostile_ref(field);
-        let before = ALLOCATED.load(Ordering::SeqCst);
+        let before = allocated();
         let decoded = ObjectRef::decode(&mut CdrReader::new(&input, Endian::Little));
-        let allocated = ALLOCATED.load(Ordering::SeqCst) - before;
+        let allocated = allocated() - before;
         assert!(decoded.is_err(), "{field:?}: {decoded:?}");
         assert!(
             allocated <= input.len() as u64 + SLACK,
             "{field:?}: decoding {} bytes allocated {allocated}",
+            input.len()
+        );
+    }
+}
+
+/// Bytes allocated while `decode` runs, and whether it failed.
+fn allocated_by(decode: impl FnOnce() -> bool) -> (bool, u64) {
+    let before = allocated();
+    let failed = decode();
+    (failed, allocated() - before)
+}
+
+/// A request body whose argument count equals the number of bytes that
+/// follow it: an empty non-distributed section, then `TAIL` bytes of
+/// `0xFF`.
+fn hostile_body() -> Bytes {
+    let mut w = CdrWriter::new(Endian::Little);
+    w.put_u32(TAIL as u32 + 4);
+    w.put_u32(0); // non-distributed section
+    w.put_bytes(&[0xFF; TAIL]);
+    Bytes::from(w.into_bytes())
+}
+
+/// A request header whose `client_data_ports` count (`ports`) or, with
+/// no data ports, whose `service_context` count equals the number of
+/// bytes that follow it, all `0xFF`.
+fn hostile_header(ports: bool) -> Vec<u8> {
+    let header = RequestHeader {
+        request_id: 1,
+        object_name: "obj".into(),
+        operation: "op".into(),
+        response_expected: true,
+        reply_host: HostId(1),
+        reply_port: 2,
+        mode: TransferMode::MultiPort,
+        client_threads: 2,
+        client_data_ports: vec![],
+        service_context: vec![],
+    };
+    let mut w = CdrWriter::new(Endian::Little);
+    header.encode(&mut w).unwrap();
+    let mut bytes = w.into_bytes();
+    // The header ends with the two (empty) counts; claim from one.
+    bytes.truncate(bytes.len() - if ports { 8 } else { 4 });
+    bytes.extend_from_slice(&(TAIL as u32).to_le_bytes());
+    bytes.extend_from_slice(&[0xFF; TAIL]);
+    bytes
+}
+
+#[test]
+fn hostile_request_frames_allocate_no_more_than_the_input() {
+    let body = hostile_body();
+    let (failed, allocated) = allocated_by(|| RequestBody::decode(&body, Endian::Little).is_err());
+    assert!(failed, "the hostile body decoded");
+    assert!(
+        allocated <= body.len() as u64 + SLACK,
+        "request body: decoding {} bytes allocated {allocated}",
+        body.len()
+    );
+    for ports in [true, false] {
+        let input = hostile_header(ports);
+        let (failed, allocated) = allocated_by(|| {
+            RequestHeader::decode(&mut CdrReader::new(&input, Endian::Little)).is_err()
+        });
+        assert!(failed, "ports {ports}: the hostile header decoded");
+        assert!(
+            allocated <= input.len() as u64 + SLACK,
+            "request header (ports {ports}): decoding {} bytes allocated {allocated}",
             input.len()
         );
     }
