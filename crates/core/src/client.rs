@@ -23,8 +23,8 @@ use crate::dseq::{DSequence, Elem};
 use crate::error::{PardisError, PardisResult};
 use crate::future::PardisFuture;
 use crate::orb::OrbCtx;
-use crate::request::{ArgDir, DistArgSend, InvokeTiming, ReplyResult, RequestSpec};
-use crate::transfer::{centralized, multiport};
+use crate::request::{byte_len, ArgDir, DistArgSend, InvokeTiming, ReplyResult, RequestSpec};
+use crate::transfer;
 use bytes::Bytes;
 use pardis_net::conn::Connection;
 use pardis_net::giop::{GiopMessage, TransferMode};
@@ -245,6 +245,38 @@ fn check_type(objref: &ObjectRef, expected: Option<&str>) -> PardisResult<()> {
     Ok(())
 }
 
+/// Check that every distributed argument of `spec` fits a binding of
+/// `threads` client threads, on thread `rank`: its client template
+/// names `threads` threads, its two templates agree on its length, and
+/// a sending argument's block is exactly the thread's share. Neither
+/// transfer method can send an argument that fails these.
+fn check_args(spec: &RequestSpec, rank: usize, threads: usize) -> PardisResult<()> {
+    for (i, a) in spec.dist_args.iter().enumerate() {
+        let (client, server) = (&a.client_templ, &a.server_templ);
+        if client.nthreads() != threads {
+            return Err(PardisError::BadDistArg(format!(
+                "argument {i} client template names {} threads, binding has {threads}",
+                client.nthreads()
+            )));
+        }
+        if server.len() != client.len() {
+            return Err(PardisError::BadDistArg(format!(
+                "argument {i}: server template covers {} elements, client template {}",
+                server.len(),
+                client.len()
+            )));
+        }
+        let share = byte_len(client.count(rank), a.elem_size)?;
+        if a.dir.sends() && a.local.len() != share {
+            return Err(PardisError::BadDistArg(format!(
+                "argument {i}: thread {rank}'s block is {} bytes, its share {share}",
+                a.local.len()
+            )));
+        }
+    }
+    Ok(())
+}
+
 impl Proxy {
     /// The bound object's reference.
     pub fn objref(&self) -> &ObjectRef {
@@ -317,7 +349,7 @@ impl Proxy {
     }
 
     /// Multi-port invocations this thread demoted to the centralized
-    /// engine because a server data port was dead.
+    /// method because a server data port was dead.
     pub fn fallback_count(&self) -> u64 {
         self.fallbacks.get()
     }
@@ -488,10 +520,16 @@ impl Proxy {
         // Agree on the request id and the effective transfer method.
         // The communicating thread probes the server's data ports when
         // multi-port was requested; if any is dead the invocation is
-        // demoted to the centralized engine (graceful degradation), and
-        // the decision rides along with the id so all threads drive the
-        // same engine.
+        // demoted to the centralized method (graceful degradation), and
+        // the decision rides along with the id so all threads use the
+        // same method.
         let requested = mode;
+        // Every distributed argument must fit the binding before a byte
+        // is sent; on a collective binding the verdict rides the entry
+        // round, so every thread fails together.
+        let rank = if self.collective { ctx.rank() } else { 0 };
+        let threads = if self.collective { ctx.nthreads() } else { 1 };
+        let fits = check_args(spec, rank, threads);
         let (req_id, mode) = if self.collective {
             // PA101: before committing to the (deadlocking) collective
             // protocol, agree that every computing thread is issuing the
@@ -503,15 +541,30 @@ impl Proxy {
             // "the computing threads of the client first synchronize"
             // (§3.2): one max allreduce is that barrier and also carries
             // the communicating thread's id (as two exact 32-bit halves)
-            // and method to everyone; the other threads contribute 0.
+            // and method to everyone, and whether any thread's arguments
+            // do not fit; the other threads contribute 0 to the first
+            // three words.
+            let misfit = f64::from(u8::from(fits.is_err()));
             let mine = if ctx.is_comm_thread() {
                 let id = ctx.next_request_id();
                 let multiport = self.effective_mode(ctx, mode) == TransferMode::MultiPort;
-                [(id >> 32) as f64, id as u32 as f64, multiport as u8 as f64]
+                [
+                    (id >> 32) as f64,
+                    id as u32 as f64,
+                    multiport as u8 as f64,
+                    misfit,
+                ]
             } else {
-                [0.0; 3]
+                [0.0, 0.0, 0.0, misfit]
             };
             let agreed = ctx.rts.allreduce_f64(&mine, ReduceOp::Max)?;
+            if agreed[3] > 0.0 {
+                fits?;
+                return Err(PardisError::BadDistArg(
+                    "a distributed argument does not fit its template on another computing thread"
+                        .into(),
+                ));
+            }
             let mode = if agreed[2] > 0.0 {
                 TransferMode::MultiPort
             } else {
@@ -519,6 +572,7 @@ impl Proxy {
             };
             ((agreed[0] as u64) << 32 | agreed[1] as u64, mode)
         } else {
+            fits?;
             (ctx.next_request_id(), self.effective_mode(ctx, mode))
         };
         let started = Instant::now();
@@ -550,19 +604,6 @@ impl Proxy {
             trace: crate::obs::begin(self, spec, req_id, fell_back),
         };
 
-        // Sanity: collective bindings require client templates shaped
-        // like this machine; per-thread bindings require single-thread
-        // templates.
-        let want_threads = if self.collective { ctx.nthreads() } else { 1 };
-        for (i, d) in pending.dist.iter().enumerate() {
-            if d.client_templ.nthreads() != want_threads {
-                return Err(PardisError::BadDistArg(format!(
-                    "argument {i} client template names {} threads, binding has {want_threads}",
-                    d.client_templ.nthreads()
-                )));
-            }
-        }
-
         // A send failure on a collective binding is deferred to the
         // receive phase: the machine's threads must pass through the
         // same collectives, so the error is surfaced after them.
@@ -578,7 +619,7 @@ impl Proxy {
 
     /// The send phase: refuse multi-port transfer to an object without
     /// data ports, mark every distributed argument's client buffer in
-    /// flight until the invocation completes, then run the engine.
+    /// flight until the invocation completes, then run the send phase.
     fn invoke_send(
         &self,
         ctx: &OrbCtx,
@@ -599,10 +640,7 @@ impl Proxy {
                 ctx.rts.membership().epoch(),
             );
         }
-        match pending.mode {
-            TransferMode::Centralized => centralized::client_send(ctx, self, spec, pending),
-            TransferMode::MultiPort => multiport::client_send(ctx, self, spec, pending),
-        }
+        transfer::client_send(ctx, self, spec, pending)
     }
 
     /// Probe the server's data ports when multi-port transfer is
@@ -674,10 +712,7 @@ impl Proxy {
     /// machine's verdict (see [`Proxy::exit_round`]).
     fn complete(&self, ctx: &OrbCtx, pending: PendingInvoke, can_retry: bool) -> Attempt {
         let received = if pending.response_expected {
-            match pending.mode {
-                TransferMode::Centralized => centralized::client_recv(ctx, self, &pending),
-                TransferMode::MultiPort => multiport::client_recv(ctx, self, &pending),
-            }
+            transfer::client_recv(ctx, self, &pending)
         } else {
             Ok(ReplyResult {
                 nondist_body: Bytes::new(),

@@ -290,7 +290,9 @@ impl DistTempl {
 
     fn transfers_to_inverse(&self, dst_templ: &DistTempl, dst: usize) -> usize {
         // Fragments arriving at dst = sources whose range intersects
-        // dst's range under `self` (the source layout).
+        // dst's range under `self` (the source layout). A source that
+        // owns nothing sends nothing, even when its empty range lies
+        // inside dst's.
         let dr = dst_templ.range(dst);
         if dr.is_empty() {
             return 0;
@@ -298,7 +300,7 @@ impl DistTempl {
         let mut n = 0;
         for s in 0..self.nthreads() {
             let sr = self.range(s);
-            if sr.start < dr.end && dr.start < sr.end {
+            if !sr.is_empty() && sr.start < dr.end && dr.start < sr.end {
                 n += 1;
             }
         }
@@ -450,6 +452,16 @@ mod tests {
                 .sum::<usize>();
             assert_eq!(dst.incoming_count(d, &src), expected, "dst {d}");
         }
+    }
+
+    #[test]
+    fn incoming_counts_skip_sources_that_own_nothing() {
+        // Source thread 1 owns nothing; its empty range [17, 17) lies
+        // inside destination thread 0's range.
+        let src = DistTempl::from_counts(vec![17, 0, 15]);
+        let dst = DistTempl::from_counts(vec![32]);
+        assert_eq!(src.transfers_to(1, &dst), vec![]);
+        assert_eq!(dst.incoming_count(0, &src), 2);
     }
 
     #[test]

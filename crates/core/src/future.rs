@@ -10,7 +10,7 @@
 //! it is a *collective* act when the binding is SPMD (every computing
 //! thread holds its own future for the same request and every thread
 //! must eventually [`PardisFuture::wait`]). The completion closure runs
-//! the receive phase of the transfer engine.
+//! the invocation's receive phase.
 
 use crate::error::PardisResult;
 
@@ -21,7 +21,7 @@ enum State<'a, T> {
     Pending {
         /// Runs the (possibly collective) receive phase.
         complete: Box<dyn FnOnce() -> PardisResult<T> + 'a>,
-        /// Cheap non-consuming readiness probe, when the engine can
+        /// Cheap non-consuming readiness probe, when the transfer can
         /// offer one (e.g. "has the reply message arrived at my port").
         probe: Option<Box<dyn Fn() -> bool + 'a>>,
     },

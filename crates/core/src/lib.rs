@@ -20,8 +20,10 @@
 //!   and proportional distribution templates ([`dist::DistTempl`],
 //!   [`dist::Proportions`]), length semantics, redistribution, and
 //!   location-transparent element access,
-//! * [`transfer::centralized`] / [`transfer::multiport`] — the two
-//!   distributed-argument transfer methods the paper evaluates,
+//! * [`transfer`] — the phases of an invocation, each written once,
+//!   and the two routes a thread's block of a distributed argument
+//!   takes in the transfer methods the paper evaluates
+//!   ([`transfer::centralized`], [`transfer::multiport`]),
 //! * [`naming::NameService`] — the naming domain behind binding,
 //! * [`world::World`] — a harness that stands up client and server
 //!   machines around a shared (optionally rate-limited) link.

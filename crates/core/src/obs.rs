@@ -155,7 +155,7 @@ pub(crate) fn complete(
             TransferMode::Centralized => {}
             TransferMode::MultiPort => {
                 // The fragments this rank sent, from the routing the
-                // engine followed.
+                // send phase followed.
                 let me = if proxy.collective { ctx.rank() } else { 0 };
                 let mut sent = 0;
                 for d in pending.dist.iter().filter(|d| d.dir.sends()) {

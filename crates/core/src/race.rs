@@ -9,8 +9,8 @@
 //! system nor the RTS orders those accesses — this module does, using
 //! the per-rank causal stamps of [`pardis_rts::clock`]:
 //!
-//! * **PA201 — data race on a dsequence buffer.** Each transfer engine
-//!   opens an epoch-scoped *access interval* per distributed argument
+//! * **PA201 — data race on a dsequence buffer.** Each invocation's send
+//!   phase opens an epoch-scoped *access interval* per distributed argument
 //!   when the send phase starts ([`open_transfer`]) and closes it when
 //!   the invocation completes ([`close_transfer`]). An application
 //!   access to the same local buffer
@@ -47,10 +47,10 @@ pub enum AccessKind {
     Read,
     /// Application write (`local_data_mut`, `redistribute`).
     Write,
-    /// A transfer engine reading the buffer (an `in` argument in
+    /// A transfer reading the buffer (an `in` argument in
     /// flight).
     TransferRead,
-    /// A transfer engine writing the buffer (an `out`/`inout` argument
+    /// A transfer writing the buffer (an `out`/`inout` argument
     /// in flight).
     TransferWrite,
 }
@@ -190,7 +190,7 @@ pub fn reset() {
 }
 
 /// Open a transfer interval on `buf` for one distributed argument of
-/// request `req_id`: the engine reads `in` arguments and writes
+/// request `req_id`: the transfer reads `in` arguments and writes
 /// `out`/`inout` arguments until [`close_transfer`]. `buf` 0 means the
 /// argument was not built from a tracked sequence and is skipped.
 pub(crate) fn open_transfer(

@@ -9,13 +9,14 @@
 //!   carried either inline (centralized method) or as thread-to-thread
 //!   DataTransfer fragments (multi-port method).
 //!
-//! The body formats here are shared by both transfer engines; which one
-//! populated the inline data section is recorded per argument.
+//! The body formats here are shared by both transfer methods; whether an
+//! argument's data travels in its inline section is recorded per
+//! argument.
 
 use crate::dist::DistTempl;
 use crate::error::{PardisError, PardisResult};
 use bytes::Bytes;
-use pardis_cdr::{CdrReader, CdrWriter, Endian, SlottedBuf};
+use pardis_cdr::{CdrReader, CdrWriter, Endian};
 use pardis_net::giop::{FrameHeader, FrameWriter};
 use std::time::Duration;
 
@@ -111,7 +112,7 @@ impl DistArgMeta {
     /// Consistency checks applied on decode: both templates must name
     /// at least one thread and cover exactly `total_len` elements, and
     /// the sequence's byte size must be representable. Every length the
-    /// transfer engines later derive from the metadata is then bounded
+    /// transfer phases later derive from the metadata is then bounded
     /// by `total_len * elem_size`.
     pub fn validate(&self) -> PardisResult<()> {
         if self.client_counts.is_empty() || self.server_counts.is_empty() {
@@ -196,7 +197,7 @@ impl InlineData<CdrWriter> for &[u8] {
 
 /// A hole in a frame for one distributed argument laid out by a
 /// template, one slot per computing thread: each thread packs its own
-/// block into its slot in place (the centralized engines).
+/// block into its slot in place (the centralized method).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Slots<'a> {
     templ: &'a DistTempl,
@@ -254,34 +255,22 @@ pub(crate) trait BodyWriter<S> {
     fn write(&self, s: &mut S);
 }
 
-/// Build one frame: `header`, then `body` written straight into the same
-/// buffer. Returns the frame and its body length.
+/// Build a frame's skeleton: `header`, then `body` written straight into
+/// the same buffer, with a hole of [`Slots`] for each argument whose
+/// data the computing threads pack in place. Returns the writer, to be
+/// finished as it is ([`FrameWriter::finish`]) or, with holes, as a
+/// `SlottedBuf` ([`FrameWriter::finish_slotted`]), and the body length.
+/// Its slots are numbered as [`FrameWriter`] describes: with `c` slots
+/// per hole, thread `t`'s slot of hole `h` is `h * (c + 1) + 1 + t`.
 pub(crate) fn frame<H: FrameHeader>(
     endian: Endian,
     header: &H,
     body: &impl BodyWriter<FrameWriter>,
-) -> PardisResult<(Bytes, usize)> {
+) -> PardisResult<(FrameWriter, usize)> {
     let mut f = FrameWriter::new(endian, header, body.capacity())?;
     body.write(&mut f);
     let body_len = f.body_len();
-    Ok((f.finish()?, body_len))
-}
-
-/// Build the skeleton of a frame whose inline data the computing threads
-/// fill in place: `header` and `body` written, with a hole of
-/// [`Slots`] for each inline argument, in the one allocation the whole
-/// frame needs. Returns the frame and its body length. Its slots are numbered as [`FrameWriter`] describes: with
-/// `c` slots per hole, thread `t`'s slot of hole `h` is
-/// `h * (c + 1) + 1 + t`.
-pub(crate) fn slotted_frame<H: FrameHeader>(
-    endian: Endian,
-    header: &H,
-    body: &impl BodyWriter<FrameWriter>,
-) -> PardisResult<(SlottedBuf, usize)> {
-    let mut f = FrameWriter::new(endian, header, body.capacity())?;
-    body.write(&mut f);
-    let body_len = f.body_len();
-    Ok((f.finish_slotted()?, body_len))
+    Ok((f, body_len))
 }
 
 /// The fields of a Request body, borrowing its inline data.

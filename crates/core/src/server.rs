@@ -25,7 +25,7 @@ use crate::dseq::{DSequence, Elem};
 use crate::error::{PardisError, PardisResult};
 use crate::orb::OrbCtx;
 use crate::request::{ArgDir, InvokeTiming, RequestBody};
-use crate::transfer::{centralized, error_reply, multiport};
+use crate::transfer::{self, error_reply};
 use bytes::Bytes;
 use pardis_cdr::{CdrReader, CdrResult, CdrWriter, Endian};
 use pardis_net::giop::{GiopMessage, ReplyStatus, RequestHeader, TransferMode};
@@ -159,7 +159,7 @@ impl<'a> ServerRequest<'a> {
         Ok(())
     }
 
-    /// The marshaled non-distributed results (for the reply engines).
+    /// The marshaled non-distributed results (for the reply phase).
     pub(crate) fn reply_nondist_bytes(&self) -> Bytes {
         self.reply_nondist.clone()
     }
@@ -442,12 +442,7 @@ impl OrbCtx {
         // dropped) must NOT abort the serve loop: it is recorded and
         // becomes the receive verdict below, so the client gets an
         // error Reply and the server stays up.
-        let received = match header.mode {
-            TransferMode::Centralized => centralized::server_receive_args(self, &body, &mut timing),
-            TransferMode::MultiPort => {
-                multiport::server_receive_args(self, header.request_id, &body, &mut timing)
-            }
-        };
+        let received = transfer::server_receive_args(self, &header, &body, &mut timing);
         let (dist_in, recv_err) = match received {
             Ok(v) => (v, None),
             Err(e) => (Vec::new(), Some(e)),
@@ -542,14 +537,7 @@ impl OrbCtx {
                         .send_to(header.reply_host, header.reply_port, reply)?;
                 }
             } else {
-                match header.mode {
-                    TransferMode::Centralized => {
-                        centralized::server_send_reply(self, &header, &sreq, endian, &mut timing)?
-                    }
-                    TransferMode::MultiPort => {
-                        multiport::server_send_reply(self, &header, &sreq, endian, &mut timing)?
-                    }
-                }
+                transfer::server_send_reply(self, &header, &sreq, endian, &mut timing)?;
             }
         }
 

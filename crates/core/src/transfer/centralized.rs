@@ -13,7 +13,8 @@
 //! `T = t_gather + t_pack + t_wire + t_unpack + t_scatter`, with both
 //! the gather and scatter terms growing with the number of computing
 //! threads — the effect Table 1 measures, and `pardis-sim` reproduces.
-//! Here neither term moves data through the communicating thread:
+//! Here a thread's block is a slot of the one frame, and neither term
+//! moves data through the communicating thread:
 //!
 //! * marshaling runs on every computing thread: the communicating
 //!   thread writes the frame's skeleton (header and metadata, with a
@@ -26,94 +27,14 @@
 //!   and takes its own block from it in place. The scatter is that
 //!   slice ([`InvokeTiming::scatter`]), with no collective of its own.
 
-use crate::client::{PendingInvoke, Proxy};
-use crate::dist::DistTempl;
 use crate::error::{PardisError, PardisResult};
-use crate::orb::OrbCtx;
-use crate::request::{
-    byte_len, slotted_frame, InvokeTiming, ReplyParts, ReplyResult, RequestBody, RequestParts,
-    RequestSpec, Slots,
-};
-use crate::server::{DistIn, ServerRequest};
-use crate::transfer::{relay_reply, service_context_entries, translates, unpack, zeroed_local};
+use crate::request::{byte_len, InvokeTiming};
+use crate::transfer::{translates, Block};
 use bytes::Bytes;
 use pardis_cdr::{SlotError, SlottedBuf};
-use pardis_net::giop::{ReplyHeader, ReplyStatus, RequestHeader, TransferMode};
+use pardis_net::giop::FrameWriter;
 use pardis_rts::{Endpoint, RtsError};
 use std::time::{Duration, Instant};
-
-/// Client send phase: the communicating thread writes the Request
-/// frame's skeleton, every computing thread packs its own block of each
-/// sending distributed argument into the frame, and the communicating
-/// thread transmits it.
-pub(crate) fn client_send(
-    ctx: &OrbCtx,
-    proxy: &Proxy,
-    spec: &RequestSpec,
-    pending: &mut PendingInvoke,
-) -> PardisResult<()> {
-    // The skeleton: header, non-distributed arguments and every
-    // argument's metadata, with a hole per sending argument.
-    let started = Instant::now();
-    let skeleton = match proxy.conn.as_ref() {
-        None => None,
-        Some(conn) => {
-            let metas: Vec<_> = spec.dist_args.iter().map(|a| a.meta()).collect();
-            let mut dist = Vec::with_capacity(metas.len());
-            for (meta, arg) in metas.iter().zip(&spec.dist_args) {
-                let hole = arg.dir.sends();
-                let slots = hole.then(|| Slots::new(&arg.client_templ, arg.elem_size));
-                dist.push((meta, slots.transpose()?));
-            }
-            let body = RequestParts {
-                nondist: &spec.nondist_body,
-                dist,
-            };
-            let header = RequestHeader {
-                request_id: pending.req_id,
-                object_name: proxy.objref.name.clone(),
-                operation: spec.operation.clone(),
-                response_expected: spec.response_expected,
-                reply_host: ctx.host.id(),
-                reply_port: conn.local_port(),
-                mode: TransferMode::Centralized,
-                client_threads: if proxy.collective {
-                    ctx.nthreads() as u32
-                } else {
-                    1
-                },
-                client_data_ports: vec![],
-                service_context: service_context_entries(ctx, pending.req_id),
-            };
-            let (frame, body_len) = slotted_frame(ctx.endian, &header, &body)?;
-            pending.body_len = body_len;
-            Some(frame)
-        }
-    };
-
-    let blocks: Vec<_> = spec
-        .dist_args
-        .iter()
-        .filter(|a| a.dir.sends())
-        .map(|a| (&a.local[..], a.elem_size))
-        .collect();
-    let rts = proxy.collective.then_some(&ctx.rts);
-    let wire = gather_frame(
-        rts,
-        skeleton,
-        &blocks,
-        ctx.translate,
-        started,
-        &mut pending.timing,
-    )?;
-
-    if let (Some(conn), Some(wire)) = (proxy.conn.as_ref(), wire) {
-        let ts = Instant::now();
-        conn.send_frame(wire)?;
-        pending.timing.send = ts.elapsed();
-    }
-    Ok(())
-}
 
 /// The centralized method's one pack: every computing thread packs its
 /// own `blocks` (one per hole of the frame, with its element size) into
@@ -121,30 +42,37 @@ pub(crate) fn client_send(
 /// finished, on the thread that wrote its `skeleton` (rank 0). On a
 /// collective machine (`rts`) with anything to pack, that is one
 /// [`Endpoint::gather_into`]; without `rts` this thread is the only one
-/// packing.
+/// packing. A frame without holes (no `blocks`) is the skeleton itself.
 ///
 /// `started` is when this thread began the send phase (before the
 /// skeleton). Adds its marshaling since then (the skeleton and its own
 /// blocks) to `timing.pack`, and its waiting (for the frame to pack
 /// into, or for the other threads' blocks) to `timing.gather`.
-fn gather_frame(
+pub(crate) fn gather_frame(
     rts: Option<&Endpoint>,
-    skeleton: Option<SlottedBuf>,
+    skeleton: Option<FrameWriter>,
     blocks: &[(&[u8], usize)],
     translate: bool,
     started: Instant,
     timing: &mut InvokeTiming,
 ) -> PardisResult<Option<Bytes>> {
     let Some(rts) = rts.filter(|_| !blocks.is_empty()) else {
-        // Nothing to gather: the skeleton's writer packs alone.
-        let Some(frame) = skeleton else {
+        // No other thread packs: the skeleton's writer finishes the
+        // frame alone, and a frame without holes is the skeleton.
+        let Some(skeleton) = skeleton else {
             return Ok(None);
         };
-        pack_blocks(&frame, blocks, 0, 1, translate).map_err(RtsError::from)?;
-        let wire = frame.into_bytes().map_err(RtsError::from)?;
+        let wire = if blocks.is_empty() {
+            skeleton.finish()?
+        } else {
+            let frame = skeleton.finish_slotted()?;
+            pack_blocks(&frame, blocks, 0, 1, translate).map_err(RtsError::from)?;
+            frame.into_bytes().map_err(RtsError::from)?
+        };
         timing.pack += started.elapsed();
         return Ok(Some(wire));
     };
+    let skeleton = skeleton.map(FrameWriter::finish_slotted).transpose()?;
     let mut packed = (started, started);
     let wire = rts.gather_into(0, skeleton, |frame| {
         let t0 = Instant::now();
@@ -166,7 +94,7 @@ fn gather_frame(
 }
 
 /// Pack thread `rank`'s block of each hole into its slot (numbered as
-/// [`slotted_frame`] describes, with `threads` slots per hole).
+/// [`crate::request::frame`] describes, with `threads` slots per hole).
 fn pack_blocks(
     frame: &SlottedBuf,
     blocks: &[(&[u8], usize)],
@@ -185,168 +113,38 @@ fn pack_blocks(
     Ok(())
 }
 
-/// Client receive phase: every thread reads the relayed Reply (see
-/// [`relay_reply`]) and takes its own block of each returning argument
-/// from it in place.
-pub(crate) fn client_recv(
-    ctx: &OrbCtx,
-    proxy: &Proxy,
-    pending: &PendingInvoke,
-) -> PardisResult<ReplyResult> {
-    let mut timing = pending.timing;
-    let reply = relay_reply(ctx, proxy, pending, &mut timing)?;
-    let rank = if proxy.collective { ctx.rank() } else { 0 };
-    let mut dist_out = Vec::with_capacity(reply.dist_out.len());
-    for (arg_idx, d, data) in reply.dist_out {
-        let ts = Instant::now();
-        let mine = own_block(arg_idx, data, &d.client_templ, rank, d.elem_size)?;
-        timing.scatter += ts.elapsed();
-        let tu = Instant::now();
-        dist_out.push((arg_idx, unpack(&[mine], d.elem_size, ctx.translate)));
-        timing.recv_unpack += tu.elapsed();
-    }
-    Ok(ReplyResult {
-        nondist_body: reply.nondist,
-        dist_out,
-        timing,
-    })
-}
-
-/// Thread `rank`'s block of argument `arg`'s inline section `data`,
-/// laid out by `templ`: a view of the frame it arrived in. Every thread
-/// holds the whole frame and checks the whole section, so all of them
-/// reach the same verdict on it.
-fn own_block(
-    arg: u32,
-    data: Option<Bytes>,
-    templ: &DistTempl,
-    rank: usize,
-    elem_size: usize,
-) -> PardisResult<Bytes> {
+/// `block`'s bytes in its argument's inline section `data`: a view of
+/// the frame it arrived in. Every thread holds the whole frame and
+/// checks the whole section, so all of them reach the same verdict on
+/// it.
+pub(crate) fn own_block(block: Block<'_>, data: Option<Bytes>) -> PardisResult<Bytes> {
+    let (arg, elem_size) = (block.arg, block.elem_size);
     let data = data.ok_or_else(|| {
         PardisError::BadDistArg(format!(
             "centralized frame carries no data for argument {arg}"
         ))
     })?;
-    let want = byte_len(templ.len(), elem_size)?;
+    let want = byte_len(block.templ.len(), elem_size)?;
     if data.len() != want {
         return Err(PardisError::BadDistArg(format!(
             "argument {arg}: inline data {} bytes, template covers {want}",
             data.len()
         )));
     }
-    let r = templ.range(rank);
+    let r = block.templ.range(block.rank);
     Ok(data.slice(r.start * elem_size..r.end * elem_size))
-}
-
-/// Server side: every thread takes its local part of each sending
-/// distributed argument from the relayed Request frame in place.
-pub(crate) fn server_receive_args(
-    ctx: &OrbCtx,
-    body: &RequestBody,
-    timing: &mut InvokeTiming,
-) -> PardisResult<Vec<DistIn>> {
-    let mut out = Vec::with_capacity(body.dist.len());
-    for (i, (meta, data)) in body.dist.iter().enumerate() {
-        let server_templ = meta.server_templ();
-        let client_templ = meta.client_templ();
-        if server_templ.nthreads() != ctx.nthreads() {
-            return Err(PardisError::BadDistArg(format!(
-                "argument {i} server template names {} threads, machine has {}",
-                server_templ.nthreads(),
-                ctx.nthreads()
-            )));
-        }
-        // Degraded machine: remap onto the survivor set (dead threads
-        // own zero elements); identical on every rank by construction.
-        let server_templ = ctx.effective_server_templ(server_templ)?;
-        let local = if meta.dir.sends() {
-            let ts = Instant::now();
-            let data = data.clone();
-            let mine = own_block(i as u32, data, &server_templ, ctx.rank(), meta.elem_size)?;
-            timing.scatter += ts.elapsed();
-            let tu = Instant::now();
-            let local = unpack(&[mine], meta.elem_size, ctx.translate);
-            timing.recv_unpack += tu.elapsed();
-            local
-        } else {
-            zeroed_local(&server_templ, ctx.rank(), meta.elem_size)?
-        };
-        out.push(DistIn {
-            dir: meta.dir,
-            elem_size: meta.elem_size,
-            client_templ,
-            server_templ,
-            local,
-        });
-    }
-    Ok(out)
-}
-
-/// Server side: the communicating thread writes the Reply frame's
-/// skeleton, every thread packs its own block of each returning
-/// argument into it, and the communicating thread sends it.
-pub(crate) fn server_send_reply(
-    ctx: &OrbCtx,
-    header: &RequestHeader,
-    sreq: &ServerRequest<'_>,
-    endian: pardis_cdr::Endian,
-    timing: &mut InvokeTiming,
-) -> PardisResult<()> {
-    let mut returning = Vec::new();
-    for i in 0..sreq.dist_count() {
-        let d = sreq.dist_raw(i)?;
-        if d.dir.returns() {
-            returning.push((i, d));
-        }
-    }
-
-    let started = Instant::now();
-    let skeleton = if ctx.is_comm_thread() {
-        let mut dist_out = Vec::with_capacity(returning.len());
-        for (i, d) in &returning {
-            let slots = Slots::new(&d.server_templ, d.elem_size)?;
-            dist_out.push((*i as u32, d.server_templ.len(), Some(slots)));
-        }
-        let body = ReplyParts {
-            nondist: &sreq.reply_nondist_bytes(),
-            dist_out,
-        };
-        let reply = ReplyHeader {
-            request_id: header.request_id,
-            status: ReplyStatus::NoException,
-        };
-        Some(slotted_frame(endian, &reply, &body)?.0)
-    } else {
-        None
-    };
-
-    let locals: Vec<Bytes> = returning
-        .iter()
-        .map(|(i, _)| sreq.reply_local(*i))
-        .collect();
-    let blocks: Vec<_> = locals
-        .iter()
-        .zip(&returning)
-        .map(|(local, (_, d))| (&local[..], d.elem_size))
-        .collect();
-    let rts = Some(&ctx.rts);
-    if let Some(wire) = gather_frame(rts, skeleton, &blocks, ctx.translate, started, timing)? {
-        let ts = Instant::now();
-        ctx.host
-            .send_to(header.reply_host, header.reply_port, wire)?;
-        timing.send += ts.elapsed();
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{ArgDir, DistArgMeta, ReplyBody};
+    use crate::dist::DistTempl;
+    use crate::request::{
+        frame, ArgDir, DistArgMeta, ReplyBody, ReplyParts, RequestBody, RequestParts, Slots,
+    };
     use crate::transfer::pack;
     use pardis_cdr::{CdrWriter, Endian};
-    use pardis_net::giop::GiopMessage;
+    use pardis_net::giop::{GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferMode};
     use pardis_net::HostId;
     use pardis_rts::Domain;
     use proptest::prelude::*;
@@ -485,7 +283,7 @@ mod tests {
         .map(|m| m.encode(endian).unwrap())
     }
 
-    /// The same two frames as the centralized engines build them: rank
+    /// The same two frames as the centralized route builds them: rank
     /// 0 writes each skeleton and every rank of `rts` (or this thread
     /// alone) packs its own blocks into it.
     fn parallel_frames(
@@ -524,9 +322,7 @@ mod tests {
                     .collect(),
             };
             let threads = args[0].templ.nthreads();
-            slotted_frame(endian, &request_header(threads), &body)
-                .unwrap()
-                .0
+            frame(endian, &request_header(threads), &body).unwrap().0
         });
         let started = Instant::now();
         let request = gather_frame(
@@ -549,7 +345,7 @@ mod tests {
                     .map(|((i, a), s)| (i as u32, a.templ.len(), Some(*s)))
                     .collect(),
             };
-            slotted_frame(endian, &reply_header(), &body).unwrap().0
+            frame(endian, &reply_header(), &body).unwrap().0
         });
         let reply = gather_frame(
             rts,

@@ -1,31 +1,44 @@
-//! Distributed-argument transfer engines.
+//! Distributed-argument transfer: one invocation protocol, two routes
+//! for the data.
 //!
 //! The paper's §3 investigates two ways of moving distributed arguments
 //! between the computing threads of a parallel client and a parallel
-//! server:
+//! server. Both send one invocation frame through the communicating
+//! threads, and both relay it to every computing thread; they differ
+//! only in how one thread's block of a distributed argument travels:
 //!
-//! * [`centralized`] — one network connection; arguments are gathered at
-//!   a *communicating thread*, travel inside the request/reply message,
-//!   and are scattered on the far side (figure 2),
-//! * [`multiport`] — every computing thread owns a port; the invocation
-//!   header still travels centrally, but argument data flows directly
-//!   thread-to-thread according to the overlap of the two distribution
-//!   templates (figure 3).
+//! * [`centralized`] — the block is a slot of that one frame: every
+//!   thread packs its block into its slot (figure 2's gather, in
+//!   place), and every thread on the far side slices its own block from
+//!   the relayed frame (the scatter, in place),
+//! * [`multiport`] — "the invocation header will be delivered using the
+//!   centralized method as above, and upon its receipt the computing
+//!   threads will await argument transfer on network ports" (§3.3): the
+//!   block travels as DataTransfer fragments from the sending thread's
+//!   data port to each receiving thread that owns a piece of it
+//!   (figure 3).
 //!
-//! This module holds the pieces both engines share: the client's Reply
-//! relay, the one marshaling copy (with optional data translation),
-//! fragment reassembly, and phase timing.
+//! This module writes each phase of an invocation once — the client's
+//! send and receive, the server's receive and reply — and asks the
+//! invocation's [`TransferMode`] only where a block's route differs. It
+//! also holds the one marshaling copy (with optional data translation)
+//! and the receive side's checks.
 
 pub mod centralized;
 pub mod multiport;
 
-use crate::client::{PendingDist, PendingInvoke, Proxy};
+use crate::client::{PendingInvoke, Proxy};
+use crate::dist::DistTempl;
 use crate::error::{PardisError, PardisResult};
 use crate::orb::OrbCtx;
-use crate::request::{byte_len, InvokeTiming, ReplyBody};
+use crate::request::{
+    byte_len, frame, InvokeTiming, ReplyBody, ReplyParts, ReplyResult, RequestBody, RequestParts,
+    RequestSpec, Slots,
+};
+use crate::server::{DistIn, ServerRequest};
 use bytes::Bytes;
 use pardis_cdr::{CdrWriter, Endian};
-use pardis_net::giop::{FrameWriter, GiopMessage, ReplyHeader, ReplyStatus, TransferHeader};
+use pardis_net::giop::{GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferMode};
 use std::time::Instant;
 
 /// Prefix used when the communicating thread converts a local receive
@@ -35,18 +48,393 @@ const SYNTH_TIMEOUT: &str = "TIMEOUT:";
 /// Same, for transport failures → [`PardisError::CommFailure`].
 const SYNTH_COMM_FAILURE: &str = "COMM_FAILURE:";
 
-/// The service-context entries for the header of outgoing request
-/// `req_id`: its tracing context when observability is compiled in,
-/// nothing otherwise.
-pub(crate) fn service_context_entries(ctx: &OrbCtx, req_id: u64) -> Vec<(u32, Bytes)> {
-    #[cfg(feature = "obs")]
-    {
-        crate::obs::service_context(ctx, req_id)
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = (ctx, req_id);
+/// One thread's block of one distributed argument of an invocation:
+/// what either route needs to move it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Block<'a> {
+    /// The invocation's request id.
+    pub req_id: u64,
+    /// The argument's index in the request.
+    pub arg: u32,
+    /// Bytes per element.
+    pub elem_size: usize,
+    /// The argument's layout on this thread's machine.
+    pub templ: &'a DistTempl,
+    /// Its layout on the peer machine.
+    pub peer: &'a DistTempl,
+    /// This thread's rank in `templ`.
+    pub rank: usize,
+}
+
+/// Client send phase: the communicating thread writes the Request
+/// frame's skeleton, with a hole per sending argument in the
+/// centralized method; every computing thread packs its blocks into
+/// the holes (centralized) and the communicating thread sends the
+/// frame; then every thread sends its blocks as fragments
+/// (multi-port), after the header, so the server threads are awaiting
+/// them.
+pub(crate) fn client_send(
+    ctx: &OrbCtx,
+    proxy: &Proxy,
+    spec: &RequestSpec,
+    pending: &mut PendingInvoke,
+) -> PardisResult<()> {
+    let inline = pending.mode == TransferMode::Centralized;
+    let rank = if proxy.collective { ctx.rank() } else { 0 };
+    let started = Instant::now();
+    let skeleton = match proxy.conn.as_ref() {
+        None => None,
+        Some(conn) => {
+            let metas: Vec<_> = spec.dist_args.iter().map(|a| a.meta()).collect();
+            let mut dist = Vec::with_capacity(metas.len());
+            for (meta, arg) in metas.iter().zip(&spec.dist_args) {
+                let hole = inline && arg.dir.sends();
+                let slots = hole.then(|| Slots::new(&arg.client_templ, arg.elem_size));
+                dist.push((meta, slots.transpose()?));
+            }
+            let body = RequestParts {
+                nondist: &spec.nondist_body,
+                dist,
+            };
+            // The tracing context, when observability is compiled in.
+            #[cfg(feature = "obs")]
+            let service_context = crate::obs::service_context(ctx, pending.req_id);
+            #[cfg(not(feature = "obs"))]
+            let service_context = Vec::new();
+            let header = RequestHeader {
+                request_id: pending.req_id,
+                object_name: proxy.objref.name.clone(),
+                operation: spec.operation.clone(),
+                response_expected: spec.response_expected,
+                reply_host: ctx.host.id(),
+                reply_port: conn.local_port(),
+                mode: pending.mode,
+                client_threads: if proxy.collective {
+                    ctx.nthreads() as u32
+                } else {
+                    1
+                },
+                client_data_ports: match pending.mode {
+                    TransferMode::Centralized => vec![],
+                    TransferMode::MultiPort if proxy.collective => ctx.data_port_ids.clone(),
+                    TransferMode::MultiPort => vec![ctx.data_port.port()],
+                },
+                service_context,
+            };
+            let (frame, body_len) = frame(ctx.endian, &header, &body)?;
+            pending.body_len = body_len;
+            Some(frame)
+        }
+    };
+
+    let sending = || {
+        spec.dist_args
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.dir.sends())
+    };
+    let blocks: Vec<_> = if inline {
+        sending()
+            .map(|(_, a)| (&a.local[..], a.elem_size))
+            .collect()
+    } else {
         Vec::new()
+    };
+    let rts = proxy.collective.then_some(&ctx.rts);
+    let timing = &mut pending.timing;
+    let wire = centralized::gather_frame(rts, skeleton, &blocks, ctx.translate, started, timing)?;
+    if let (Some(conn), Some(wire)) = (proxy.conn.as_ref(), wire) {
+        let ts = Instant::now();
+        conn.send_frame(wire)?;
+        timing.send += ts.elapsed();
+    }
+
+    if !inline {
+        for (i, a) in sending() {
+            let block = Block {
+                req_id: pending.req_id,
+                arg: i as u32,
+                elem_size: a.elem_size,
+                templ: &a.client_templ,
+                peer: &a.server_templ,
+                rank,
+            };
+            let to = (proxy.objref.host, &proxy.objref.data_ports[..]);
+            multiport::send_fragments(ctx, ctx.endian, block, &a.local, to, timing)?;
+        }
+    }
+    Ok(())
+}
+
+/// Client receive phase. The communicating thread receives the Reply
+/// frame, or builds a small synthetic error Reply when its receive
+/// failed (deadline exceeded, connection reset, undecodable frame), and
+/// a collective binding broadcasts that frame unchanged. Every thread
+/// then decodes it and checks each returning argument against the
+/// request, so all of them reach the same verdict from the same bytes,
+/// before it receives its own block of each.
+pub(crate) fn client_recv(
+    ctx: &OrbCtx,
+    proxy: &Proxy,
+    pending: &PendingInvoke,
+) -> PardisResult<ReplyResult> {
+    let mut timing = pending.timing;
+    let frame = match proxy.conn.as_ref() {
+        Some(conn) => {
+            let tr = Instant::now();
+            let received = match pending.send_error.clone() {
+                Some(e) => Err(e),
+                None => proxy.recv_reply(conn, pending.req_id, pending.deadline),
+            };
+            let frame = received
+                .or_else(|e| error_reply(ctx.endian, pending.req_id, synthetic_status(&e)))?;
+            timing.recv_unpack += tr.elapsed();
+            if proxy.collective {
+                ctx.rts.broadcast(0, Some(frame.clone()))?;
+            }
+            frame
+        }
+        None => ctx.rts.broadcast(0, None)?,
+    };
+
+    let td = Instant::now();
+    let decoded = match GiopMessage::decode(&frame) {
+        Ok(GiopMessage::Reply(header, body)) => {
+            ReplyBody::decode(&body, ctx.endian).map(|body| (header, body))
+        }
+        Ok(other) => Err(PardisError::Net(format!(
+            "unexpected relayed reply: {other:?}"
+        ))),
+        Err(e) => Err(e.into()),
+    };
+    timing.recv_unpack += td.elapsed();
+    // An undecodable Reply is a transport failure, as a failed receive is.
+    let (header, body) = decoded.map_err(|e| PardisError::CommFailure(e.to_string()))?;
+    status_to_result(&header.status)?;
+
+    let returning =
+        body.dist_out
+            .into_iter()
+            .map(|(arg, total_len, data)| {
+                let d = pending.dist.get(arg as usize).ok_or_else(|| {
+                    PardisError::BadDistArg(format!("reply names unknown arg {arg}"))
+                })?;
+                if d.client_templ.len() != total_len {
+                    return Err(PardisError::BadDistArg(format!(
+                        "reply length {total_len} differs from argument length {}",
+                        d.client_templ.len()
+                    )));
+                }
+                if !d.dir.returns() {
+                    return Err(PardisError::BadDistArg(format!(
+                        "reply returns data for `in` argument {arg}"
+                    )));
+                }
+                Ok((arg, d, data))
+            })
+            .collect::<PardisResult<Vec<_>>>()?;
+    let rank = if proxy.collective { ctx.rank() } else { 0 };
+    let dist_out = returning
+        .into_iter()
+        .map(|(arg, d, data)| {
+            let block = Block {
+                req_id: pending.req_id,
+                arg,
+                elem_size: d.elem_size,
+                templ: &d.client_templ,
+                peer: &d.server_templ,
+                rank,
+            };
+            let local = receive_block(
+                ctx,
+                pending.mode,
+                block,
+                data,
+                pending.deadline,
+                &mut timing,
+            )?;
+            Ok((arg, local))
+        })
+        .collect::<PardisResult<_>>()?;
+    Ok(ReplyResult {
+        nondist_body: body.nondist,
+        dist_out,
+        timing,
+    })
+}
+
+/// Server receive phase: every thread takes its local part of each
+/// distributed argument of the relayed Request — its block of a sending
+/// argument, zeros for an `out` one.
+pub(crate) fn server_receive_args(
+    ctx: &OrbCtx,
+    header: &RequestHeader,
+    body: &RequestBody,
+    timing: &mut InvokeTiming,
+) -> PardisResult<Vec<DistIn>> {
+    let rank = ctx.rank();
+    body.dist
+        .iter()
+        .enumerate()
+        .map(|(i, (meta, data))| {
+            let server_templ = meta.server_templ();
+            let client_templ = meta.client_templ();
+            if server_templ.nthreads() != ctx.nthreads() {
+                return Err(PardisError::BadDistArg(format!(
+                    "argument {i} server template names {} threads, machine has {}",
+                    server_templ.nthreads(),
+                    ctx.nthreads()
+                )));
+            }
+            // Degraded machine: remap onto the survivor set (dead threads
+            // own zero elements); identical on every rank by construction.
+            // Only centralized requests get here degraded: `serve_payload`
+            // refuses multi-port ones, whose fragments the dead lose.
+            let server_templ = ctx.effective_server_templ(server_templ)?;
+            let local = if meta.dir.sends() {
+                let block = Block {
+                    req_id: header.request_id,
+                    arg: i as u32,
+                    elem_size: meta.elem_size,
+                    templ: &server_templ,
+                    peer: &client_templ,
+                    rank,
+                };
+                // The fragment wait is bounded by the ORB's configured
+                // timeout; a dropped fragment then degrades to an error
+                // reply instead of wedging the serve loop.
+                let deadline = ctx.frag_timeout.map(|t| Instant::now() + t);
+                receive_block(ctx, header.mode, block, data.clone(), deadline, timing)?
+            } else {
+                zeroed_local(&server_templ, rank, meta.elem_size)?
+            };
+            Ok(DistIn {
+                dir: meta.dir,
+                elem_size: meta.elem_size,
+                client_templ,
+                server_templ,
+                local,
+            })
+        })
+        .collect()
+}
+
+/// Server reply phase: the communicating thread writes the Reply
+/// frame's skeleton, with a hole per returning argument in the
+/// centralized method; every thread packs its blocks into the holes
+/// (centralized) and the communicating thread sends the frame; then
+/// every thread sends its blocks as fragments straight to the client
+/// threads' data ports (multi-port), after the Reply, so the client
+/// learns the outcome first and waits only for fragments that come.
+pub(crate) fn server_send_reply(
+    ctx: &OrbCtx,
+    header: &RequestHeader,
+    sreq: &ServerRequest<'_>,
+    endian: Endian,
+    timing: &mut InvokeTiming,
+) -> PardisResult<()> {
+    let inline = header.mode == TransferMode::Centralized;
+    let mut returning = Vec::new();
+    for i in 0..sreq.dist_count() {
+        let d = sreq.dist_raw(i)?;
+        if d.dir.returns() {
+            returning.push((i, d));
+        }
+    }
+
+    let started = Instant::now();
+    let skeleton = if ctx.is_comm_thread() {
+        let mut dist_out = Vec::with_capacity(returning.len());
+        for (i, d) in &returning {
+            let slots = inline.then(|| Slots::new(&d.server_templ, d.elem_size));
+            dist_out.push((*i as u32, d.server_templ.len(), slots.transpose()?));
+        }
+        let body = ReplyParts {
+            nondist: &sreq.reply_nondist_bytes(),
+            dist_out,
+        };
+        let reply = ReplyHeader {
+            request_id: header.request_id,
+            status: ReplyStatus::NoException,
+        };
+        Some(frame(endian, &reply, &body)?.0)
+    } else {
+        None
+    };
+
+    // The centralized route packs every returning block into the frame.
+    let locals: Vec<Bytes> = if inline {
+        returning
+            .iter()
+            .map(|(i, _)| sreq.reply_local(*i))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let blocks: Vec<_> = locals
+        .iter()
+        .zip(&returning)
+        .map(|(local, (_, d))| (&local[..], d.elem_size))
+        .collect();
+    let rts = Some(&ctx.rts);
+    if let Some(wire) =
+        centralized::gather_frame(rts, skeleton, &blocks, ctx.translate, started, timing)?
+    {
+        let ts = Instant::now();
+        ctx.host
+            .send_to(header.reply_host, header.reply_port, wire)?;
+        timing.send += ts.elapsed();
+    }
+
+    if !inline {
+        for (i, d) in &returning {
+            let block = Block {
+                req_id: header.request_id,
+                arg: *i as u32,
+                elem_size: d.elem_size,
+                templ: &d.server_templ,
+                peer: &d.client_templ,
+                rank: ctx.rank(),
+            };
+            let to = (header.reply_host, &header.client_data_ports[..]);
+            let local = sreq.reply_local(*i);
+            multiport::send_fragments(ctx, endian, block, &local, to, timing)?;
+        }
+    }
+    Ok(())
+}
+
+/// This thread's native-order local part of `block`'s argument, by
+/// `mode`'s route: sliced from the argument's `inline` section of the
+/// relayed frame (centralized; the slice counts as `timing.scatter`),
+/// or assembled from the fragments that reach this thread's data port
+/// by `deadline` (multi-port). Adds the unmarshaling, and the fragment
+/// wait, to `timing.recv_unpack`.
+fn receive_block(
+    ctx: &OrbCtx,
+    mode: TransferMode,
+    block: Block<'_>,
+    inline: Option<Bytes>,
+    deadline: Option<Instant>,
+    timing: &mut InvokeTiming,
+) -> PardisResult<Bytes> {
+    match mode {
+        TransferMode::Centralized => {
+            let ts = Instant::now();
+            let mine = centralized::own_block(block, inline)?;
+            timing.scatter += ts.elapsed();
+            let tu = Instant::now();
+            let local = unpack(std::slice::from_ref(&mine), block.elem_size, ctx.translate);
+            timing.recv_unpack += tu.elapsed();
+            Ok(local)
+        }
+        TransferMode::MultiPort => {
+            let tr = Instant::now();
+            let parts = multiport::recv_fragments(ctx, block, deadline)?;
+            let local = unpack(&parts, block.elem_size, ctx.translate);
+            timing.recv_unpack += tr.elapsed();
+            Ok(local)
+        }
     }
 }
 
@@ -103,89 +491,6 @@ pub(crate) fn error_reply(
     Ok(GiopMessage::Reply(header, empty.to_bytes(endian)).encode(endian)?)
 }
 
-/// A successful Reply as every computing thread of the client reads it
-/// from the relayed frame.
-pub(crate) struct RelayedReply<'p> {
-    /// The marshaled non-distributed results.
-    pub nondist: Bytes,
-    /// Per returning argument: its index in the request, its routing,
-    /// and the inline data the frame carries for it (the centralized
-    /// method's; none in the multi-port method).
-    pub dist_out: Vec<(u32, &'p PendingDist, Option<Bytes>)>,
-}
-
-/// The client's receive relay, one for both transfer methods. The
-/// communicating thread receives the Reply frame, or builds a small
-/// synthetic error Reply when its receive failed (deadline exceeded,
-/// connection reset, undecodable frame), and a collective binding
-/// broadcasts that frame unchanged. Every thread then decodes it and
-/// checks each returning argument against the request, so all of them
-/// reach the same verdict from the same bytes. Adds the receive and the
-/// decode to `timing.recv_unpack`.
-pub(crate) fn relay_reply<'p>(
-    ctx: &OrbCtx,
-    proxy: &Proxy,
-    pending: &'p PendingInvoke,
-    timing: &mut InvokeTiming,
-) -> PardisResult<RelayedReply<'p>> {
-    let frame = match proxy.conn.as_ref() {
-        Some(conn) => {
-            let tr = Instant::now();
-            let received = match pending.send_error.clone() {
-                Some(e) => Err(e),
-                None => proxy.recv_reply(conn, pending.req_id, pending.deadline),
-            };
-            let frame = received
-                .or_else(|e| error_reply(ctx.endian, pending.req_id, synthetic_status(&e)))?;
-            timing.recv_unpack += tr.elapsed();
-            if proxy.collective {
-                ctx.rts.broadcast(0, Some(frame.clone()))?;
-            }
-            frame
-        }
-        None => ctx.rts.broadcast(0, None)?,
-    };
-
-    let td = Instant::now();
-    let decoded = match GiopMessage::decode(&frame) {
-        Ok(GiopMessage::Reply(header, body)) => {
-            ReplyBody::decode(&body, ctx.endian).map(|body| (header, body))
-        }
-        Ok(other) => Err(PardisError::Net(format!(
-            "unexpected relayed reply: {other:?}"
-        ))),
-        Err(e) => Err(e.into()),
-    };
-    timing.recv_unpack += td.elapsed();
-    // An undecodable Reply is a transport failure, as a failed receive is.
-    let (header, body) = decoded.map_err(|e| PardisError::CommFailure(e.to_string()))?;
-    status_to_result(&header.status)?;
-
-    let mut dist_out = Vec::with_capacity(body.dist_out.len());
-    for (arg_idx, total_len, data) in body.dist_out {
-        let d = pending
-            .dist
-            .get(arg_idx as usize)
-            .ok_or_else(|| PardisError::BadDistArg(format!("reply names unknown arg {arg_idx}")))?;
-        if d.client_templ.len() != total_len {
-            return Err(PardisError::BadDistArg(format!(
-                "reply length {total_len} differs from argument length {}",
-                d.client_templ.len()
-            )));
-        }
-        if !d.dir.returns() {
-            return Err(PardisError::BadDistArg(format!(
-                "reply returns data for `in` argument {arg_idx}"
-            )));
-        }
-        dist_out.push((arg_idx, d, data));
-    }
-    Ok(RelayedReply {
-        nondist: body.nondist,
-        dist_out,
-    })
-}
-
 /// Whether data translation byte-swaps elements of `elem_size` bytes:
 /// only 4- and 8-byte elements have a byte order.
 pub(crate) fn translates(elem_size: usize, translate: bool) -> bool {
@@ -223,25 +528,11 @@ pub(crate) fn unpack(parts: &[Bytes], elem_size: usize, translate: bool) -> Byte
     w.into_shared()
 }
 
-/// Build a DataTransfer frame, marshaling the fragment `src` straight
-/// into it.
-pub(crate) fn transfer_frame(
-    endian: Endian,
-    header: &TransferHeader,
-    src: &[u8],
-    elem_size: usize,
-    translate: bool,
-) -> PardisResult<Bytes> {
-    let mut f = FrameWriter::new(endian, header, src.len())?;
-    pack(f.body(), src, elem_size, translate);
-    Ok(f.finish()?)
-}
-
 /// A zero-filled local part for an `out` argument. An allocation that
 /// fails is a typed error, not an abort; it is this thread's alone, so
 /// the server agrees on the receive outcome of a request with one.
 pub(crate) fn zeroed_local(
-    templ: &crate::dist::DistTempl,
+    templ: &DistTempl,
     rank: usize,
     elem_size: usize,
 ) -> PardisResult<Bytes> {
@@ -252,104 +543,6 @@ pub(crate) fn zeroed_local(
         .map_err(|e| PardisError::BadDistArg(format!("`out` argument of {len} bytes: {e}")))?;
     local.resize(len, 0);
     Ok(local.into())
-}
-
-impl OrbCtx {
-    /// Collect `expected` DataTransfer fragments for `(req_id, arg)` from
-    /// this thread's data port, buffering any fragments that belong to
-    /// other requests or arguments.
-    pub(crate) fn recv_fragments(
-        &self,
-        req_id: u64,
-        arg: u32,
-        expected: usize,
-        deadline: Option<Instant>,
-    ) -> PardisResult<Vec<(TransferHeader, Bytes)>> {
-        let mut got = Vec::with_capacity(expected);
-        // Drain anything already buffered.
-        {
-            let mut frags = self.frags.borrow_mut();
-            if let Some(q) = frags.get_mut(&(req_id, arg)) {
-                while got.len() < expected {
-                    match q.pop_front() {
-                        Some(f) => got.push(f),
-                        None => break,
-                    }
-                }
-                if q.is_empty() {
-                    frags.remove(&(req_id, arg));
-                }
-            }
-        }
-        // Then read from the port.
-        while got.len() < expected {
-            let dg = self
-                .data_port
-                .recv_deadline(deadline)
-                .map_err(PardisError::from)?;
-            match GiopMessage::decode(&dg.payload)? {
-                GiopMessage::DataTransfer(h, body) => {
-                    if h.request_id == req_id && h.arg_index == arg {
-                        got.push((h, body));
-                    } else {
-                        self.frags
-                            .borrow_mut()
-                            .entry((h.request_id, h.arg_index))
-                            .or_default()
-                            .push_back((h, body));
-                    }
-                }
-                other => {
-                    return Err(PardisError::Net(format!(
-                        "unexpected message on data port: {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(got)
-    }
-
-    /// Assemble received fragments into this thread's local part of a
-    /// sequence laid out by `templ`. Fragments carry global element
-    /// offsets; together they must tile `templ.range(self.rank())`
-    /// exactly. Every header is checked against its body and the range
-    /// before anything is allocated.
-    pub(crate) fn assemble_local(
-        &self,
-        frags: &mut [(TransferHeader, Bytes)],
-        templ: &crate::dist::DistTempl,
-        elem_size: usize,
-    ) -> PardisResult<Bytes> {
-        let my = templ.range(self.rank());
-        frags.sort_by_key(|(h, _)| h.offset);
-        let mut next = my.start;
-        for (h, body) in frags.iter() {
-            let off = usize::try_from(h.offset).unwrap_or(usize::MAX);
-            let count = usize::try_from(h.count).unwrap_or(usize::MAX);
-            if off != next || count > my.end - next {
-                return Err(PardisError::BadDistArg(format!(
-                    "fragment at {} (+{}) does not continue local range [{}, {}) at {next}",
-                    h.offset, h.count, my.start, my.end
-                )));
-            }
-            let want = byte_len(count, elem_size)?;
-            if body.len() != want {
-                return Err(PardisError::BadDistArg(format!(
-                    "fragment body {} bytes, header promises {want}",
-                    body.len()
-                )));
-            }
-            next += count;
-        }
-        if next != my.end {
-            return Err(PardisError::BadDistArg(format!(
-                "fragments cover [{}, {next}) of local range [{}, {})",
-                my.start, my.start, my.end
-            )));
-        }
-        let bodies: Vec<Bytes> = frags.iter().map(|(_, b)| b.clone()).collect();
-        Ok(unpack(&bodies, elem_size, self.translate))
-    }
 }
 
 #[cfg(test)]
@@ -395,7 +588,6 @@ mod tests {
 
     #[test]
     fn zeroed_local_refuses_a_block_too_large_to_allocate() {
-        use crate::dist::DistTempl;
         // Rank 0's block cannot be allocated, rank 1's can: a typed
         // error on rank 0, not an abort.
         let huge = DistTempl::from_counts(vec![1 << 61, 3]);

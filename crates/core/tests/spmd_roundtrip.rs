@@ -285,10 +285,18 @@ fn nd_bind_parallel_clients() {
 
 #[test]
 fn nd_bind_multiport_single_client_thread() {
-    // c=1 multi-port (the paper's Table 2 includes this column).
+    // c=1 multi-port (the paper's Table 2 includes this column), and
+    // per-thread bindings on every thread of a 2-thread machine: each
+    // binding is a one-thread client whatever its thread's rank.
+    for threads in [1, 2] {
+        nd_bind_multiport(threads);
+    }
+}
+
+fn nd_bind_multiport(threads: usize) {
     let world = World::new(LinkSpec::unlimited());
     let server = start_server(&world, 4, vec![]);
-    let client = world.spawn_machine("client", 1, move |ctx| {
+    let client = world.spawn_machine("client", threads, move |ctx| {
         let mut proxy = ctx.bind("example", None, Some(DIFF_TYPE)).unwrap();
         proxy.set_mode(TransferMode::MultiPort).unwrap();
         let data: Vec<f64> = (0..40).map(|i| i as f64).collect();
@@ -307,9 +315,13 @@ fn nd_bind_multiport_single_client_thread() {
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-9);
         }
-        ctx.send_shutdown(proxy.objref()).unwrap();
     });
     client.join();
+    let closer = world.spawn_machine("closer", 1, |ctx| {
+        let proxy = ctx.bind("example", None, None).unwrap();
+        ctx.send_shutdown(proxy.objref()).unwrap();
+    });
+    closer.join();
     server.join();
 }
 

@@ -1,7 +1,7 @@
 //! # pardis-obs — observability for the PARDIS ORB
 //!
 //! A PARDIS invocation is *collective*: one logical request fans out
-//! across N computing threads, two transfer engines, and (under
+//! across N computing threads, two transfer methods, and (under
 //! faults) membership epochs. This crate makes that fan-out visible
 //! without changing it:
 //!

@@ -8,7 +8,7 @@
 //! * the communicating thread's `invoke` span is the root, with
 //!   `span_id == trace_id`;
 //! * every other client rank's `invoke` span is a child of the root;
-//! * engine spans (marshal/transfer) are children of their rank's
+//! * transfer spans (marshal/transfer) are children of their rank's
 //!   `invoke` span;
 //! * the server's spans parent under the root via the
 //!   [`SpanContext`] carried in the request's service-context slot

@@ -18,6 +18,9 @@
 //! waiting for the others. The servers reach a verdict on the frame
 //! with no collective, since every thread checks the same relayed
 //! frame; an `out` block one thread alone cannot allocate is agreed on.
+//! The last test gives one client thread an argument block that does
+//! not fit its template: every thread refuses the invocation before
+//! anything is sent, in both transfer methods.
 
 use bytes::Bytes;
 use pardis::apps::diffusion::DiffusionServant;
@@ -701,5 +704,62 @@ fn centralized_client_threads_agree_on_a_bad_reply() {
             .map(|i| i as f64)
             .collect();
         assert_eq!(local, &want, "rank {rank}'s block of the good reply");
+    }
+}
+
+/// A `c`-thread client sends `total_heat` with its last thread's block
+/// half its share, in `mode`, then a well-formed `total_heat`. Returns
+/// each client thread's two results and the number of requests the
+/// two-thread server served.
+fn misfit_block(c: usize, mode: TransferMode) -> (Vec<[PardisResult<f64>; 2]>, usize) {
+    const LEN: usize = 8;
+    let world = World::new(LinkSpec::unlimited());
+    let server = world.spawn_machine("server", 2, |ctx| {
+        diff_objectSkeleton::register(&ctx, "misfit", DiffusionServant::new(), vec![]).unwrap();
+        ctx.serve_n(usize::MAX).unwrap()
+    });
+    let client = world.spawn_machine("client", c, move |ctx| {
+        let proxy = ctx.spmd_bind("misfit", None, None).unwrap();
+        let mut seq = DSequence::<f64>::new(ctx.rts(), LEN, None).unwrap();
+        seq.local_data_mut().fill(1.0);
+        let heat = |short: bool| {
+            let mut arg = proxy.dist_arg("total_heat", 0, ArgDir::In, &seq)?;
+            if short && ctx.rank() == c - 1 {
+                arg.local = arg.local.slice(..arg.local.len() / 2);
+            }
+            let mut spec = RequestSpec::simple("total_heat");
+            spec.dist_args.push(arg);
+            let reply = proxy.invoke_with_mode(&ctx, spec, mode)?;
+            let mut r = pardis_cdr::CdrReader::new(&reply.nondist_body, ctx.endian());
+            Ok(r.get_f64().unwrap())
+        };
+        let results = [heat(true), heat(false)];
+        if ctx.is_comm_thread() {
+            ctx.send_shutdown(proxy.objref()).unwrap();
+        }
+        results
+    });
+    let clients = client.join();
+    (clients, server.join()[0])
+}
+
+/// A sending argument whose block does not match the client template
+/// is refused on every client thread before anything is sent, in both
+/// methods: the server never sees it and serves the next request.
+#[test]
+fn a_block_that_does_not_fit_its_template_is_refused_before_sending() {
+    for c in [1, 2] {
+        for mode in [TransferMode::Centralized, TransferMode::MultiPort] {
+            let what = format!("c={c} {mode:?}");
+            let (clients, served) = within(&what, move || misfit_block(c, mode));
+            for (rank, [refused, next]) in clients.iter().enumerate() {
+                assert!(
+                    matches!(refused, Err(PardisError::BadDistArg(_))),
+                    "{what}, client rank {rank}: {refused:?}"
+                );
+                assert_eq!(next, &Ok(8.0), "{what}, client rank {rank}");
+            }
+            assert_eq!(served, 1, "{what}: the refused request reached the server");
+        }
     }
 }

@@ -7,8 +7,8 @@
 //! Every thread checks the same relayed frame, so each reaches the
 //! receive verdict alone. A multi-port request takes a third, the
 //! receive agreement, because its threads wait for different fragments;
-//! so would a centralized request with an `out` argument, whose block
-//! each thread allocates (the operations counted here have none).
+//! so does a request with an `out` argument in either method, whose
+//! block each thread allocates (the `fill` operation below).
 //! The collectives that move argument data (the centralized method's
 //! gather) and the servant's own collectives are counted separately and
 //! excluded.
@@ -348,5 +348,103 @@ fn collective_client_waits_for_every_thread_at_the_exit_round() {
             .map(|i| i as f64)
             .collect();
         assert_eq!(local, &want, "rank {rank}'s block");
+    }
+}
+
+/// Fills its block of an `out` argument with its rank.
+struct Fill;
+
+impl Servant for Fill {
+    fn type_id(&self) -> &str {
+        "IDL:fill:1.0"
+    }
+
+    fn dispatch(&mut self, req: &mut ServerRequest<'_>) -> PardisResult<()> {
+        let mut block: DSequence<f64> = req.dist_seq(0)?;
+        let rank = req.ctx().rank() as f64;
+        block.local_data_mut().fill(rank);
+        req.return_dist_seq(0, &block)
+    }
+}
+
+/// A request with an `out` argument takes the receive agreement in
+/// both methods: each server thread allocates its own `out` block, so
+/// only the machine can tell whether every thread could. A server
+/// thread then takes 3 protocol collectives per request, plus the
+/// centralized reply's gather; the client takes entry, reply relay and
+/// exit, and no gather, since it sends no distributed data.
+#[test]
+fn an_out_argument_takes_the_receive_agreement() {
+    let schedule: Vec<(TransferMode, bool)> = MODES
+        .iter()
+        .flat_map(|&mode| (0..=REPS).map(move |rep| (mode, rep > 0)))
+        .collect();
+    for client_threads in [1, 2] {
+        let world = World::new(LinkSpec::unlimited());
+        let calls = schedule.clone();
+        let server = world.spawn_machine("server", SERVER_THREADS, move |ctx| {
+            ctx.register("fill", Box::new(Fill), vec![])
+                .expect("register");
+            let mut counted = Vec::new();
+            for (mode, measured) in calls.iter().copied() {
+                let before = ctx.rts().collectives_completed();
+                assert!(ctx.serve_one().expect("serve"), "early shutdown");
+                if measured {
+                    counted.push((mode, ctx.rts().collectives_completed() - before));
+                }
+            }
+            ctx.serve_forever().expect("shutdown");
+            counted
+        });
+        let calls = schedule.clone();
+        let client = world.spawn_machine("client", client_threads, move |ctx| {
+            let proxy = ctx.spmd_bind("fill", None, None).expect("bind");
+            let seq = DSequence::<f64>::new(ctx.rts(), LEN, None).expect("sequence");
+            let mut counted = Vec::new();
+            for (mode, measured) in calls.iter().copied() {
+                let mut spec = RequestSpec::simple("fill");
+                let arg = proxy.dist_arg("fill", 0, ArgDir::Out, &seq).expect("arg");
+                spec.dist_args.push(arg);
+                let before = ctx.rts().collectives_completed();
+                let reply = proxy.invoke_with_mode(&ctx, spec, mode).expect("fill");
+                if measured {
+                    counted.push((mode, ctx.rts().collectives_completed() - before));
+                }
+                let got = DSequence::<f64>::from_bytes(
+                    reply.dist_bytes(0).expect("returned block").clone(),
+                    seq.templ().clone(),
+                    ctx.rank(),
+                )
+                .expect("block");
+                let start = seq.local_range().start;
+                for (j, x) in got.local_data().iter().enumerate() {
+                    let owner = (start + j) / (LEN / SERVER_THREADS);
+                    assert_eq!(*x, owner as f64, "{mode:?}, element {}", start + j);
+                }
+            }
+            if ctx.is_comm_thread() {
+                ctx.send_shutdown(proxy.objref()).expect("shutdown");
+            }
+            counted
+        });
+        let clients = client.join();
+        for (rank, counted) in server.join().iter().enumerate() {
+            assert_eq!(counted.len(), MODES.len() * REPS);
+            for &(mode, total) in counted {
+                let data = u64::from(mode == TransferMode::Centralized);
+                assert_eq!(
+                    total - data,
+                    3,
+                    "c={client_threads}, server rank {rank}: {mode:?} `out` request makes \
+                     {} protocol collectives",
+                    total - data
+                );
+            }
+        }
+        for (rank, counted) in clients.iter().enumerate() {
+            for &(mode, total) in counted {
+                assert_eq!(total, 3, "c={client_threads}, client rank {rank}: {mode:?}");
+            }
+        }
     }
 }

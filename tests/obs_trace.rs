@@ -130,7 +130,7 @@ fn merged_timeline_replays_bit_for_bit() {
     assert!(!spans_a.is_empty(), "run recorded no spans");
 
     // Every phase of the taxonomy shows up in a faulty multi-port run:
-    // bind, marshal, both transfer engines (the port kill demotes the
+    // bind, marshal, both transfer methods (the port kill demotes the
     // later invocations), dispatch, reply, invoke.
     for kind in [
         SpanKind::Bind,

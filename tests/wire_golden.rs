@@ -1,4 +1,4 @@
-//! Wire-format golden frames: the frames the transfer engines put on the
+//! Wire-format golden frames: the frames the transfer methods put on the
 //! fabric must stay byte-identical to the recorded ones in
 //! `tests/data/wire_golden.txt`.
 //!
