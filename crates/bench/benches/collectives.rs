@@ -1,12 +1,12 @@
 //! Criterion benchmarks of the RTS collectives that carry the
 //! centralized method: gather and scatter (rendezvous rounds), the
-//! gather of one frame that every rank packs its block into, plus
+//! gather of one frame that every rank lends its block to, plus
 //! barrier and allreduce.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pardis_bench::SpmdRig;
-use pardis_cdr::{CdrWriter, Endian, SlottedBuf};
+use pardis_cdr::{CdrWriter, Endian, Frame};
 use std::sync::Arc;
 
 fn bench_gather(c: &mut Criterion) {
@@ -51,8 +51,9 @@ fn bench_gather_scatter_roundtrip(c: &mut Criterion) {
 }
 
 /// One 4 MiB frame built from every rank's equal block: gathered to
-/// the root and packed there serially (`gather_bytes+pack`), or packed
-/// by every rank into its own slot of the root's frame (`gather_into`).
+/// the root and packed there serially (`gather_bytes+pack`), or lent
+/// by every rank and linked into the root's frame as segments
+/// (`gather_frames`, the centralized method's gather).
 fn bench_frame_gather(c: &mut Criterion) {
     const FRAME: usize = 4 << 20;
     let mut g = c.benchmark_group("rts/frame_4MiB");
@@ -84,19 +85,23 @@ fn bench_frame_gather(c: &mut Criterion) {
                 });
             },
         );
-        g.bench_with_input(BenchmarkId::new("gather_into", threads), &rig, |b, rig| {
-            b.iter(|| {
-                let mine = blocks.clone();
-                rig.run(move |ep| {
-                    let frame = (ep.rank() == 0).then(|| {
-                        let slots = (0..ep.size()).map(|r| r * block..(r + 1) * block);
-                        SlottedBuf::new(FRAME, slots).unwrap()
+        g.bench_with_input(
+            BenchmarkId::new("gather_frames", threads),
+            &rig,
+            |b, rig| {
+                b.iter(|| {
+                    let mine = blocks.clone();
+                    rig.run(move |ep| {
+                        let lent = Frame::from(mine[ep.rank()].clone());
+                        if let Some(frames) = ep.gather_frames(0, lent).unwrap() {
+                            let mut frame = Frame::new();
+                            frames.iter().for_each(|f| frame.extend(f));
+                            std::hint::black_box(frame);
+                        }
                     });
-                    let filled = ep.gather_into(0, frame, |f| f.fill(ep.rank(), &mine[ep.rank()]));
-                    std::hint::black_box(filled.unwrap());
                 });
-            });
-        });
+            },
+        );
     }
     g.finish();
 }

@@ -1,18 +1,32 @@
 //! The CDR decoder.
 //!
-//! A [`CdrReader`] walks a byte slice, skipping the same alignment gaps
+//! A [`CdrReader`] walks a stream, skipping the same alignment gaps
 //! the encoder inserted and swapping bytes when the stream's recorded
-//! order differs from the machine's ("receiver makes right").
+//! order differs from the machine's ("receiver makes right"). The
+//! stream is one byte slice or a [`Frame`] of segments; every read
+//! decodes the same wherever the segment boundaries fall.
 
-use crate::{align_up, CdrError, CdrResult, Endian};
+use crate::{align_up, CdrError, CdrResult, Endian, Frame};
+use bytes::Bytes;
+use std::borrow::Cow;
 
-/// An aligning, endian-aware binary decoder over a borrowed buffer.
+/// An aligning, endian-aware binary decoder over a borrowed stream.
 #[derive(Debug, Clone)]
 pub struct CdrReader<'a> {
+    /// The segment being read.
     buf: &'a [u8],
+    /// Read position in `buf`.
     pos: usize,
+    /// The segments after `buf`.
+    rest: &'a [Bytes],
+    /// Bytes in `rest`.
+    rest_len: usize,
+    /// Bytes of the stream before `buf[0]`, from where this reader
+    /// started.
+    done: usize,
     endian: Endian,
-    /// Stream offset of `buf[0]` — see [`crate::CdrWriter::at_offset`].
+    /// Stream offset where this reader started — see
+    /// [`crate::CdrWriter::at_offset`].
     base: usize,
 }
 
@@ -20,12 +34,7 @@ impl<'a> CdrReader<'a> {
     /// Create a reader over `buf` whose contents were encoded in
     /// byte order `endian`.
     pub fn new(buf: &'a [u8], endian: Endian) -> CdrReader<'a> {
-        CdrReader {
-            buf,
-            pos: 0,
-            endian,
-            base: 0,
-        }
+        CdrReader::at_offset(buf, endian, 0)
     }
 
     /// Create a reader whose stream position starts at `base`; alignment
@@ -34,8 +43,25 @@ impl<'a> CdrReader<'a> {
         CdrReader {
             buf,
             pos: 0,
+            rest: &[],
+            rest_len: 0,
+            done: 0,
             endian,
             base,
+        }
+    }
+
+    /// Create a reader over the segments of `frame`, encoded in byte
+    /// order `endian`.
+    pub fn from_frame(frame: &'a Frame, endian: Endian) -> CdrReader<'a> {
+        CdrReader {
+            buf: &frame.head,
+            pos: 0,
+            rest: &frame.tail,
+            rest_len: frame.len() - frame.head.len(),
+            done: 0,
+            endian,
+            base: 0,
         }
     }
 
@@ -45,16 +71,22 @@ impl<'a> CdrReader<'a> {
         self.endian
     }
 
-    /// Current position within the fragment.
+    /// Decode the rest of the stream in byte order `endian`: a header
+    /// read so far names it.
+    pub fn set_endian(&mut self, endian: Endian) {
+        self.endian = endian;
+    }
+
+    /// Bytes consumed since the reader started.
     #[inline]
     pub fn position(&self) -> usize {
-        self.pos
+        self.done + self.pos
     }
 
     /// Bytes not yet consumed.
     #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buf.len() - self.pos + self.rest_len
     }
 
     /// Whether every byte has been consumed.
@@ -63,44 +95,106 @@ impl<'a> CdrReader<'a> {
         self.remaining() == 0
     }
 
-    /// Skip pad bytes so the next read starts at alignment `align`.
-    pub fn align(&mut self, align: usize) -> CdrResult<()> {
-        let stream_pos = self.base + self.pos;
-        let target = align_up(stream_pos, align);
-        let skip = target - stream_pos;
-        if skip > self.remaining() {
-            return Err(CdrError::UnexpectedEof {
-                needed: skip,
-                remained: self.remaining(),
-            });
+    fn eof(&self, needed: usize) -> CdrError {
+        CdrError::UnexpectedEof {
+            needed,
+            remained: self.remaining(),
         }
-        self.pos += skip;
+    }
+
+    /// Move to the next non-empty segment once `buf` is read.
+    #[inline]
+    fn next_segment(&mut self) {
+        while self.pos == self.buf.len() {
+            let Some((next, rest)) = self.rest.split_first() else {
+                return;
+            };
+            self.done += self.buf.len();
+            self.rest_len -= next.len();
+            (self.buf, self.pos, self.rest) = (next, 0, rest);
+        }
+    }
+
+    /// Consume `n` bytes, handing each run of them that lies in one
+    /// segment to `run`.
+    fn consume(&mut self, n: usize, mut run: impl FnMut(&'a [u8])) -> CdrResult<()> {
+        if n > self.remaining() {
+            return Err(self.eof(n));
+        }
+        let mut left = n;
+        while left > 0 {
+            self.next_segment();
+            let k = left.min(self.buf.len() - self.pos);
+            run(&self.buf[self.pos..self.pos + k]);
+            self.pos += k;
+            left -= k;
+        }
         Ok(())
     }
 
-    /// Take `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> CdrResult<&'a [u8]> {
-        if n > self.remaining() {
-            return Err(CdrError::UnexpectedEof {
-                needed: n,
-                remained: self.remaining(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    /// Skip pad bytes so the next read starts at alignment `align`.
+    #[inline]
+    pub fn align(&mut self, align: usize) -> CdrResult<()> {
+        let stream_pos = self.base + self.position();
+        let skip = align_up(stream_pos, align) - stream_pos;
+        self.skip(skip)
     }
 
+    /// Skip `n` bytes without reading them.
+    #[inline]
+    pub fn skip(&mut self, n: usize) -> CdrResult<()> {
+        if n <= self.buf.len() - self.pos {
+            self.pos += n;
+            return Ok(());
+        }
+        self.consume(n, |_| {})
+    }
+
+    /// Take `n` raw bytes: borrowed from the stream when they lie in
+    /// one segment, copied into a new buffer when they span several.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> CdrResult<Cow<'a, [u8]>> {
+        if n > 0 {
+            self.next_segment();
+        }
+        if n <= self.buf.len() - self.pos {
+            let s = &self.buf[self.pos..self.pos + n];
+            self.pos += n;
+            return Ok(Cow::Borrowed(s));
+        }
+        if n > self.remaining() {
+            return Err(self.eof(n));
+        }
+        let mut out = Vec::with_capacity(n);
+        self.consume(n, |run| out.extend_from_slice(run))?;
+        Ok(Cow::Owned(out))
+    }
+
+    #[inline]
     fn take_array<const N: usize>(&mut self) -> CdrResult<[u8; N]> {
-        let s = self.take(N)?;
         let mut a = [0u8; N];
-        a.copy_from_slice(s);
+        if N <= self.buf.len() - self.pos {
+            a.copy_from_slice(&self.buf[self.pos..self.pos + N]);
+            self.pos += N;
+            return Ok(a);
+        }
+        self.take_array_across(a)
+    }
+
+    /// [`CdrReader::take_array`] where the bytes span segments.
+    #[cold]
+    fn take_array_across<const N: usize>(&mut self, mut a: [u8; N]) -> CdrResult<[u8; N]> {
+        let mut at = 0;
+        self.consume(N, |run| {
+            a[at..at + run.len()].copy_from_slice(run);
+            at += run.len();
+        })?;
         Ok(a)
     }
 
     /// Read one octet.
     pub fn get_u8(&mut self) -> CdrResult<u8> {
-        Ok(self.take(1)?[0])
+        Ok(self.take_array::<1>()?[0])
     }
 
     /// Read a boolean octet, rejecting values other than 0/1.
@@ -180,12 +274,11 @@ impl<'a> CdrReader<'a> {
             // with a zero length: treat it as the empty string.
             return Ok(String::new());
         }
-        let bytes = self.take(len)?;
-        let (body, nul) = bytes.split_at(len - 1);
-        if nul != [0] {
+        let mut bytes = self.take(len)?.into_owned();
+        if bytes.pop() != Some(0) {
             return Err(CdrError::BadUtf8);
         }
-        String::from_utf8(body.to_vec()).map_err(|_| CdrError::BadUtf8)
+        String::from_utf8(bytes).map_err(|_| CdrError::BadUtf8)
     }
 
     /// Read `n` `f64` values in bulk into `out`.
@@ -196,10 +289,10 @@ impl<'a> CdrReader<'a> {
     /// discusses in §3.3.
     pub fn get_f64_slice(&mut self, n: usize, out: &mut Vec<f64>) -> CdrResult<()> {
         self.align(8)?;
-        let bytes = self.take(n * 8)?;
+        let bytes = self.take(n.saturating_mul(8))?;
         out.reserve(n);
         if self.endian == Endian::native() {
-            crate::byteswap::bytes_to_f64(bytes, out);
+            crate::byteswap::bytes_to_f64(&bytes, out);
         } else {
             for chunk in bytes.chunks_exact(8) {
                 let mut a = [0u8; 8];
@@ -217,10 +310,10 @@ impl<'a> CdrReader<'a> {
     /// Read `n` `i32` values in bulk into `out`.
     pub fn get_i32_slice(&mut self, n: usize, out: &mut Vec<i32>) -> CdrResult<()> {
         self.align(4)?;
-        let bytes = self.take(n * 4)?;
+        let bytes = self.take(n.saturating_mul(4))?;
         out.reserve(n);
         if self.endian == Endian::native() {
-            crate::byteswap::bytes_to_i32(bytes, out);
+            crate::byteswap::bytes_to_i32(&bytes, out);
         } else {
             for chunk in bytes.chunks_exact(4) {
                 let mut a = [0u8; 4];
@@ -322,6 +415,69 @@ mod tests {
             r.get_f64_slice(100, &mut out).unwrap();
             assert_eq!(out, data);
         }
+    }
+
+    #[test]
+    fn every_cut_decodes_the_same() {
+        for endian in [Endian::Big, Endian::Little] {
+            let mut w = CdrWriter::new(endian);
+            w.put_u8(7);
+            w.put_u16(0xBEEF);
+            w.put_string("segmented");
+            w.put_f64_slice(&[1.5, -2.0]);
+            w.put_i32_slice(&[3, -4, 5]);
+            w.put_u64(u64::MAX - 1);
+            let whole = w.into_bytes();
+            let read = |r: &mut CdrReader<'_>| {
+                let mut f = Vec::new();
+                let mut i = Vec::new();
+                let got = (
+                    r.get_u8().unwrap(),
+                    r.get_u16().unwrap(),
+                    r.get_string().unwrap(),
+                    r.get_f64_slice(2, &mut f).map(|()| f).unwrap(),
+                    r.get_i32_slice(3, &mut i).map(|()| i).unwrap(),
+                    r.get_u64().unwrap(),
+                );
+                assert!(r.is_exhausted());
+                assert_eq!(
+                    r.get_u8(),
+                    Err(CdrError::UnexpectedEof {
+                        needed: 1,
+                        remained: 0
+                    })
+                );
+                got
+            };
+            let want = read(&mut CdrReader::new(&whole, endian));
+            for a in 0..=whole.len() {
+                for b in a..=whole.len() {
+                    let frame: Frame = [0..a, a..b, b..whole.len()]
+                        .into_iter()
+                        .map(|r| Bytes::copy_from_slice(&whole[r]))
+                        .collect();
+                    let mut r = CdrReader::from_frame(&frame, endian);
+                    assert_eq!(read(&mut r), want, "cut at {a} and {b}");
+                    assert_eq!(r.position(), whole.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn take_borrows_within_a_segment_and_copies_across() {
+        let frame: Frame = [&b"abcd"[..], b"efgh"]
+            .into_iter()
+            .map(Bytes::copy_from_slice)
+            .collect();
+        let mut r = CdrReader::from_frame(&frame, Endian::Big);
+        assert!(matches!(r.take(3).unwrap(), Cow::Borrowed(b"abc")));
+        assert!(matches!(r.take(2).unwrap(), Cow::Owned(v) if v == b"de"));
+        assert!(matches!(r.take(3).unwrap(), Cow::Borrowed(b"fgh")));
+        assert!(r.take(1).is_err());
+        let mut r = CdrReader::from_frame(&frame, Endian::Big);
+        r.skip(4).unwrap();
+        assert!(matches!(r.take(4).unwrap(), Cow::Borrowed(b"efgh")));
     }
 
     #[test]

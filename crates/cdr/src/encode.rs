@@ -103,14 +103,26 @@ impl CdrWriter {
     }
 
     /// Append `bytes` with every `word`-byte element byte-reversed, in
-    /// one pass (data translation while marshaling). `word` must be 4
-    /// or 8 and divide `bytes.len()`.
+    /// one pass (data translation while marshaling): the workspace's
+    /// one translating copy. 4- and 8-byte words are swapped whole
+    /// (`u32`/`u64::swap_bytes`); `word` must divide `bytes.len()`.
     pub fn put_swapped(&mut self, bytes: &[u8], word: usize) {
-        debug_assert!(word == 4 || word == 8);
-        debug_assert_eq!(bytes.len() % word, 0);
-        self.buf.reserve(bytes.len());
-        for w in bytes.chunks_exact(word) {
-            self.buf.extend(w.iter().rev());
+        debug_assert!(word > 0 && bytes.len().is_multiple_of(word));
+        let start = self.buf.len();
+        self.buf.resize(start + bytes.len(), 0);
+        let dst = &mut self.buf[start..];
+        match word {
+            8 => swap_words(dst, bytes, |w: [u8; 8]| {
+                u64::from_ne_bytes(w).swap_bytes().to_ne_bytes()
+            }),
+            4 => swap_words(dst, bytes, |w: [u8; 4]| {
+                u32::from_ne_bytes(w).swap_bytes().to_ne_bytes()
+            }),
+            _ => {
+                for (d, s) in dst.chunks_exact_mut(word).zip(bytes.chunks_exact(word)) {
+                    d.iter_mut().zip(s.iter().rev()).for_each(|(d, s)| *d = *s);
+                }
+            }
         }
     }
 
@@ -281,6 +293,17 @@ impl CdrWriter {
     }
 }
 
+/// Copy `src` into `dst` (the same length) one `N`-byte word at a
+/// time through `swap`.
+#[inline(always)]
+fn swap_words<const N: usize>(dst: &mut [u8], src: &[u8], swap: impl Fn([u8; N]) -> [u8; N]) {
+    for (d, s) in dst.chunks_exact_mut(N).zip(src.chunks_exact(N)) {
+        let mut w = [0u8; N];
+        w.copy_from_slice(s);
+        d.copy_from_slice(&swap(w));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,9 +367,10 @@ mod tests {
         w.put_u8(9);
         w.put_swapped(&[1, 2, 3, 4, 5, 6, 7, 8], 4);
         w.put_swapped(&[1, 2, 3, 4, 5, 6, 7, 8], 8);
+        w.put_swapped(&[1, 2, 3, 4], 2);
         assert_eq!(
             w.as_slice(),
-            &[9, 4, 3, 2, 1, 8, 7, 6, 5, 8, 7, 6, 5, 4, 3, 2, 1]
+            &[9, 4, 3, 2, 1, 8, 7, 6, 5, 8, 7, 6, 5, 4, 3, 2, 1, 2, 1, 4, 3]
         );
     }
 

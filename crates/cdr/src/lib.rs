@@ -12,9 +12,11 @@
 //! §3.3 that the benefit of multi-port transfer is *amplified* "in cases
 //! which require data translation … or more sophisticated marshaling";
 //! the [`byteswap`] module implements that translation path and the
-//! benchmark harness ablates it. The [`slotted`] module holds the frame
-//! buffer the computing threads of a parallel machine marshal into at
-//! once, each into its own slot.
+//! benchmark harness ablates it. The [`frame`] module holds the stream
+//! an invocation travels as: an ordered list of byte segments, so that
+//! each computing thread's block of a distributed argument is linked
+//! into the frame as the storage its sequence lends, not copied, and
+//! [`CdrReader::from_frame`] decodes it wherever the segments break.
 //!
 //! ## Quick example
 //!
@@ -37,14 +39,14 @@ pub mod byteswap;
 pub mod decode;
 pub mod encode;
 pub mod error;
-pub mod slotted;
+pub mod frame;
 pub mod traits;
 pub mod typecode;
 
 pub use decode::CdrReader;
 pub use encode::CdrWriter;
 pub use error::{CdrError, CdrResult};
-pub use slotted::{SlotError, SlottedBuf};
+pub use frame::Frame;
 pub use traits::{Decode, Encode};
 pub use typecode::TypeCode;
 

@@ -28,7 +28,7 @@ use crate::transfer;
 use bytes::Bytes;
 use pardis_net::conn::Connection;
 use pardis_net::giop::{GiopMessage, TransferMode};
-use pardis_net::ObjectRef;
+use pardis_net::{Frame, ObjectRef};
 use pardis_rts::ReduceOp;
 use std::cell::{Cell, RefCell};
 use std::time::{Duration, Instant};
@@ -90,7 +90,7 @@ pub struct Proxy {
     pub(crate) mode: TransferMode,
     /// Reply frames that arrived out of order (outstanding futures),
     /// with their request ids.
-    pub(crate) reply_buf: RefCell<Vec<(u64, Bytes)>>,
+    pub(crate) reply_buf: RefCell<Vec<(u64, Frame)>>,
     /// Retry policy applied by `invoke` to idempotent requests.
     pub(crate) retry: Option<RetryPolicy>,
     /// Default invocation deadline when the spec does not carry one.
@@ -780,7 +780,7 @@ impl Proxy {
         conn: &Connection,
         req_id: u64,
         deadline: Option<Instant>,
-    ) -> PardisResult<Bytes> {
+    ) -> PardisResult<Frame> {
         {
             let mut buf = self.reply_buf.borrow_mut();
             if let Some(i) = buf.iter().position(|(id, _)| *id == req_id) {

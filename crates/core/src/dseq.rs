@@ -120,7 +120,7 @@ impl Elem for u8 {
         w.put_bytes(v);
     }
     fn read_slice(r: &mut CdrReader<'_>, n: usize, out: &mut Vec<Self>) -> CdrResult<()> {
-        out.extend_from_slice(r.take(n)?);
+        out.extend_from_slice(&r.take(n)?);
         Ok(())
     }
 }

@@ -167,7 +167,6 @@ impl From<pardis_net::NetError> for PardisError {
             | NE::UnknownHost(_) => PardisError::CommFailure(e.to_string()),
             NE::Timeout { .. } => PardisError::Timeout,
             NE::BadMessage(_) => PardisError::Net(e.to_string()),
-            NE::Slot(_) => PardisError::Internal(e.to_string()),
         }
     }
 }

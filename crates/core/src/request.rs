@@ -16,7 +16,7 @@
 use crate::dist::DistTempl;
 use crate::error::{PardisError, PardisResult};
 use bytes::Bytes;
-use pardis_cdr::{CdrReader, CdrWriter, Endian};
+use pardis_cdr::{CdrReader, CdrWriter, Endian, Frame};
 use pardis_net::giop::{FrameHeader, FrameWriter};
 use std::time::Duration;
 
@@ -158,16 +158,24 @@ pub(crate) fn byte_len(count: usize, elem_size: usize) -> PardisResult<usize> {
         })
 }
 
-/// Where a body is written: a bare CDR stream (a decoded body encoded
-/// again) or a frame.
+/// Where a body is written: a bare CDR stream, into which inline data
+/// is copied (a decoded body encoded again), or a frame, into which it
+/// is lent as segments.
 pub(crate) trait BodySink {
     /// The stream, positioned at the end of the body.
     fn cdr(&mut self) -> &mut CdrWriter;
+    /// Put `data` at the end of the body.
+    fn put_data(&mut self, data: &Frame);
 }
 
 impl BodySink for CdrWriter {
     fn cdr(&mut self) -> &mut CdrWriter {
         self
+    }
+    fn put_data(&mut self, data: &Frame) {
+        for seg in data.segments() {
+            self.put_bytes(seg);
+        }
     }
 }
 
@@ -175,121 +183,77 @@ impl BodySink for FrameWriter {
     fn cdr(&mut self) -> &mut CdrWriter {
         self.body()
     }
-}
-
-/// One distributed argument's inline data, as body sink `S` takes it.
-pub(crate) trait InlineData<S>: Copy {
-    /// Bytes on the wire.
-    fn wire_len(self) -> usize;
-    /// Write the data (8-aligned) at the end of the body.
-    fn put(self, s: &mut S);
-}
-
-/// Data already in wire form, copied in as it is.
-impl InlineData<CdrWriter> for &[u8] {
-    fn wire_len(self) -> usize {
-        self.len()
-    }
-    fn put(self, s: &mut CdrWriter) {
-        s.put_bytes(self)
+    fn put_data(&mut self, data: &Frame) {
+        self.lend(data)
     }
 }
 
-/// A hole in a frame for one distributed argument laid out by a
-/// template, one slot per computing thread: each thread packs its own
-/// block into its slot in place (the centralized method).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Slots<'a> {
-    templ: &'a DistTempl,
-    elem_size: usize,
-    len: usize,
-}
-
-impl<'a> Slots<'a> {
-    /// The hole for a sequence of `elem_size`-byte elements laid out by
-    /// `templ`; a typed error if its byte size overflows.
-    pub fn new(templ: &'a DistTempl, elem_size: usize) -> PardisResult<Slots<'a>> {
-        let len = byte_len(templ.len(), elem_size)?;
-        Ok(Slots {
-            templ,
-            elem_size,
-            len,
-        })
-    }
-}
-
-impl InlineData<FrameWriter> for Slots<'_> {
-    fn wire_len(self) -> usize {
-        self.len
-    }
-    fn put(self, s: &mut FrameWriter) {
-        s.hole(self.templ.counts().iter().map(|&c| c * self.elem_size))
-    }
-}
-
-/// Write an optional inline-data section.
-fn put_inline<S: BodySink, D: InlineData<S>>(s: &mut S, data: Option<D>) {
+/// Write an optional inline-data section: a flag, then the length and,
+/// 8-aligned, the data.
+fn put_inline(s: &mut impl BodySink, data: Option<&Frame>) {
     let w = s.cdr();
     match data {
         None => w.put_bool(false),
         Some(d) => {
             w.put_bool(true);
-            w.put_u64(d.wire_len() as u64);
+            w.put_u64(d.len() as u64);
             w.align(8);
-            d.put(s);
+            s.put_data(d);
         }
     }
 }
 
-/// Capacity that holds an inline-data section without reallocating
-/// (for a hole, the room the threads fill it with).
-fn inline_bound<S, D: InlineData<S>>(data: Option<D>) -> usize {
-    16 + data.map_or(0, |d| d.wire_len())
-}
-
-/// A request or reply body about to be written into sink `S`.
-pub(crate) trait BodyWriter<S> {
-    /// An upper bound on the bytes the sink must hold for it.
-    fn capacity(&self) -> usize;
+/// A request or reply body about to be written.
+pub(crate) trait BodyWriter {
+    /// An upper bound on the bytes the body writes itself: all but its
+    /// inline data.
+    fn written_bound(&self) -> usize;
+    /// Bytes of inline data.
+    fn data_len(&self) -> usize;
     /// Write the body at the sink's (8-aligned) position.
-    fn write(&self, s: &mut S);
+    fn write(&self, s: &mut impl BodySink);
 }
 
-/// Build a frame's skeleton: `header`, then `body` written straight into
-/// the same buffer, with a hole of [`Slots`] for each argument whose
-/// data the computing threads pack in place. Returns the writer, to be
-/// finished as it is ([`FrameWriter::finish`]) or, with holes, as a
-/// `SlottedBuf` ([`FrameWriter::finish_slotted`]), and the body length.
-/// Its slots are numbered as [`FrameWriter`] describes: with `c` slots
-/// per hole, thread `t`'s slot of hole `h` is `h * (c + 1) + 1 + t`.
+/// Write a frame: `header`, then `body`, whose inline data is lent to
+/// the frame as segments, not copied. Returns the frame and the body
+/// length.
 pub(crate) fn frame<H: FrameHeader>(
     endian: Endian,
     header: &H,
-    body: &impl BodyWriter<FrameWriter>,
-) -> PardisResult<(FrameWriter, usize)> {
-    let mut f = FrameWriter::new(endian, header, body.capacity())?;
+    body: &impl BodyWriter,
+) -> PardisResult<(Frame, usize)> {
+    let mut f = FrameWriter::new(endian, header, body.written_bound())?;
     body.write(&mut f);
     let body_len = f.body_len();
-    Ok((f, body_len))
+    Ok((f.finish()?, body_len))
+}
+
+/// Bytes of the inline data among `data`.
+fn inline_len<'a>(data: impl Iterator<Item = Option<&'a Frame>>) -> usize {
+    data.flatten().map(Frame::len).sum()
 }
 
 /// The fields of a Request body, borrowing its inline data.
-pub(crate) struct RequestParts<'a, D> {
+pub(crate) struct RequestParts<'a> {
     pub nondist: &'a [u8],
-    pub dist: Vec<(&'a DistArgMeta, Option<D>)>,
+    pub dist: Vec<(&'a DistArgMeta, Option<&'a Frame>)>,
 }
 
-impl<S: BodySink, D: InlineData<S>> BodyWriter<S> for RequestParts<'_, D> {
-    fn capacity(&self) -> usize {
+impl BodyWriter for RequestParts<'_> {
+    fn written_bound(&self) -> usize {
         16 + self.nondist.len()
             + self
                 .dist
                 .iter()
-                .map(|(m, d)| m.encoded_len_bound() + inline_bound::<S, D>(*d))
+                .map(|(m, _)| m.encoded_len_bound() + 16)
                 .sum::<usize>()
     }
 
-    fn write(&self, s: &mut S) {
+    fn data_len(&self) -> usize {
+        inline_len(self.dist.iter().map(|(_, d)| *d))
+    }
+
+    fn write(&self, s: &mut impl BodySink) {
         let w = s.cdr();
         w.put_u32(self.dist.len() as u32);
         w.put_u32(self.nondist.len() as u32);
@@ -303,24 +267,23 @@ impl<S: BodySink, D: InlineData<S>> BodyWriter<S> for RequestParts<'_, D> {
 }
 
 /// The fields of a Reply body, borrowing its inline data.
-pub(crate) struct ReplyParts<'a, D> {
+pub(crate) struct ReplyParts<'a> {
     pub nondist: &'a [u8],
     /// Per returning argument: request dist-arg index, global length,
     /// inline data (centralized mode).
-    pub dist_out: Vec<(u32, usize, Option<D>)>,
+    pub dist_out: Vec<(u32, usize, Option<&'a Frame>)>,
 }
 
-impl<S: BodySink, D: InlineData<S>> BodyWriter<S> for ReplyParts<'_, D> {
-    fn capacity(&self) -> usize {
-        16 + self.nondist.len()
-            + self
-                .dist_out
-                .iter()
-                .map(|(_, _, d)| 16 + inline_bound::<S, D>(*d))
-                .sum::<usize>()
+impl BodyWriter for ReplyParts<'_> {
+    fn written_bound(&self) -> usize {
+        16 + self.nondist.len() + 32 * self.dist_out.len()
     }
 
-    fn write(&self, s: &mut S) {
+    fn data_len(&self) -> usize {
+        inline_len(self.dist_out.iter().map(|(_, _, d)| *d))
+    }
+
+    fn write(&self, s: &mut impl BodySink) {
         let w = s.cdr();
         w.put_u32(self.dist_out.len() as u32);
         w.put_u32(self.nondist.len() as u32);
@@ -336,8 +299,8 @@ impl<S: BodySink, D: InlineData<S>> BodyWriter<S> for ReplyParts<'_, D> {
 }
 
 /// Encode a body into a fresh, exactly sized buffer.
-fn body_bytes(endian: Endian, body: &impl BodyWriter<CdrWriter>) -> Bytes {
-    let mut w = CdrWriter::with_capacity(endian, body.capacity());
+fn body_bytes(endian: Endian, body: &impl BodyWriter) -> Bytes {
+    let mut w = CdrWriter::with_capacity(endian, body.written_bound() + body.data_len());
     body.write(&mut w);
     w.into_shared()
 }
@@ -361,17 +324,18 @@ fn decode_counts(r: &mut CdrReader<'_>) -> PardisResult<Vec<usize>> {
     Ok(out)
 }
 
-/// The next `len` bytes of `buf`, which `r` reads, 8-aligned: a view.
-fn section(r: &mut CdrReader<'_>, buf: &Bytes, len: usize) -> PardisResult<Bytes> {
+/// The next `len` bytes of `buf`, which `r` reads, 8-aligned: a view
+/// of the segments that hold them.
+fn section(r: &mut CdrReader<'_>, buf: &Frame, len: usize) -> PardisResult<Frame> {
     r.align(8)?;
     let start = r.position();
-    r.take(len)?;
+    r.skip(len)?;
     Ok(buf.slice(start..start + len))
 }
 
 /// A distributed argument's inline data: a flag, then its length and
 /// its bytes (see [`section`]).
-fn inline(r: &mut CdrReader<'_>, buf: &Bytes) -> PardisResult<Option<Bytes>> {
+fn inline(r: &mut CdrReader<'_>, buf: &Frame) -> PardisResult<Option<Frame>> {
     if !r.get_bool()? {
         return Ok(None);
     }
@@ -386,15 +350,16 @@ fn inline(r: &mut CdrReader<'_>, buf: &Bytes) -> PardisResult<Option<Bytes>> {
 pub struct RequestBody {
     /// Marshaled non-distributed `in`/`inout` arguments.
     pub nondist: Bytes,
-    /// One entry per distributed argument, in signature order.
-    pub dist: Vec<(DistArgMeta, Option<Bytes>)>,
+    /// One entry per distributed argument, in signature order: its
+    /// inline data is a view of the segments of the frame it arrived in.
+    pub dist: Vec<(DistArgMeta, Option<Frame>)>,
 }
 
 impl RequestBody {
-    fn parts(&self) -> RequestParts<'_, &[u8]> {
+    fn parts(&self) -> RequestParts<'_> {
         RequestParts {
             nondist: &self.nondist,
-            dist: self.dist.iter().map(|(m, d)| (m, d.as_deref())).collect(),
+            dist: self.dist.iter().map(|(m, d)| (m, d.as_ref())).collect(),
         }
     }
 
@@ -409,9 +374,10 @@ impl RequestBody {
         body_bytes(endian, &self.parts())
     }
 
-    /// Decode from the body bytes of a Request message.
-    pub fn decode(buf: &Bytes, endian: Endian) -> PardisResult<RequestBody> {
-        let mut r = CdrReader::new(buf, endian);
+    /// Decode from the body of a Request message, wherever its segment
+    /// boundaries fall.
+    pub fn decode(buf: &Frame, endian: Endian) -> PardisResult<RequestBody> {
+        let mut r = CdrReader::from_frame(buf, endian);
         let ndist = r.get_u32()? as usize;
         // An argument is at least 38 bytes: its direction, element
         // size, length, two one-entry counts and inline flag.
@@ -419,7 +385,7 @@ impl RequestBody {
             return Err(PardisError::Cdr("dist count overflow".into()));
         }
         let nondist_len = r.get_u32()? as usize;
-        let nondist = section(&mut r, buf, nondist_len)?;
+        let nondist = section(&mut r, buf, nondist_len)?.into_bytes();
         let mut dist = Vec::with_capacity(ndist);
         for _ in 0..ndist {
             let meta = DistArgMeta::decode(&mut r)?;
@@ -436,18 +402,18 @@ pub struct ReplyBody {
     pub nondist: Bytes,
     /// Per returning distributed argument: its index in the request's
     /// dist-arg list, the global length, and (centralized mode) the full
-    /// inline data.
-    pub dist_out: Vec<(u32, usize, Option<Bytes>)>,
+    /// inline data, a view of the frame it arrived in.
+    pub dist_out: Vec<(u32, usize, Option<Frame>)>,
 }
 
 impl ReplyBody {
-    fn parts(&self) -> ReplyParts<'_, &[u8]> {
+    fn parts(&self) -> ReplyParts<'_> {
         ReplyParts {
             nondist: &self.nondist,
             dist_out: self
                 .dist_out
                 .iter()
-                .map(|(i, l, d)| (*i, *l, d.as_deref()))
+                .map(|(i, l, d)| (*i, *l, d.as_ref()))
                 .collect(),
         }
     }
@@ -463,16 +429,17 @@ impl ReplyBody {
         body_bytes(endian, &self.parts())
     }
 
-    /// Decode from the body bytes of a Reply message.
-    pub fn decode(buf: &Bytes, endian: Endian) -> PardisResult<ReplyBody> {
-        let mut r = CdrReader::new(buf, endian);
+    /// Decode from the body of a Reply message, wherever its segment
+    /// boundaries fall.
+    pub fn decode(buf: &Frame, endian: Endian) -> PardisResult<ReplyBody> {
+        let mut r = CdrReader::from_frame(buf, endian);
         let nout = r.get_u32()? as usize;
         // An entry is at least an index, a length and a flag (13 bytes).
         if nout > r.remaining() / 13 {
             return Err(PardisError::Cdr("dist_out count overflow".into()));
         }
         let nondist_len = r.get_u32()? as usize;
-        let nondist = section(&mut r, buf, nondist_len)?;
+        let nondist = section(&mut r, buf, nondist_len)?.into_bytes();
         let mut dist_out = Vec::with_capacity(nout);
         for _ in 0..nout {
             let idx = r.get_u32()?;
@@ -571,20 +538,20 @@ impl RequestSpec {
 pub struct InvokeTiming {
     /// Wall-clock of the whole invocation (T in the tables).
     pub total: Duration,
-    /// Marshaling time (pack): this thread's share. In the centralized
-    /// method the communicating thread's share is the frame's skeleton
-    /// and its own blocks, every other thread's its own blocks.
+    /// Marshaling time (pack): this thread's share. A block in native
+    /// byte order is lent to the frame, not copied, so what remains is
+    /// the translation of its own blocks (data translation only) and,
+    /// on the communicating thread, writing the frame's header and
+    /// metadata.
     pub pack: Duration,
     /// Network send time (from first send to last send completion).
     pub send: Duration,
-    /// Waiting in the centralized method's gather (centralized method
-    /// only): on the communicating thread, for the other threads'
-    /// blocks; on the others, for the frame to pack into and for the
-    /// gather to complete.
+    /// Waiting in the centralized method's gather round (centralized
+    /// method only): for every thread's blocks to be lent.
     pub gather: Duration,
     /// The centralized method's scatter (centralized method only): this
     /// thread checking each received argument's inline section and
-    /// taking its own block from the relayed frame, in place.
+    /// viewing its own block in the relayed frame.
     pub scatter: Duration,
     /// Receive + unmarshal time.
     pub recv_unpack: Duration,
@@ -656,12 +623,12 @@ mod tests {
         let body = RequestBody {
             nondist: Bytes::from_static(b"nd-args"),
             dist: vec![
-                (meta(ArgDir::InOut), Some(Bytes::from(vec![7u8; 80]))),
+                (meta(ArgDir::InOut), Some(Frame::from(vec![7u8; 80]))),
                 (meta(ArgDir::In), None),
             ],
         };
         for endian in [Endian::Big, Endian::Little] {
-            let bytes = body.to_bytes(endian);
+            let bytes = Frame::from(body.to_bytes(endian));
             let back = RequestBody::decode(&bytes, endian).unwrap();
             assert_eq!(back, body);
         }
@@ -671,9 +638,9 @@ mod tests {
     fn reply_body_roundtrip() {
         let body = ReplyBody {
             nondist: Bytes::from_static(b"result"),
-            dist_out: vec![(0, 10, Some(Bytes::from(vec![1u8; 80]))), (2, 4, None)],
+            dist_out: vec![(0, 10, Some(Frame::from(vec![1u8; 80]))), (2, 4, None)],
         };
-        let bytes = body.to_bytes(Endian::native());
+        let bytes = Frame::from(body.to_bytes(Endian::native()));
         assert_eq!(ReplyBody::decode(&bytes, Endian::native()).unwrap(), body);
     }
 
@@ -683,14 +650,14 @@ mod tests {
             nondist: Bytes::new(),
             dist: vec![],
         };
-        let bytes = body.to_bytes(Endian::native());
+        let bytes = Frame::from(body.to_bytes(Endian::native()));
         assert_eq!(RequestBody::decode(&bytes, Endian::native()).unwrap(), body);
 
         let body = ReplyBody {
             nondist: Bytes::new(),
             dist_out: vec![],
         };
-        let bytes = body.to_bytes(Endian::native());
+        let bytes = Frame::from(body.to_bytes(Endian::native()));
         assert_eq!(ReplyBody::decode(&bytes, Endian::native()).unwrap(), body);
     }
 
@@ -720,7 +687,7 @@ mod tests {
                 None,
             )],
         };
-        let bytes = body.to_bytes(Endian::native());
+        let bytes = Frame::from(body.to_bytes(Endian::native()));
         assert!(RequestBody::decode(&bytes, Endian::native()).is_err());
     }
 
@@ -754,9 +721,9 @@ mod tests {
     fn truncated_request_rejected() {
         let body = RequestBody {
             nondist: Bytes::from_static(b"abc"),
-            dist: vec![(meta(ArgDir::In), Some(Bytes::from(vec![0u8; 64])))],
+            dist: vec![(meta(ArgDir::In), Some(Frame::from(vec![0u8; 64])))],
         };
-        let bytes = body.to_bytes(Endian::native());
+        let bytes = Frame::from(body.to_bytes(Endian::native()));
         let cut = bytes.slice(0..bytes.len() - 32);
         assert!(RequestBody::decode(&cut, Endian::native()).is_err());
     }

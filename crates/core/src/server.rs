@@ -27,7 +27,7 @@ use crate::orb::OrbCtx;
 use crate::request::{ArgDir, InvokeTiming, RequestBody};
 use crate::transfer::{self, error_reply};
 use bytes::Bytes;
-use pardis_cdr::{CdrReader, CdrResult, CdrWriter, Endian};
+use pardis_cdr::{CdrReader, CdrResult, CdrWriter, Endian, Frame};
 use pardis_net::giop::{GiopMessage, ReplyStatus, RequestHeader, TransferMode};
 use pardis_rts::ReduceOp;
 use std::time::{Duration, Instant};
@@ -159,6 +159,19 @@ impl<'a> ServerRequest<'a> {
         Ok(())
     }
 
+    /// Drop this thread's views of the request's distributed data that
+    /// the reply does not send: each `in` argument's block, and each
+    /// returning one's that the servant replaced. Called before the exit
+    /// round, so that a storage a client lent to the request is no
+    /// longer shared through this thread once the call completes.
+    fn release_request(&mut self) {
+        for (d, replaced) in self.dist_in.iter_mut().zip(&self.reply_dist) {
+            if !d.dir.returns() || replaced.is_some() {
+                d.local = Bytes::new();
+            }
+        }
+    }
+
     /// The marshaled non-distributed results (for the reply phase).
     pub(crate) fn reply_nondist_bytes(&self) -> Bytes {
         self.reply_nondist.clone()
@@ -243,7 +256,7 @@ impl OrbCtx {
             // flight (injected frame faults) is counted and skipped so
             // the serve loop survives it; the client's deadline/retry
             // machinery recovers the lost request.
-            let parsed: Option<(Option<(RequestHeader, RequestBody)>, Bytes)> = loop {
+            let parsed: Option<(ServedPayload, Frame)> = loop {
                 let dg = match poll {
                     None => Some(request_port.recv()?),
                     Some(_) => request_port.try_recv(),
@@ -252,20 +265,28 @@ impl OrbCtx {
                     None => break None,
                     Some(dg) => dg,
                 };
-                let decoded = GiopMessage::body_endian(&dg.payload)
-                    .and_then(|_| GiopMessage::decode(&dg.payload));
-                match decoded {
+                let Ok(endian) = GiopMessage::body_endian(&dg.payload) else {
+                    self.count_decode_error();
+                    continue;
+                };
+                match GiopMessage::decode(&dg.payload) {
                     Ok(GiopMessage::Request(header, body)) => {
-                        let endian = GiopMessage::body_endian(&dg.payload)?;
                         match RequestBody::decode(&body, endian) {
-                            Ok(req) => break Some((Some((header, req)), dg.payload)),
+                            Ok(req) => {
+                                break Some((
+                                    ServedPayload::request(header, req, endian),
+                                    dg.payload,
+                                ))
+                            }
                             Err(_) => {
                                 self.count_decode_error();
                                 continue;
                             }
                         }
                     }
-                    Ok(GiopMessage::CloseConnection) => break Some((None, dg.payload)),
+                    Ok(GiopMessage::CloseConnection) => {
+                        break Some((ServedPayload::shutdown(endian), dg.payload))
+                    }
                     Ok(other) => {
                         return Err(PardisError::Net(format!(
                             "unexpected message on request port: {other:?}"
@@ -277,23 +298,12 @@ impl OrbCtx {
                     }
                 }
             };
-            let relay = parsed
-                .as_ref()
-                .map_or_else(Bytes::new, |(_, frame)| frame.clone());
-            self.rts.broadcast(0, Some(relay))?;
-            match parsed {
-                None => Ok(None),
-                Some((Some((header, body)), payload)) => {
-                    let endian = GiopMessage::body_endian(&payload)?;
-                    Ok(Some(ServedPayload::request(header, body, endian)))
-                }
-                Some((None, payload)) => {
-                    let endian = GiopMessage::body_endian(&payload)?;
-                    Ok(Some(ServedPayload::shutdown(endian)))
-                }
-            }
+            let (served, relay) = parsed.unzip();
+            self.rts
+                .broadcast_frame(0, Some(relay.unwrap_or_default()))?;
+            Ok(served)
         } else {
-            let wire = self.rts.broadcast(0, None)?;
+            let wire = self.rts.broadcast_frame(0, None)?;
             if wire.is_empty() {
                 return Ok(None);
             }
@@ -461,6 +471,10 @@ impl OrbCtx {
             let mine = f64::from(u8::from(any_recv_err));
             any_recv_err = self.rts.allreduce_scalar(mine, ReduceOp::Max)? > 0.0;
         }
+        // This thread's blocks are taken: its view of the relayed frame
+        // goes, and with it the storage any client lent to it.
+        let RequestBody { nondist, dist } = body;
+        drop(dist);
 
         // Dispatch into this thread's servant (skipped when the
         // arguments never materialized).
@@ -469,7 +483,7 @@ impl OrbCtx {
             ctx: self,
             operation: header.operation.clone(),
             endian,
-            nondist: body.nondist.clone(),
+            nondist,
             dist_in,
             reply_nondist: Bytes::new(),
             reply_dist: vec![None; n_dist],
@@ -496,6 +510,8 @@ impl OrbCtx {
                 }
             }
         };
+
+        sreq.release_request();
 
         // Post-invocation synchronization (§3.2: "after the invocation
         // the server's computing threads synchronize"), which is also
@@ -544,7 +560,7 @@ impl OrbCtx {
         timing.total = t0.elapsed();
         self.last_serve_timing.set(timing);
         #[cfg(feature = "obs")]
-        crate::obs::served(self, &header, body.nondist.len(), tb - t0, &timing);
+        crate::obs::served(self, &header, sreq.nondist.len(), tb - t0, &timing);
         Ok(true)
     }
 }

@@ -13,111 +13,139 @@
 //! `T = t_gather + t_pack + t_wire + t_unpack + t_scatter`, with both
 //! the gather and scatter terms growing with the number of computing
 //! threads — the effect Table 1 measures, and `pardis-sim` reproduces.
-//! Here a thread's block is a slot of the one frame, and neither term
-//! moves data through the communicating thread:
+//! Here a thread's block is a segment of the one frame, and neither
+//! term moves data through the communicating thread:
 //!
-//! * marshaling runs on every computing thread: the communicating
-//!   thread writes the frame's skeleton (header and metadata, with a
-//!   hole per distributed argument), and each thread packs its own
-//!   block straight into its slot of the hole, in parallel (DESIGN.md
-//!   §13). The gather is then no copy of its own, only the wait for the
-//!   slowest block;
+//! * every computing thread lends its block to the frame: the storage
+//!   its sequence lends, or, with data translation, a byte-swapped copy
+//!   it makes itself, in parallel with the others (DESIGN.md §13). One
+//!   gather round brings every thread's blocks to the communicating
+//!   thread by refcount, which writes the frame's header and metadata
+//!   around them. The gather is then no copy at all, only the wait for
+//!   the slowest thread;
 //! * the communicating thread relays the frame it received, unchanged,
 //!   and every thread checks the whole inline section of each argument
-//!   and takes its own block from it in place. The scatter is that
-//!   slice ([`InvokeTiming::scatter`]), with no collective of its own.
+//!   and takes its own block from it: a view of the one segment that
+//!   covers it, or one copy where it spans segments. The scatter is that
+//!   view ([`InvokeTiming::scatter`]), with no collective of its own.
 
+use crate::dist::DistTempl;
 use crate::error::{PardisError, PardisResult};
 use crate::request::{byte_len, InvokeTiming};
 use crate::transfer::{translates, Block};
 use bytes::Bytes;
-use pardis_cdr::{SlotError, SlottedBuf};
-use pardis_net::giop::FrameWriter;
-use pardis_rts::{Endpoint, RtsError};
-use std::time::{Duration, Instant};
+use pardis_cdr::{CdrWriter, Endian, Frame};
+use pardis_rts::Endpoint;
+use std::time::Instant;
 
-/// The centralized method's one pack: every computing thread packs its
-/// own `blocks` (one per hole of the frame, with its element size) into
-/// its slots, translating in the same pass, and the frame comes out,
-/// finished, on the thread that wrote its `skeleton` (rank 0). On a
-/// collective machine (`rts`) with anything to pack, that is one
-/// [`Endpoint::gather_into`]; without `rts` this thread is the only one
-/// packing. A frame without holes (no `blocks`) is the skeleton itself.
-///
-/// `started` is when this thread began the send phase (before the
-/// skeleton). Adds its marshaling since then (the skeleton and its own
-/// blocks) to `timing.pack`, and its waiting (for the frame to pack
-/// into, or for the other threads' blocks) to `timing.gather`.
-pub(crate) fn gather_frame(
-    rts: Option<&Endpoint>,
-    skeleton: Option<FrameWriter>,
-    blocks: &[(&[u8], usize)],
-    translate: bool,
-    started: Instant,
-    timing: &mut InvokeTiming,
-) -> PardisResult<Option<Bytes>> {
-    let Some(rts) = rts.filter(|_| !blocks.is_empty()) else {
-        // No other thread packs: the skeleton's writer finishes the
-        // frame alone, and a frame without holes is the skeleton.
-        let Some(skeleton) = skeleton else {
-            return Ok(None);
-        };
-        let wire = if blocks.is_empty() {
-            skeleton.finish()?
-        } else {
-            let frame = skeleton.finish_slotted()?;
-            pack_blocks(&frame, blocks, 0, 1, translate).map_err(RtsError::from)?;
-            frame.into_bytes().map_err(RtsError::from)?
-        };
-        timing.pack += started.elapsed();
-        return Ok(Some(wire));
-    };
-    let skeleton = skeleton.map(FrameWriter::finish_slotted).transpose()?;
-    let mut packed = (started, started);
-    let wire = rts.gather_into(0, skeleton, |frame| {
-        let t0 = Instant::now();
-        let filled = pack_blocks(frame, blocks, rts.rank(), rts.size(), translate);
-        packed = (t0, Instant::now());
-        filled
-    })?;
-    let (t0, t1) = packed;
-    // Before its own fill, the root was writing the skeleton; any
-    // other rank was waiting for it.
-    let (pack, wait) = if wire.is_some() {
-        (t1 - started, Duration::ZERO)
-    } else {
-        (t1 - t0, t0 - started)
-    };
-    timing.pack += pack;
-    timing.gather += wait + t1.elapsed();
-    Ok(wire)
+/// This thread's block of one sending argument, as the centralized
+/// route lends it to the frame.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lent<'a> {
+    /// The block in native byte order: the storage its sequence lends.
+    pub block: &'a Bytes,
+    /// Bytes per element.
+    pub elem_size: usize,
+    /// The argument's layout on this thread's machine.
+    pub templ: &'a DistTempl,
 }
 
-/// Pack thread `rank`'s block of each hole into its slot (numbered as
-/// [`crate::request::frame`] describes, with `threads` slots per hole).
-fn pack_blocks(
-    frame: &SlottedBuf,
-    blocks: &[(&[u8], usize)],
-    rank: usize,
-    threads: usize,
+/// The centralized method's gather: every computing thread lends its
+/// `blocks` (one per sending argument), each byte-swapped into a new
+/// segment of its own when `translate` applies, and the thread that
+/// writes the frame (rank 0, holding `write`) gets every thread's
+/// blocks by refcount and links them, in rank order, into the frame
+/// `write` builds from each argument's inline data. On a collective
+/// machine (`rts`) with anything to lend, that is one
+/// [`Endpoint::gather_frames`]; without `rts` this thread is the only
+/// one lending. Returns the frame on the writing thread, `None`
+/// elsewhere.
+///
+/// Adds the translation and the frame's writing to `timing.pack`, and
+/// the gather round to `timing.gather`.
+pub(crate) fn gather_frame(
+    rts: Option<&Endpoint>,
+    write: Option<impl FnOnce(&[Frame]) -> PardisResult<Frame>>,
+    blocks: &[Lent<'_>],
     translate: bool,
-) -> Result<(), SlotError> {
-    for (hole, &(block, elem_size)) in blocks.iter().enumerate() {
-        let slot = hole * (threads + 1) + 1 + rank;
-        if translates(elem_size, translate) {
-            frame.fill_swapped(slot, block, elem_size)?;
-        } else {
-            frame.fill(slot, block)?;
+    timing: &mut InvokeTiming,
+) -> PardisResult<Option<Frame>> {
+    let tp = Instant::now();
+    let mine: Frame = blocks
+        .iter()
+        .map(|b| lend(b.block, b.elem_size, translate))
+        .collect();
+    timing.pack += tp.elapsed();
+    let gathered;
+    let threads: &[Frame] = match rts.filter(|_| !blocks.is_empty()) {
+        Some(rts) => {
+            let tg = Instant::now();
+            gathered = rts.gather_frames(0, mine)?;
+            timing.gather += tg.elapsed();
+            gathered.as_deref().unwrap_or_default()
+        }
+        None => std::slice::from_ref(&mine),
+    };
+    let Some(write) = write else {
+        return Ok(None);
+    };
+    let tw = Instant::now();
+    let frame = write(&inline_data(blocks, threads)?)?;
+    timing.pack += tw.elapsed();
+    Ok(Some(frame))
+}
+
+/// A block as it goes into the frame: the block itself, or its
+/// byte-swapped copy when data translation applies (the sender's one
+/// copy on that path).
+fn lend(block: &Bytes, elem_size: usize, translate: bool) -> Bytes {
+    if !translates(elem_size, translate) {
+        return block.clone();
+    }
+    let mut w = CdrWriter::with_capacity(Endian::native(), block.len());
+    w.put_swapped(block, elem_size);
+    w.into_shared()
+}
+
+/// Each argument's inline data from the blocks every thread lent:
+/// thread `t`'s frame holds its block of each argument in turn, the
+/// one of argument `b` being `b.templ.count(t)` elements long. A frame
+/// of another length (a thread confirmed dead before it lent) is
+/// refused.
+fn inline_data(blocks: &[Lent<'_>], threads: &[Frame]) -> PardisResult<Vec<Frame>> {
+    let block_len = |b: &Lent<'_>, t: usize| match b.templ.counts().get(t) {
+        Some(&count) => byte_len(count, b.elem_size),
+        None => Err(PardisError::BadDistArg(format!(
+            "no template names thread {t}"
+        ))),
+    };
+    let mut inline = vec![Frame::new(); blocks.len()];
+    for (t, lent) in threads.iter().enumerate() {
+        let mut want = 0usize;
+        for b in blocks {
+            want = want.saturating_add(block_len(b, t)?);
+        }
+        if want != lent.len() {
+            return Err(PardisError::BadDistArg(format!(
+                "thread {t} lent {} bytes, its blocks take {want}",
+                lent.len()
+            )));
+        }
+        let mut at = 0;
+        for (b, data) in blocks.iter().zip(&mut inline) {
+            let len = block_len(b, t)?;
+            data.extend(&lent.slice(at..at + len));
+            at += len;
         }
     }
-    Ok(())
+    Ok(inline)
 }
 
 /// `block`'s bytes in its argument's inline section `data`: a view of
 /// the frame it arrived in. Every thread holds the whole frame and
 /// checks the whole section, so all of them reach the same verdict on
 /// it.
-pub(crate) fn own_block(block: Block<'_>, data: Option<Bytes>) -> PardisResult<Bytes> {
+pub(crate) fn own_block(block: Block<'_>, data: Option<&Frame>) -> PardisResult<Frame> {
     let (arg, elem_size) = (block.arg, block.elem_size);
     let data = data.ok_or_else(|| {
         PardisError::BadDistArg(format!(
@@ -140,10 +168,9 @@ mod tests {
     use super::*;
     use crate::dist::DistTempl;
     use crate::request::{
-        frame, ArgDir, DistArgMeta, ReplyBody, ReplyParts, RequestBody, RequestParts, Slots,
+        frame, ArgDir, DistArgMeta, ReplyBody, ReplyParts, RequestBody, RequestParts,
     };
     use crate::transfer::pack;
-    use pardis_cdr::{CdrWriter, Endian};
     use pardis_net::giop::{GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferMode};
     use pardis_net::HostId;
     use pardis_rts::Domain;
@@ -211,7 +238,7 @@ mod tests {
 
     /// The serial encoding of an argument's inline data: every thread's
     /// block gathered in one place and packed after the other.
-    fn serial_inline(idx: usize, arg: &Arg, translate: bool) -> Bytes {
+    fn serial_inline(idx: usize, arg: &Arg, translate: bool) -> Frame {
         let mut w = CdrWriter::new(Endian::native());
         for rank in 0..arg.templ.nthreads() {
             pack(
@@ -221,7 +248,7 @@ mod tests {
                 translate,
             );
         }
-        w.into_shared()
+        Frame::from(w.into_shared())
     }
 
     fn request_header(threads: usize) -> RequestHeader {
@@ -246,9 +273,15 @@ mod tests {
         }
     }
 
-    /// The Request and Reply frames of the invocation, as the parent
-    /// encoder wrote them: inline data gathered, then packed serially.
-    fn serial_frames(args: &[Arg], nondist: &Bytes, endian: Endian, translate: bool) -> [Bytes; 2] {
+    /// The Request and Reply frames of the invocation, as a serial
+    /// encoder writes them: inline data gathered, then packed serially,
+    /// and the bodies encoded into one buffer each.
+    fn serial_frames(
+        args: &[Arg],
+        nondist: &Bytes,
+        endian: Endian,
+        translate: bool,
+    ) -> [Vec<u8>; 2] {
         let request = RequestBody {
             nondist: nondist.clone(),
             dist: args
@@ -280,83 +313,69 @@ mod tests {
             GiopMessage::Request(request_header(threads), request.to_bytes(endian)),
             GiopMessage::Reply(reply_header(), reply.to_bytes(endian)),
         ]
-        .map(|m| m.encode(endian).unwrap())
+        .map(|m| m.encode(endian).unwrap().to_vec())
     }
 
-    /// The same two frames as the centralized route builds them: rank
-    /// 0 writes each skeleton and every rank of `rts` (or this thread
-    /// alone) packs its own blocks into it.
+    /// The same two frames as the centralized route builds them: every
+    /// rank of `rts` (or this thread alone) lends its own blocks and
+    /// rank 0 writes each frame around them. Flattened, segment
+    /// boundaries dropped.
     fn parallel_frames(
         rts: Option<&Endpoint>,
         args: &[Arg],
         nondist: &Bytes,
         endian: Endian,
         translate: bool,
-    ) -> Option<[Bytes; 2]> {
+    ) -> Option<[Vec<u8>; 2]> {
         let rank = rts.map_or(0, Endpoint::rank);
-        let slots: Vec<Slots> = args
-            .iter()
-            .map(|a| Slots::new(&a.templ, a.meta.elem_size).unwrap())
-            .collect();
-        let blocks: Vec<Vec<u8>> = args
+        let blocks: Vec<Bytes> = args
             .iter()
             .enumerate()
-            .map(|(i, a)| block(i, a, rank))
+            .map(|(i, a)| Bytes::from(block(i, a, rank)))
             .collect();
-        let mine = |dir: fn(ArgDir) -> bool| -> Vec<(&[u8], usize)> {
+        let mine = |dir: fn(ArgDir) -> bool| -> Vec<Lent<'_>> {
             args.iter()
                 .zip(&blocks)
                 .filter(|(a, _)| dir(a.meta.dir))
-                .map(|(a, b)| (&b[..], a.meta.elem_size))
+                .map(|(a, b)| Lent {
+                    block: b,
+                    elem_size: a.meta.elem_size,
+                    templ: &a.templ,
+                })
                 .collect()
         };
         let mut timing = InvokeTiming::default();
+        let threads = args[0].templ.nthreads();
 
-        let request = (rank == 0).then(|| {
+        let request = (rank == 0).then_some(|data: &[Frame]| {
+            let mut data = data.iter();
             let body = RequestParts {
                 nondist,
                 dist: args
                     .iter()
-                    .zip(&slots)
-                    .map(|(a, s)| (&a.meta, a.meta.dir.sends().then_some(*s)))
+                    .map(|a| (&a.meta, a.meta.dir.sends().then(|| data.next()).flatten()))
                     .collect(),
             };
-            let threads = args[0].templ.nthreads();
-            frame(endian, &request_header(threads), &body).unwrap().0
+            Ok(frame(endian, &request_header(threads), &body)?.0)
         });
-        let started = Instant::now();
-        let request = gather_frame(
-            rts,
-            request,
-            &mine(ArgDir::sends),
-            translate,
-            started,
-            &mut timing,
-        );
+        let request = gather_frame(rts, request, &mine(ArgDir::sends), translate, &mut timing);
 
-        let reply = (rank == 0).then(|| {
+        let reply = (rank == 0).then_some(|data: &[Frame]| {
+            let mut data = data.iter();
             let body = ReplyParts {
                 nondist,
                 dist_out: args
                     .iter()
                     .enumerate()
-                    .zip(&slots)
-                    .filter(|((_, a), _)| a.meta.dir.returns())
-                    .map(|((i, a), s)| (i as u32, a.templ.len(), Some(*s)))
+                    .filter(|(_, a)| a.meta.dir.returns())
+                    .map(|(i, a)| (i as u32, a.templ.len(), data.next()))
                     .collect(),
             };
-            frame(endian, &reply_header(), &body).unwrap().0
+            Ok(frame(endian, &reply_header(), &body)?.0)
         });
-        let reply = gather_frame(
-            rts,
-            reply,
-            &mine(ArgDir::returns),
-            translate,
-            started,
-            &mut timing,
-        );
+        let reply = gather_frame(rts, reply, &mine(ArgDir::returns), translate, &mut timing);
         match (request.unwrap(), reply.unwrap()) {
-            (Some(request), Some(reply)) => Some([request, reply]),
+            (Some(request), Some(reply)) => Some([request.to_vec(), reply.to_vec()]),
             (None, None) => None,
             other => panic!("rank {rank}: one frame without the other: {other:?}"),
         }

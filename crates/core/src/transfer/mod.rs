@@ -7,10 +7,11 @@
 //! threads, and both relay it to every computing thread; they differ
 //! only in how one thread's block of a distributed argument travels:
 //!
-//! * [`centralized`] — the block is a slot of that one frame: every
-//!   thread packs its block into its slot (figure 2's gather, in
-//!   place), and every thread on the far side slices its own block from
-//!   the relayed frame (the scatter, in place),
+//! * [`centralized`] — the block is a segment of that one frame: every
+//!   thread lends its block and one gather round links them all into
+//!   the frame (figure 2's gather, without a copy), and every thread on
+//!   the far side views its own block in the relayed frame (the
+//!   scatter, in place),
 //! * [`multiport`] — "the invocation header will be delivered using the
 //!   centralized method as above, and upon its receipt the computing
 //!   threads will await argument transfer on network ports" (§3.3): the
@@ -21,8 +22,10 @@
 //! This module writes each phase of an invocation once — the client's
 //! send and receive, the server's receive and reply — and asks the
 //! invocation's [`TransferMode`] only where a block's route differs. It
-//! also holds the one marshaling copy (with optional data translation)
-//! and the receive side's checks.
+//! also holds the receive side's checks and its one unmarshaling copy
+//! (data translation, or a block that spans segments). A block in
+//! native byte order is never copied to be sent: the frame links the
+//! storage its sequence lends.
 
 pub mod centralized;
 pub mod multiport;
@@ -33,11 +36,12 @@ use crate::error::{PardisError, PardisResult};
 use crate::orb::OrbCtx;
 use crate::request::{
     byte_len, frame, InvokeTiming, ReplyBody, ReplyParts, ReplyResult, RequestBody, RequestParts,
-    RequestSpec, Slots,
+    RequestSpec,
 };
 use crate::server::{DistIn, ServerRequest};
 use bytes::Bytes;
-use pardis_cdr::{CdrWriter, Endian};
+use centralized::Lent;
+use pardis_cdr::{CdrWriter, Endian, Frame};
 use pardis_net::giop::{GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferMode};
 use std::time::Instant;
 
@@ -66,13 +70,11 @@ pub(crate) struct Block<'a> {
     pub rank: usize,
 }
 
-/// Client send phase: the communicating thread writes the Request
-/// frame's skeleton, with a hole per sending argument in the
-/// centralized method; every computing thread packs its blocks into
-/// the holes (centralized) and the communicating thread sends the
-/// frame; then every thread sends its blocks as fragments
-/// (multi-port), after the header, so the server threads are awaiting
-/// them.
+/// Client send phase: every computing thread lends its blocks of the
+/// sending arguments and the communicating thread writes the Request
+/// frame around them (centralized) and sends it; then every thread
+/// sends its blocks as fragments (multi-port), after the header, so the
+/// server threads are awaiting them.
 pub(crate) fn client_send(
     ctx: &OrbCtx,
     proxy: &Proxy,
@@ -81,68 +83,78 @@ pub(crate) fn client_send(
 ) -> PardisResult<()> {
     let inline = pending.mode == TransferMode::Centralized;
     let rank = if proxy.collective { ctx.rank() } else { 0 };
-    let started = Instant::now();
-    let skeleton = match proxy.conn.as_ref() {
-        None => None,
-        Some(conn) => {
-            let metas: Vec<_> = spec.dist_args.iter().map(|a| a.meta()).collect();
-            let mut dist = Vec::with_capacity(metas.len());
-            for (meta, arg) in metas.iter().zip(&spec.dist_args) {
-                let hole = inline && arg.dir.sends();
-                let slots = hole.then(|| Slots::new(&arg.client_templ, arg.elem_size));
-                dist.push((meta, slots.transpose()?));
-            }
-            let body = RequestParts {
-                nondist: &spec.nondist_body,
-                dist,
-            };
-            // The tracing context, when observability is compiled in.
-            #[cfg(feature = "obs")]
-            let service_context = crate::obs::service_context(ctx, pending.req_id);
-            #[cfg(not(feature = "obs"))]
-            let service_context = Vec::new();
-            let header = RequestHeader {
-                request_id: pending.req_id,
-                object_name: proxy.objref.name.clone(),
-                operation: spec.operation.clone(),
-                response_expected: spec.response_expected,
-                reply_host: ctx.host.id(),
-                reply_port: conn.local_port(),
-                mode: pending.mode,
-                client_threads: if proxy.collective {
-                    ctx.nthreads() as u32
-                } else {
-                    1
-                },
-                client_data_ports: match pending.mode {
-                    TransferMode::Centralized => vec![],
-                    TransferMode::MultiPort if proxy.collective => ctx.data_port_ids.clone(),
-                    TransferMode::MultiPort => vec![ctx.data_port.port()],
-                },
-                service_context,
-            };
-            let (frame, body_len) = frame(ctx.endian, &header, &body)?;
-            pending.body_len = body_len;
-            Some(frame)
-        }
-    };
-
     let sending = || {
         spec.dist_args
             .iter()
             .enumerate()
             .filter(|(_, a)| a.dir.sends())
     };
+    let (req_id, mode) = (pending.req_id, pending.mode);
+    let body_len = &mut pending.body_len;
+    let write = proxy.conn.as_ref().map(|conn| {
+        move |data: &[Frame]| -> PardisResult<Frame> {
+            let metas: Vec<_> = spec.dist_args.iter().map(|a| a.meta()).collect();
+            let mut data = data.iter();
+            let body = RequestParts {
+                nondist: &spec.nondist_body,
+                dist: metas
+                    .iter()
+                    .zip(&spec.dist_args)
+                    .map(|(meta, arg)| {
+                        let data = if inline && arg.dir.sends() {
+                            data.next()
+                        } else {
+                            None
+                        };
+                        (meta, data)
+                    })
+                    .collect(),
+            };
+            // The tracing context, when observability is compiled in.
+            #[cfg(feature = "obs")]
+            let service_context = crate::obs::service_context(ctx, req_id);
+            #[cfg(not(feature = "obs"))]
+            let service_context = Vec::new();
+            let header = RequestHeader {
+                request_id: req_id,
+                object_name: proxy.objref.name.clone(),
+                operation: spec.operation.clone(),
+                response_expected: spec.response_expected,
+                reply_host: ctx.host.id(),
+                reply_port: conn.local_port(),
+                mode,
+                client_threads: if proxy.collective {
+                    ctx.nthreads() as u32
+                } else {
+                    1
+                },
+                client_data_ports: match mode {
+                    TransferMode::Centralized => vec![],
+                    TransferMode::MultiPort if proxy.collective => ctx.data_port_ids.clone(),
+                    TransferMode::MultiPort => vec![ctx.data_port.port()],
+                },
+                service_context,
+            };
+            let (frame, len) = frame(ctx.endian, &header, &body)?;
+            *body_len = len;
+            Ok(frame)
+        }
+    });
+
     let blocks: Vec<_> = if inline {
         sending()
-            .map(|(_, a)| (&a.local[..], a.elem_size))
+            .map(|(_, a)| Lent {
+                block: &a.local,
+                elem_size: a.elem_size,
+                templ: &a.client_templ,
+            })
             .collect()
     } else {
         Vec::new()
     };
     let rts = proxy.collective.then_some(&ctx.rts);
     let timing = &mut pending.timing;
-    let wire = centralized::gather_frame(rts, skeleton, &blocks, ctx.translate, started, timing)?;
+    let wire = centralized::gather_frame(rts, write, &blocks, ctx.translate, timing)?;
     if let (Some(conn), Some(wire)) = (proxy.conn.as_ref(), wire) {
         let ts = Instant::now();
         conn.send_frame(wire)?;
@@ -190,11 +202,11 @@ pub(crate) fn client_recv(
                 .or_else(|e| error_reply(ctx.endian, pending.req_id, synthetic_status(&e)))?;
             timing.recv_unpack += tr.elapsed();
             if proxy.collective {
-                ctx.rts.broadcast(0, Some(frame.clone()))?;
+                ctx.rts.broadcast_frame(0, Some(frame.clone()))?;
             }
             frame
         }
-        None => ctx.rts.broadcast(0, None)?,
+        None => ctx.rts.broadcast_frame(0, None)?,
     };
 
     let td = Instant::now();
@@ -249,7 +261,7 @@ pub(crate) fn client_recv(
                 ctx,
                 pending.mode,
                 block,
-                data,
+                data.as_ref(),
                 pending.deadline,
                 &mut timing,
             )?;
@@ -304,7 +316,7 @@ pub(crate) fn server_receive_args(
                 // timeout; a dropped fragment then degrades to an error
                 // reply instead of wedging the serve loop.
                 let deadline = ctx.frag_timeout.map(|t| Instant::now() + t);
-                receive_block(ctx, header.mode, block, data.clone(), deadline, timing)?
+                receive_block(ctx, header.mode, block, data.as_ref(), deadline, timing)?
             } else {
                 zeroed_local(&server_templ, rank, meta.elem_size)?
             };
@@ -319,13 +331,12 @@ pub(crate) fn server_receive_args(
         .collect()
 }
 
-/// Server reply phase: the communicating thread writes the Reply
-/// frame's skeleton, with a hole per returning argument in the
-/// centralized method; every thread packs its blocks into the holes
-/// (centralized) and the communicating thread sends the frame; then
-/// every thread sends its blocks as fragments straight to the client
-/// threads' data ports (multi-port), after the Reply, so the client
-/// learns the outcome first and waits only for fragments that come.
+/// Server reply phase: every thread lends its blocks of the returning
+/// arguments and the communicating thread writes the Reply frame around
+/// them (centralized) and sends it; then every thread sends its blocks
+/// as fragments straight to the client threads' data ports
+/// (multi-port), after the Reply, so the client learns the outcome
+/// first and waits only for fragments that come.
 pub(crate) fn server_send_reply(
     ctx: &OrbCtx,
     header: &RequestHeader,
@@ -338,48 +349,45 @@ pub(crate) fn server_send_reply(
     for i in 0..sreq.dist_count() {
         let d = sreq.dist_raw(i)?;
         if d.dir.returns() {
-            returning.push((i, d));
+            returning.push((i, d, sreq.reply_local(i)));
         }
     }
 
-    let started = Instant::now();
-    let skeleton = if ctx.is_comm_thread() {
-        let mut dist_out = Vec::with_capacity(returning.len());
-        for (i, d) in &returning {
-            let slots = inline.then(|| Slots::new(&d.server_templ, d.elem_size));
-            dist_out.push((*i as u32, d.server_templ.len(), slots.transpose()?));
-        }
-        let body = ReplyParts {
-            nondist: &sreq.reply_nondist_bytes(),
-            dist_out,
-        };
-        let reply = ReplyHeader {
-            request_id: header.request_id,
-            status: ReplyStatus::NoException,
-        };
-        Some(frame(endian, &reply, &body)?.0)
-    } else {
-        None
-    };
-
-    // The centralized route packs every returning block into the frame.
-    let locals: Vec<Bytes> = if inline {
+    let write = ctx
+        .is_comm_thread()
+        .then_some(|data: &[Frame]| -> PardisResult<Frame> {
+            let nondist = sreq.reply_nondist_bytes();
+            let mut data = data.iter();
+            let body = ReplyParts {
+                nondist: &nondist,
+                dist_out: returning
+                    .iter()
+                    .map(|(i, d, _)| {
+                        let data = if inline { data.next() } else { None };
+                        (*i as u32, d.server_templ.len(), data)
+                    })
+                    .collect(),
+            };
+            let reply = ReplyHeader {
+                request_id: header.request_id,
+                status: ReplyStatus::NoException,
+            };
+            Ok(frame(endian, &reply, &body)?.0)
+        });
+    let blocks: Vec<_> = if inline {
         returning
             .iter()
-            .map(|(i, _)| sreq.reply_local(*i))
+            .map(|(_, d, local)| Lent {
+                block: local,
+                elem_size: d.elem_size,
+                templ: &d.server_templ,
+            })
             .collect()
     } else {
         Vec::new()
     };
-    let blocks: Vec<_> = locals
-        .iter()
-        .zip(&returning)
-        .map(|(local, (_, d))| (&local[..], d.elem_size))
-        .collect();
     let rts = Some(&ctx.rts);
-    if let Some(wire) =
-        centralized::gather_frame(rts, skeleton, &blocks, ctx.translate, started, timing)?
-    {
+    if let Some(wire) = centralized::gather_frame(rts, write, &blocks, ctx.translate, timing)? {
         let ts = Instant::now();
         ctx.host
             .send_to(header.reply_host, header.reply_port, wire)?;
@@ -387,7 +395,7 @@ pub(crate) fn server_send_reply(
     }
 
     if !inline {
-        for (i, d) in &returning {
+        for (i, d, local) in &returning {
             let block = Block {
                 req_id: header.request_id,
                 arg: *i as u32,
@@ -397,16 +405,15 @@ pub(crate) fn server_send_reply(
                 rank: ctx.rank(),
             };
             let to = (header.reply_host, &header.client_data_ports[..]);
-            let local = sreq.reply_local(*i);
-            multiport::send_fragments(ctx, endian, block, &local, to, timing)?;
+            multiport::send_fragments(ctx, endian, block, local, to, timing)?;
         }
     }
     Ok(())
 }
 
 /// This thread's native-order local part of `block`'s argument, by
-/// `mode`'s route: sliced from the argument's `inline` section of the
-/// relayed frame (centralized; the slice counts as `timing.scatter`),
+/// `mode`'s route: viewed in the argument's `inline` section of the
+/// relayed frame (centralized; the view counts as `timing.scatter`),
 /// or assembled from the fragments that reach this thread's data port
 /// by `deadline` (multi-port). Adds the unmarshaling, and the fragment
 /// wait, to `timing.recv_unpack`.
@@ -414,7 +421,7 @@ fn receive_block(
     ctx: &OrbCtx,
     mode: TransferMode,
     block: Block<'_>,
-    inline: Option<Bytes>,
+    inline: Option<&Frame>,
     deadline: Option<Instant>,
     timing: &mut InvokeTiming,
 ) -> PardisResult<Bytes> {
@@ -424,14 +431,14 @@ fn receive_block(
             let mine = centralized::own_block(block, inline)?;
             timing.scatter += ts.elapsed();
             let tu = Instant::now();
-            let local = unpack(std::slice::from_ref(&mine), block.elem_size, ctx.translate);
+            let local = unpack(mine, block.elem_size, ctx.translate);
             timing.recv_unpack += tu.elapsed();
             Ok(local)
         }
         TransferMode::MultiPort => {
             let tr = Instant::now();
             let parts = multiport::recv_fragments(ctx, block, deadline)?;
-            let local = unpack(&parts, block.elem_size, ctx.translate);
+            let local = unpack(parts, block.elem_size, ctx.translate);
             timing.recv_unpack += tr.elapsed();
             Ok(local)
         }
@@ -482,7 +489,7 @@ pub(crate) fn error_reply(
     endian: Endian,
     request_id: u64,
     status: ReplyStatus,
-) -> PardisResult<Bytes> {
+) -> PardisResult<Frame> {
     let empty = ReplyBody {
         nondist: Bytes::new(),
         dist_out: vec![],
@@ -497,11 +504,11 @@ pub(crate) fn translates(elem_size: usize, translate: bool) -> bool {
     translate && matches!(elem_size, 4 | 8)
 }
 
-/// Marshal `src` (native byte order) into `w`: one copy, with every
-/// element byte-swapped in the same pass when data translation is on
-/// (the §3.3 remark about heterogeneous encodings). This is the "pack"
-/// cost of the paper's measurements. Translating twice restores the
-/// original, so receivers unmarshal translated data through it too.
+/// Marshal `src` (native byte order) into `w` as a serial encoder
+/// does: one copy, with every element byte-swapped in the same pass
+/// when data translation is on (the §3.3 remark about heterogeneous
+/// encodings). The tests' oracle for the frames the routes build.
+#[cfg(test)]
 pub(crate) fn pack(w: &mut CdrWriter, src: &[u8], elem_size: usize, translate: bool) {
     if translates(elem_size, translate) {
         w.put_swapped(src, elem_size);
@@ -513,17 +520,18 @@ pub(crate) fn pack(w: &mut CdrWriter, src: &[u8], elem_size: usize, translate: b
 /// This thread's native-order local part from the received pieces that
 /// tile it, in element order. A single piece that needs no translation
 /// is the local part as it is, a view of the frame it arrived in;
-/// otherwise the pieces are unmarshaled into one new buffer.
-pub(crate) fn unpack(parts: &[Bytes], elem_size: usize, translate: bool) -> Bytes {
-    if let [only] = parts {
-        if !translates(elem_size, translate) {
-            return only.clone();
-        }
+/// otherwise (translation, or a block that spans segments or
+/// fragments) the pieces are unmarshaled into one new buffer.
+pub(crate) fn unpack(parts: Frame, elem_size: usize, translate: bool) -> Bytes {
+    if !translates(elem_size, translate) {
+        return parts.into_bytes();
     }
-    let len = parts.iter().map(|p| p.len()).sum();
-    let mut w = CdrWriter::with_capacity(Endian::native(), len);
-    for p in parts {
-        pack(&mut w, p, elem_size, translate);
+    let mut w = CdrWriter::with_capacity(Endian::native(), parts.len());
+    if parts.segments().all(|p| p.len() % elem_size == 0) {
+        parts.segments().for_each(|p| w.put_swapped(p, elem_size));
+    } else {
+        // Segments cut inside an element: swap the stream as one.
+        w.put_swapped(&parts.into_bytes(), elem_size);
     }
     w.into_shared()
 }
@@ -580,9 +588,9 @@ mod tests {
     fn unpack_keeps_a_single_piece_in_place() {
         let frame = Bytes::from(vec![1u8, 2, 3, 4, 5, 6, 7, 8, 9]);
         let piece = frame.slice(1..9);
-        let local = unpack(std::slice::from_ref(&piece), 8, false);
+        let local = unpack(Frame::from(piece.clone()), 8, false);
         assert_eq!(local.as_ptr(), piece.as_ptr());
-        let swapped = unpack(std::slice::from_ref(&piece), 8, true);
+        let swapped = unpack(Frame::from(piece.clone()), 8, true);
         assert_eq!(&swapped[..], &[9, 8, 7, 6, 5, 4, 3, 2]);
     }
 
@@ -598,11 +606,25 @@ mod tests {
 
     #[test]
     fn unpack_joins_pieces_in_order() {
-        let parts = [
-            Bytes::from(vec![1u8, 2, 3, 4]),
-            Bytes::from(vec![5u8, 6, 7, 8]),
-        ];
-        assert_eq!(&unpack(&parts, 4, false)[..], &[1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(&unpack(&parts, 4, true)[..], &[4, 3, 2, 1, 8, 7, 6, 5]);
+        let parts: Frame = [vec![1u8, 2, 3, 4], vec![5u8, 6, 7, 8]]
+            .into_iter()
+            .map(Bytes::from)
+            .collect();
+        assert_eq!(
+            &unpack(parts.clone(), 4, false)[..],
+            &[1, 2, 3, 4, 5, 6, 7, 8]
+        );
+        assert_eq!(
+            &unpack(parts.clone(), 4, true)[..],
+            &[4, 3, 2, 1, 8, 7, 6, 5]
+        );
+        // A cut inside an element swaps the same.
+        let cut = parts.slice(0..3);
+        let mut rest = parts.slice(3..8);
+        rest.extend(&Frame::new());
+        let mut odd = cut;
+        odd.extend(&rest);
+        assert_eq!(odd.segments().count(), 3);
+        assert_eq!(&unpack(odd, 4, true)[..], &[4, 3, 2, 1, 8, 7, 6, 5]);
     }
 }

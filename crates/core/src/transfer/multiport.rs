@@ -20,29 +20,31 @@
 //!
 //! Here a thread's block travels as DataTransfer fragments, one per
 //! peer thread that owns a piece of it, from the sender's data port to
-//! the owner's, in either direction.
+//! the owner's, in either direction. A fragment is a header segment
+//! and a slice of the block's storage, linked in, not copied.
 
 use crate::error::{PardisError, PardisResult};
 use crate::orb::OrbCtx;
 use crate::request::{byte_len, InvokeTiming};
-use crate::transfer::{pack, Block};
+use crate::transfer::{translates, Block};
 use bytes::Bytes;
-use pardis_cdr::Endian;
+use pardis_cdr::{Endian, Frame};
 use pardis_net::giop::{FrameWriter, GiopMessage, TransferHeader};
 use pardis_net::{HostId, PortId};
 use std::time::Instant;
 
 /// Send this thread's block of an argument, `local`, as fragments to
 /// the peer threads that own each piece, at their data ports `to` (the
-/// peer's host and one port per peer thread). Each fragment is
-/// marshaled straight into its frame (the one copy; the pack cost of
-/// the paper's measurements, parallel across threads here) and adds to
+/// peer's host and one port per peer thread). Each fragment's frame
+/// links its slice of `local` in as it is, or, with data translation,
+/// a byte-swapped copy written into the frame (the pack cost of the
+/// paper's measurements, parallel across threads here); it adds to
 /// `timing.pack` and `timing.send`.
 pub(crate) fn send_fragments(
     ctx: &OrbCtx,
     endian: Endian,
     block: Block<'_>,
-    local: &[u8],
+    local: &Bytes,
     to: (HostId, &[PortId]),
     timing: &mut InvokeTiming,
 ) -> PardisResult<()> {
@@ -72,11 +74,17 @@ pub(crate) fn send_fragments(
             total_len: templ.len() as u64,
             epoch: ctx.rts.membership().epoch(),
         };
-        let src = &local[(range.start - my_off) * elem_size..(range.end - my_off) * elem_size];
+        let src = local.slice((range.start - my_off) * elem_size..(range.end - my_off) * elem_size);
         let tp = Instant::now();
-        let mut f = FrameWriter::new(endian, &header, src.len())?;
-        pack(f.body(), src, elem_size, ctx.translate);
-        let wire = f.finish()?;
+        let wire = if translates(elem_size, ctx.translate) {
+            let mut f = FrameWriter::new(endian, &header, src.len())?;
+            f.body().put_swapped(&src, elem_size);
+            f.finish()?
+        } else {
+            let mut f = FrameWriter::new(endian, &header, 0)?;
+            f.lend(&Frame::from(src));
+            f.finish()?
+        };
         timing.pack += tp.elapsed();
         let ts = Instant::now();
         // Send from this thread's own data port: fragment flows are then
@@ -99,7 +107,7 @@ pub(crate) fn recv_fragments(
     ctx: &OrbCtx,
     block: Block<'_>,
     deadline: Option<Instant>,
-) -> PardisResult<Vec<Bytes>> {
+) -> PardisResult<Frame> {
     let key = (block.req_id, block.arg);
     let expected = block.templ.incoming_count(block.rank, block.peer);
     let mut got = Vec::with_capacity(expected);
@@ -126,6 +134,7 @@ pub(crate) fn recv_fragments(
             .map_err(PardisError::from)?;
         match GiopMessage::decode(&dg.payload)? {
             GiopMessage::DataTransfer(h, body) => {
+                let body = body.into_bytes();
                 if (h.request_id, h.arg_index) == key {
                     got.push((h, body));
                 } else {

@@ -9,8 +9,7 @@
 use crate::fabric::{Host, HostId, PortId, PortRecv};
 use crate::giop::GiopMessage;
 use crate::{NetError, NetResult};
-use bytes::Bytes;
-use pardis_cdr::Endian;
+use pardis_cdr::{Endian, Frame};
 use std::time::Duration;
 
 /// A bidirectional message channel from a local port to a fixed peer.
@@ -61,13 +60,13 @@ impl Connection {
 
     /// Send an already encoded frame (e.g. one built with a
     /// [`crate::giop::FrameWriter`]) to the peer.
-    pub fn send_frame(&self, frame: Bytes) -> NetResult<Duration> {
+    pub fn send_frame(&self, frame: Frame) -> NetResult<Duration> {
         self.host
             .send_from(self.local.port(), self.peer_host, self.peer_port, frame)
     }
 
     /// Block for the next message on our local port.
-    pub fn recv(&self) -> NetResult<GiopMessage> {
+    pub fn recv(&self) -> NetResult<GiopMessage<Frame>> {
         let dg = self.local.recv()?;
         GiopMessage::decode(&dg.payload)
     }
@@ -75,17 +74,17 @@ impl Connection {
     /// The next frame on our local port, undecoded, with an optional
     /// absolute deadline: `None` blocks like [`Connection::recv`], `Some`
     /// fails with [`NetError::Timeout`] once the deadline passes.
-    pub fn recv_frame(&self, deadline: Option<std::time::Instant>) -> NetResult<Bytes> {
+    pub fn recv_frame(&self, deadline: Option<std::time::Instant>) -> NetResult<Frame> {
         Ok(self.local.recv_deadline(deadline)?.payload)
     }
 
     /// The next frame on our local port, undecoded, if one is waiting.
-    pub fn try_recv_frame(&self) -> Option<Bytes> {
+    pub fn try_recv_frame(&self) -> Option<Frame> {
         self.local.try_recv().map(|dg| dg.payload)
     }
 
     /// Receive with a timeout; `None` on timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> NetResult<Option<GiopMessage>> {
+    pub fn recv_timeout(&self, timeout: Duration) -> NetResult<Option<GiopMessage<Frame>>> {
         match self.local.recv_timeout(timeout) {
             None => Ok(None),
             Some(dg) => GiopMessage::decode(&dg.payload).map(Some),
@@ -93,7 +92,7 @@ impl Connection {
     }
 
     /// Non-blocking receive.
-    pub fn try_recv(&self) -> NetResult<Option<GiopMessage>> {
+    pub fn try_recv(&self) -> NetResult<Option<GiopMessage<Frame>>> {
         match self.local.try_recv() {
             None => Ok(None),
             Some(dg) => GiopMessage::decode(&dg.payload).map(Some),
@@ -188,7 +187,7 @@ mod tests {
         match conn.recv().unwrap() {
             GiopMessage::Reply(h, body) => {
                 assert_eq!(h.request_id, 77);
-                assert_eq!(&body[..], b"result");
+                assert_eq!(body.to_vec(), b"result");
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -40,9 +40,6 @@ pub enum NetError {
         host: crate::HostId,
         port: crate::PortId,
     },
-    /// A frame's slots were misused while it was built (a frame with
-    /// holes finished whole, or a hole filled out of turn).
-    Slot(pardis_cdr::SlotError),
 }
 
 impl fmt::Display for NetError {
@@ -68,18 +65,11 @@ impl fmt::Display for NetError {
                     "receive deadline exceeded on port {port} of host {host:?}"
                 )
             }
-            NetError::Slot(e) => write!(f, "frame slot: {e}"),
         }
     }
 }
 
 impl std::error::Error for NetError {}
-
-impl From<pardis_cdr::SlotError> for NetError {
-    fn from(e: pardis_cdr::SlotError) -> NetError {
-        NetError::Slot(e)
-    }
-}
 
 impl From<pardis_cdr::CdrError> for NetError {
     fn from(e: pardis_cdr::CdrError) -> NetError {

@@ -9,8 +9,8 @@
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::link::{Link, LinkSpec};
 use crate::{Datagram, NetError, NetResult};
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use pardis_cdr::Frame;
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -157,16 +157,18 @@ impl Fabric {
     }
 
     /// Send `payload` from `(src_host, src_port)` to `(dst_host,
-    /// dst_port)`, blocking for the wire time on the route's link.
-    /// Returns the time spent occupying the wire.
+    /// dst_port)`, blocking for the wire time of its full length on the
+    /// route's link. Returns the time spent occupying the wire. The
+    /// frame travels by refcount, its segments as they are.
     pub fn send(
         &self,
         src_host: HostId,
         src_port: PortId,
         dst_host: HostId,
         dst_port: PortId,
-        payload: Bytes,
+        payload: impl Into<Frame>,
     ) -> NetResult<Duration> {
+        let payload = payload.into();
         let link = self.route(src_host, dst_host)?;
         let faults = self.inner.faults.read().clone();
         if let Some(faults) = faults {
@@ -203,7 +205,7 @@ impl Fabric {
         src_port: PortId,
         dst_host: HostId,
         dst_port: PortId,
-        payload: Bytes,
+        payload: Frame,
         link: Option<Arc<Link>>,
     ) -> NetResult<Duration> {
         let mtu = link
@@ -233,7 +235,7 @@ impl Fabric {
             for off in fate.corrupt_at {
                 bytes[off] ^= 0x80 | (1 << (off % 7));
             }
-            Bytes::from(bytes)
+            Frame::from(bytes)
         };
         self.deliver(
             dst_host,
@@ -375,7 +377,7 @@ impl Host {
         &self,
         dst_host: HostId,
         dst_port: PortId,
-        payload: Bytes,
+        payload: impl Into<Frame>,
     ) -> NetResult<Duration> {
         self.fabric.send(self.id, 0, dst_host, dst_port, payload)
     }
@@ -386,7 +388,7 @@ impl Host {
         src_port: PortId,
         dst_host: HostId,
         dst_port: PortId,
-        payload: Bytes,
+        payload: impl Into<Frame>,
     ) -> NetResult<Duration> {
         self.fabric
             .send(self.id, src_port, dst_host, dst_port, payload)
@@ -473,6 +475,7 @@ impl PortRecv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     #[test]
     fn loopback_needs_no_link() {
@@ -481,7 +484,7 @@ mod tests {
         let p = h.open_port();
         h.send_to(h.id(), p.port(), Bytes::from_static(b"self"))
             .unwrap();
-        assert_eq!(&p.recv().unwrap().payload[..], b"self");
+        assert_eq!(p.recv().unwrap().payload.to_vec(), b"self");
     }
 
     #[test]
@@ -497,7 +500,7 @@ mod tests {
         fabric.connect(a.id(), b.id(), LinkSpec::unlimited());
         a.send_to(b.id(), p.port(), Bytes::from_static(b"hi"))
             .unwrap();
-        assert_eq!(&p.recv().unwrap().payload[..], b"hi");
+        assert_eq!(p.recv().unwrap().payload.to_vec(), b"hi");
     }
 
     #[test]
@@ -527,7 +530,7 @@ mod tests {
         // Reply path using the advertised source.
         b.send_to(dg.src_host, dg.src_port, Bytes::from_static(b"r"))
             .unwrap();
-        assert_eq!(&pa.recv().unwrap().payload[..], b"r");
+        assert_eq!(pa.recv().unwrap().payload.to_vec(), b"r");
     }
 
     #[test]
@@ -611,7 +614,7 @@ mod tests {
                 a.send_from(7, b.id(), p.port(), Bytes::from(vec![i as u8]))
                     .unwrap();
                 if let Some(dg) = p.recv_timeout(Duration::from_millis(20)) {
-                    delivered.push(dg.payload[0]);
+                    delivered.push(dg.payload.to_vec()[0]);
                 }
             }
             (delivered, fabric.fault_stats().unwrap())
@@ -661,7 +664,7 @@ mod tests {
             .unwrap();
         let got = p.recv().unwrap().payload;
         assert_eq!(got.len(), sent.len());
-        assert_ne!(&got[..], &sent[..], "a byte must have been flipped");
+        assert_ne!(got.to_vec(), sent, "a byte must have been flipped");
         assert_eq!(fabric.fault_stats().unwrap().messages_corrupted, 1);
     }
 
@@ -679,7 +682,7 @@ mod tests {
         assert!(fabric.fault_stats().is_none());
         a.send_to(b.id(), p.port(), Bytes::from_static(b"kept"))
             .unwrap();
-        assert_eq!(&p.recv().unwrap().payload[..], b"kept");
+        assert_eq!(p.recv().unwrap().payload.to_vec(), b"kept");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::fabric::{HostId, PortId};
 use crate::{NetError, NetResult};
 use bytes::Bytes;
-use pardis_cdr::{CdrReader, CdrResult, CdrWriter, Decode, Encode, Endian, SlotError, SlottedBuf};
+use pardis_cdr::{CdrReader, CdrResult, CdrWriter, Decode, Encode, Endian, Frame};
 
 /// Protocol magic, "PARD".
 pub const MAGIC: [u8; 4] = *b"PARD";
@@ -138,7 +138,7 @@ impl Decode for RequestHeader {
             let len = r.get_u32()? as usize;
             // `take` bounds-checks against the remaining payload, so a
             // lying length becomes a typed error, not a panic.
-            service_context.push((id, Bytes::copy_from_slice(r.take(len)?)));
+            service_context.push((id, Bytes::copy_from_slice(&r.take(len)?)));
         }
         Ok(RequestHeader {
             request_id,
@@ -355,30 +355,25 @@ fn put_preamble(w: &mut CdrWriter, kind: u8) {
     w.put_u8(0); // reserved
 }
 
-/// A frame built in one buffer: the preamble and header are written
+/// A frame written as segments: the preamble and header are written
 /// first, the body is then written straight after them through
 /// [`FrameWriter::body`], and [`FrameWriter::finish`] patches the body
-/// length in. A payload therefore reaches the wire with one copy, the
-/// one into this buffer. [`GiopMessage::encode`] goes through here too.
-///
-/// A body may also leave *holes* ([`FrameWriter::hole`]) for data other
-/// threads marshal in place. Such a frame comes out of
-/// [`FrameWriter::finish_slotted`] as a [`SlottedBuf`] whose slots are,
-/// in frame order: the bytes written before the first hole (already
-/// filled), that hole's parts (empty), the bytes written between the
-/// first and second hole (filled), the second hole's parts, and so on,
-/// ending with the bytes written after the last hole (filled, possibly
-/// empty).
+/// length in. Bytes the body already holds elsewhere (a sequence's
+/// storage, a decoded body) are linked in with [`FrameWriter::lend`]
+/// as segments of their own, not copied: the writer continues in a new
+/// segment after them, aligned as the one stream. [`GiopMessage::encode`]
+/// goes through here too.
 #[derive(Debug)]
 pub struct FrameWriter {
-    /// The bytes written since the last hole (from frame offset 0 when
-    /// there is none); its stream positions are frame offsets.
+    /// The first bytes written (preamble, header, body length), once a
+    /// lent segment follows them; `w` holds them until then.
+    head: Option<CdrWriter>,
+    /// The segments after `head`: lent ones and the writes between
+    /// them.
+    segs: Frame,
+    /// The bytes written since the last lent segment; its stream
+    /// positions are frame offsets.
     w: CdrWriter,
-    /// Per hole: the bytes written before it since the previous hole,
-    /// and how many parts the hole has.
-    holes: Vec<(CdrWriter, usize)>,
-    /// The lengths of every hole's parts, in frame order.
-    parts: Vec<usize>,
     /// Frame offset of the body-length field.
     len_at: usize,
     /// Frame offset of the body's first byte (8-aligned).
@@ -386,8 +381,8 @@ pub struct FrameWriter {
 }
 
 impl FrameWriter {
-    /// Start a frame of `header`'s kind, with room for a body of
-    /// `body_capacity` bytes reserved after the header.
+    /// Start a frame of `header`'s kind, with room for `body_capacity`
+    /// bytes of body written after the header.
     pub fn new<H: FrameHeader>(
         endian: Endian,
         header: &H,
@@ -402,9 +397,9 @@ impl FrameWriter {
         w.reserve(body_capacity);
         let body_at = w.len();
         Ok(FrameWriter {
+            head: None,
+            segs: Frame::new(),
             w,
-            holes: Vec::new(),
-            parts: Vec::new(),
             len_at,
             body_at,
         })
@@ -417,153 +412,109 @@ impl FrameWriter {
         &mut self.w
     }
 
-    /// Leave a hole at the end of the body, one slot per part of
-    /// `parts` bytes, for other threads to fill. The body continues
-    /// after the hole.
-    pub fn hole(&mut self, parts: impl IntoIterator<Item = usize>) {
-        let first = self.parts.len();
-        self.parts.extend(parts);
-        let end = self.w.position() + self.parts[first..].iter().sum::<usize>();
-        let after = CdrWriter::at_offset(self.w.endian(), end);
+    /// Link the segments of `data` into the body at its end, without
+    /// copying them; the body continues after them.
+    pub fn lend(&mut self, data: &Frame) {
+        if data.is_empty() {
+            return;
+        }
+        let after = CdrWriter::at_offset(self.w.endian(), self.w.position() + data.len());
         let before = std::mem::replace(&mut self.w, after);
-        self.holes.push((before, self.parts.len() - first));
+        match self.head {
+            None => self.head = Some(before),
+            Some(_) if before.is_empty() => {}
+            Some(_) => self.segs.push(before.into_shared()),
+        }
+        self.segs.extend(data);
     }
 
-    /// Bytes of the body so far, holes included.
+    /// Bytes of the body so far, lent ones included.
     pub fn body_len(&self) -> usize {
         self.w.position() - self.body_at
     }
 
-    /// Patch the body length into the first bytes written.
-    fn patch_len(&mut self) {
+    /// Patch the body length in and hand the frame out.
+    pub fn finish(mut self) -> NetResult<Frame> {
         let len = self.body_len() as u32;
-        let first = match self.holes.first_mut() {
-            Some((w, _)) => w,
-            None => &mut self.w,
+        let Some(mut head) = self.head else {
+            self.w.patch_u32(self.len_at, len);
+            return Ok(Frame::from(self.w.into_shared()));
         };
-        first.patch_u32(self.len_at, len);
-    }
-
-    /// Patch the body length and hand the frame out. A frame with
-    /// holes has unfilled bytes: it is refused here
-    /// ([`SlotError::Unfilled`]) and finished with
-    /// [`FrameWriter::finish_slotted`] instead.
-    pub fn finish(mut self) -> NetResult<Bytes> {
-        if !self.holes.is_empty() {
-            return Err(SlotError::Unfilled { slot: 1 }.into());
-        }
-        self.patch_len();
-        Ok(self.w.into_shared())
-    }
-
-    /// Patch the body length and hand the frame out as a buffer of its
-    /// final length, with every byte written so far in place and the
-    /// holes' parts as empty slots (numbered as the type's
-    /// documentation describes). The buffer is the allocation the first
-    /// bytes were written into, so a body capacity that covered the
-    /// holes spares a copy.
-    pub fn finish_slotted(mut self) -> NetResult<SlottedBuf> {
-        self.patch_len();
-        let written = |w: &CdrWriter| w.position() - w.len()..w.position();
-        let mut slots = Vec::with_capacity(self.holes.len() + self.parts.len() + 1);
-        let mut parts = self.parts.iter();
-        for (before, n) in &self.holes {
-            slots.push(written(before));
-            let mut at = before.position();
-            for &p in parts.by_ref().take(*n) {
-                slots.push(at..at + p);
-                at += p;
-            }
-        }
-        slots.push(written(&self.w));
-        let len = self.w.position();
-        let mut segments = self.holes.into_iter().chain([(self.w, 0)]);
-        let Some((head, mut skip)) = segments.next() else {
-            // Never: the chain ends with the bytes after the last hole.
-            return Err(SlotError::NoSuchSlot { slot: 0, slots: 0 }.into());
-        };
-        let frame = SlottedBuf::with_head(head.into_bytes(), len, slots)?;
-        let mut slot = 0;
-        for (segment, parts) in segments {
-            slot += 1 + skip;
-            frame.fill(slot, segment.as_slice())?;
-            skip = parts;
+        head.patch_u32(self.len_at, len);
+        let mut frame = Frame::from(head.into_shared());
+        frame.extend(&self.segs);
+        if !self.w.is_empty() {
+            frame.push(self.w.into_shared());
         }
         Ok(frame)
     }
 }
 
-/// A complete PARDIS protocol message.
+/// A complete PARDIS protocol message, with a body of `B`: [`Bytes`]
+/// when a program builds one to send, a [`Frame`] (views of the
+/// received segments) when [`GiopMessage::decode`] reads one.
 #[derive(Debug, Clone, PartialEq)]
-pub enum GiopMessage {
+pub enum GiopMessage<B = Bytes> {
     /// Invocation: header plus marshaled argument body.
-    Request(RequestHeader, Bytes),
+    Request(RequestHeader, B),
     /// Completion: header plus marshaled result body.
-    Reply(ReplyHeader, Bytes),
+    Reply(ReplyHeader, B),
     /// A distributed-argument fragment plus its raw element bytes.
-    DataTransfer(TransferHeader, Bytes),
+    DataTransfer(TransferHeader, B),
     /// Orderly connection shutdown.
     CloseConnection,
 }
 
 impl GiopMessage {
-    /// Encode the message (header in `endian`, body appended verbatim —
-    /// bodies are themselves CDR streams in the same byte order).
-    /// Header encoding is infallible today; the `Result` keeps the
-    /// library path panic-free if a fallible header field is ever added.
-    pub fn encode(&self, endian: Endian) -> NetResult<Bytes> {
+    /// Encode the message (header in `endian`, body linked in as it is —
+    /// bodies are themselves CDR streams in the same byte order): a
+    /// frame of the header's segment and the body's, which is not
+    /// copied. Header encoding is infallible today; the `Result` keeps
+    /// the library path panic-free if a fallible header field is ever
+    /// added.
+    pub fn encode(&self, endian: Endian) -> NetResult<Frame> {
         let (mut frame, body) = match self {
-            GiopMessage::Request(h, body) => (FrameWriter::new(endian, h, body.len())?, body),
-            GiopMessage::Reply(h, body) => (FrameWriter::new(endian, h, body.len())?, body),
-            GiopMessage::DataTransfer(h, body) => (FrameWriter::new(endian, h, body.len())?, body),
+            GiopMessage::Request(h, body) => (FrameWriter::new(endian, h, 0)?, body),
+            GiopMessage::Reply(h, body) => (FrameWriter::new(endian, h, 0)?, body),
+            GiopMessage::DataTransfer(h, body) => (FrameWriter::new(endian, h, 0)?, body),
             GiopMessage::CloseConnection => {
                 let mut w = CdrWriter::with_capacity(endian, 8);
                 put_preamble(&mut w, CLOSE_CONNECTION_KIND);
-                return Ok(w.into_shared());
+                return Ok(Frame::from(w.into_shared()));
             }
         };
-        frame.body().put_bytes(body);
+        frame.lend(&Frame::from(body.clone()));
         frame.finish()
     }
+}
 
-    /// Decode a message from the wire.
-    pub fn decode(buf: &Bytes) -> NetResult<GiopMessage> {
-        if buf.len() < 8 {
-            return Err(NetError::BadMessage("short header".into()));
-        }
-        if buf[0..4] != MAGIC {
-            return Err(NetError::BadMessage("bad magic".into()));
-        }
-        if buf[4] != VERSION {
-            return Err(NetError::BadMessage(format!("bad version {}", buf[4])));
-        }
-        let endian = Endian::from_flag(buf[5]).map_err(NetError::from)?;
-        let kind = buf[6];
-        let mut r = CdrReader::at_offset(&buf[8..], endian, 8);
-        let take_body = |r: &mut CdrReader<'_>| -> NetResult<Bytes> {
+impl GiopMessage<Frame> {
+    /// Decode a message from the wire. The body is a view of the
+    /// segments that carry it; control fields decode the same wherever
+    /// the segment boundaries fall.
+    pub fn decode(frame: &Frame) -> NetResult<GiopMessage<Frame>> {
+        let (mut r, kind) = preamble(frame)?;
+        let take_body = |r: &mut CdrReader<'_>| -> NetResult<Frame> {
             let len = r.get_u32()? as usize;
             r.align(8)?;
-            let start = 8 + r.position();
-            if start + len > buf.len() {
+            let start = r.position();
+            if len > r.remaining() {
                 return Err(NetError::BadMessage("body truncated".into()));
             }
-            Ok(buf.slice(start..start + len))
+            Ok(frame.slice(start..start + len))
         };
         match kind {
             RequestHeader::KIND => {
                 let h = RequestHeader::decode(&mut r)?;
-                let body = take_body(&mut r)?;
-                Ok(GiopMessage::Request(h, body))
+                Ok(GiopMessage::Request(h, take_body(&mut r)?))
             }
             ReplyHeader::KIND => {
                 let h = ReplyHeader::decode(&mut r)?;
-                let body = take_body(&mut r)?;
-                Ok(GiopMessage::Reply(h, body))
+                Ok(GiopMessage::Reply(h, take_body(&mut r)?))
             }
             TransferHeader::KIND => {
                 let h = TransferHeader::decode(&mut r)?;
-                let body = take_body(&mut r)?;
-                Ok(GiopMessage::DataTransfer(h, body))
+                Ok(GiopMessage::DataTransfer(h, take_body(&mut r)?))
             }
             CLOSE_CONNECTION_KIND => Ok(GiopMessage::CloseConnection),
             other => Err(NetError::BadMessage(format!("unknown kind {other}"))),
@@ -571,12 +522,41 @@ impl GiopMessage {
     }
 
     /// The byte order the message body was encoded in.
-    pub fn body_endian(buf: &Bytes) -> NetResult<Endian> {
-        if buf.len() < 8 || buf[0..4] != MAGIC {
-            return Err(NetError::BadMessage("short or bad header".into()));
-        }
-        Endian::from_flag(buf[5]).map_err(NetError::from)
+    pub fn body_endian(frame: &Frame) -> NetResult<Endian> {
+        Ok(preamble(frame)?.0.endian())
     }
+
+    /// The message with its body in one contiguous buffer (a copy only
+    /// if the body spans segments).
+    pub fn to_contiguous(&self) -> GiopMessage {
+        match self {
+            GiopMessage::Request(h, body) => {
+                GiopMessage::Request(h.clone(), body.clone().into_bytes())
+            }
+            GiopMessage::Reply(h, body) => GiopMessage::Reply(h.clone(), body.clone().into_bytes()),
+            GiopMessage::DataTransfer(h, body) => {
+                GiopMessage::DataTransfer(h.clone(), body.clone().into_bytes())
+            }
+            GiopMessage::CloseConnection => GiopMessage::CloseConnection,
+        }
+    }
+}
+
+/// Check a frame's 8-byte preamble: a reader positioned after it, in
+/// the byte order it names, and the message kind.
+fn preamble(frame: &Frame) -> NetResult<(CdrReader<'_>, u8)> {
+    let mut r = CdrReader::from_frame(frame, Endian::native());
+    let Ok(pre) = r.take(8) else {
+        return Err(NetError::BadMessage("short header".into()));
+    };
+    if pre[0..4] != MAGIC {
+        return Err(NetError::BadMessage("bad magic".into()));
+    }
+    if pre[4] != VERSION {
+        return Err(NetError::BadMessage(format!("bad version {}", pre[4])));
+    }
+    r.set_endian(Endian::from_flag(pre[5]).map_err(NetError::from)?);
+    Ok((r, pre[6]))
 }
 
 #[cfg(test)]
@@ -603,9 +583,9 @@ mod tests {
         for endian in [Endian::Big, Endian::Little] {
             let msg = GiopMessage::Request(sample_request(), Bytes::from_static(b"body-bytes"));
             let wire = msg.encode(endian).unwrap();
-            assert_eq!(&wire[0..4], b"PARD");
+            assert_eq!(&wire.to_vec()[0..4], b"PARD");
             let back = GiopMessage::decode(&wire).unwrap();
-            assert_eq!(back, msg);
+            assert_eq!(back.to_contiguous(), msg);
             assert_eq!(GiopMessage::body_endian(&wire).unwrap(), endian);
         }
     }
@@ -635,7 +615,7 @@ mod tests {
                 Bytes::from_static(&[1, 2, 3]),
             );
             let wire = msg.encode(Endian::native()).unwrap();
-            assert_eq!(GiopMessage::decode(&wire).unwrap(), msg);
+            assert_eq!(GiopMessage::decode(&wire).unwrap().to_contiguous(), msg);
         }
     }
 
@@ -656,7 +636,14 @@ mod tests {
         );
         let wire = msg.encode(Endian::native()).unwrap();
         let back = GiopMessage::decode(&wire).unwrap();
-        assert_eq!(back, msg);
+        assert_eq!(back.to_contiguous(), msg);
+        // The body is linked into the frame, not copied.
+        let (GiopMessage::DataTransfer(_, sent), GiopMessage::DataTransfer(_, got)) = (&msg, &back)
+        else {
+            panic!("not a data transfer");
+        };
+        assert_eq!(wire.segments().count(), 2);
+        assert_eq!(got.clone().into_bytes().as_ptr(), sent.as_ptr());
     }
 
     #[test]
@@ -694,61 +681,57 @@ mod tests {
             frame.body().put_bytes(&body);
             assert_eq!(frame.body_len(), body.len());
             let built = frame.finish().unwrap();
+            assert_eq!(built.segments().count(), 1);
             let msg = GiopMessage::Request(sample_request(), Bytes::from(body.clone()));
             assert_eq!(built, msg.encode(endian).unwrap());
-            assert_eq!(GiopMessage::decode(&built).unwrap(), msg);
+            assert_eq!(GiopMessage::decode(&built).unwrap().to_contiguous(), msg);
         }
     }
 
     #[test]
-    fn holes_filled_in_place_match_the_frame_written_whole() {
+    fn lent_segments_match_the_frame_written_whole() {
         for endian in [Endian::Big, Endian::Little] {
             let mut whole = FrameWriter::new(endian, &sample_request(), 0).unwrap();
-            let mut holed = FrameWriter::new(endian, &sample_request(), 0).unwrap();
-            for f in [&mut whole, &mut holed] {
+            let mut lent = FrameWriter::new(endian, &sample_request(), 0).unwrap();
+            for f in [&mut whole, &mut lent] {
                 f.body().put_u32(7);
                 f.body().align(8);
             }
             whole.body().put_bytes(b"abcdefghij");
-            holed.hole([4, 0, 6]);
-            for f in [&mut whole, &mut holed] {
+            let parts: Frame = [&b"abcd"[..], b"", b"efghij"]
+                .into_iter()
+                .map(Bytes::copy_from_slice)
+                .collect();
+            lent.lend(&parts);
+            for f in [&mut whole, &mut lent] {
                 f.body().put_u8(1);
                 f.body().put_u64(9);
             }
             whole.body().put_bytes(b"xyz");
-            holed.hole([3]);
-            assert_eq!(holed.body_len(), whole.body_len());
-            let frame = holed.finish_slotted().unwrap();
-            // Written, three parts, written, one part, written (empty).
-            assert_eq!(frame.slots(), 7);
-            assert_eq!(frame.unfilled(), Some(1));
-            for (slot, part) in [(1, &b"abcd"[..]), (2, b""), (3, b"efghij"), (5, b"xyz")] {
-                frame.fill(slot, part).unwrap();
-            }
-            assert_eq!(frame.into_bytes().unwrap(), whole.finish().unwrap());
+            lent.lend(&Frame::from(Bytes::from_static(b"xyz")));
+            assert_eq!(lent.body_len(), whole.body_len());
+            let frame = lent.finish().unwrap();
+            // Head, two lent parts, the writes between, the last part;
+            // nothing was written after it.
+            assert_eq!(frame.segments().count(), 5);
+            let lent = frame.segments().nth(1).unwrap();
+            assert_eq!(lent.as_ptr(), parts.segments().next().unwrap().as_ptr());
+            let whole = whole.finish().unwrap();
+            assert_eq!(frame.to_vec(), whole.to_vec());
         }
     }
 
     #[test]
-    fn a_frame_with_holes_is_not_finished_whole() {
-        let mut f = FrameWriter::new(Endian::native(), &sample_request(), 0).unwrap();
-        f.hole([8]);
-        assert_eq!(
-            f.finish(),
-            Err(NetError::Slot(SlotError::Unfilled { slot: 1 }))
-        );
-    }
-
-    #[test]
     fn garbage_rejected() {
-        assert!(GiopMessage::decode(&Bytes::from_static(b"????????")).is_err());
-        assert!(GiopMessage::decode(&Bytes::from_static(b"PAR")).is_err());
+        let frame = |b: &'static [u8]| Frame::from(Bytes::from_static(b));
+        assert!(GiopMessage::decode(&frame(b"????????")).is_err());
+        assert!(GiopMessage::decode(&frame(b"PAR")).is_err());
         let mut wire = GiopMessage::CloseConnection
             .encode(Endian::native())
             .unwrap()
             .to_vec();
         wire[4] = 99; // bad version
-        assert!(GiopMessage::decode(&Bytes::from(wire)).is_err());
+        assert!(GiopMessage::decode(&Frame::from(wire)).is_err());
     }
 
     #[test]
@@ -787,5 +770,6 @@ mod tests {
         let wire = msg.encode(Endian::native()).unwrap();
         let cut = wire.slice(0..wire.len() - 10);
         assert!(GiopMessage::decode(&cut).is_err());
+        assert!(GiopMessage::decode(&Frame::from(cut.to_vec())).is_err());
     }
 }

@@ -35,6 +35,7 @@ pub use fabric::{Fabric, Host, HostId, PortId, PortRecv};
 pub use fault::{FaultPlan, FaultStats, ThreadDeath};
 pub use ior::{DistSpec, ObjectRef};
 pub use link::{Link, LinkSpec, LinkStats};
+pub use pardis_cdr::Frame;
 
 /// A datagram delivered to a port: source addressing plus payload.
 #[derive(Debug, Clone)]
@@ -44,8 +45,8 @@ pub struct Datagram {
     /// Port on the sending host that identifies the conversation (0 if
     /// the sender does not expect a reply).
     pub src_port: PortId,
-    /// Message payload.
-    pub payload: bytes::Bytes,
+    /// Message payload: the frame as sent, segments and all.
+    pub payload: pardis_cdr::Frame,
     /// Earliest wall-clock instant the datagram may be handed to the
     /// receiver (models one-way propagation latency without blocking
     /// the sender).

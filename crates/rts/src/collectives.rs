@@ -15,17 +15,18 @@
 //! ranks. The growth of the paper's Table 1 gather and scatter costs
 //! with the thread count (its MPICH collectives were linear) is
 //! therefore `pardis-sim`'s to reproduce, not this crate's.
-//! [`Endpoint::gather_into`] is a round too, in which every rank
-//! marshals its block straight into the root's frame: the centralized
-//! method's gather, whose only cost is the copy each rank makes of its
-//! own block.
+//! [`Endpoint::broadcast_frame`] and [`Endpoint::gather_frames`] move
+//! frames of segments the same way: the centralized method gathers
+//! every rank's blocks as the storage the ranks lend, and relays the
+//! frame it received, without copying either.
 
 use crate::endpoint::Endpoint;
 use crate::error::{RtsError, RtsResult};
 use crate::reduce::ReduceOp;
 use crate::rendezvous::{Rendezvous, Slot, Words};
 use bytes::Bytes;
-use pardis_cdr::{SlotError, SlottedBuf};
+use pardis_cdr::Frame;
+use std::sync::Arc;
 // The byte-view reinterpretation and its inverse live in pardis-cdr
 // (one documented unsafe block for the whole workspace); intra-machine
 // transfers are native order, so no translation is applied here.
@@ -132,14 +133,40 @@ impl Endpoint {
     /// Broadcast `data` from `root` to every rank; returns the payload on
     /// every rank (on the root it is the input, refcounted).
     pub fn broadcast(&self, root: usize, data: Option<Bytes>) -> RtsResult<Bytes> {
-        let slot = match data {
+        self.broadcast_slot(root, data.map(Slot::One), |slot| match slot {
+            Slot::One(data) => Some(data.clone()),
+            _ => None,
+        })
+    }
+
+    /// [`Endpoint::broadcast`] for a frame of segments: every rank gets
+    /// the root's segments, none of them copied.
+    pub fn broadcast_frame(&self, root: usize, frame: Option<Frame>) -> RtsResult<Frame> {
+        let shared = self.broadcast_slot(
+            root,
+            frame.map(|f| Slot::Frame(Arc::new(f))),
+            |slot| match slot {
+                Slot::Frame(frame) => Some(Arc::clone(frame)),
+                _ => None,
+            },
+        )?;
+        Ok(Arc::unwrap_or_clone(shared))
+    }
+
+    /// A broadcast of the root's `slot`, which every rank `read`s.
+    fn broadcast_slot<T>(
+        &self,
+        root: usize,
+        slot: Option<Slot>,
+        read: impl FnOnce(&Slot) -> Option<T>,
+    ) -> RtsResult<T> {
+        let slot = match slot {
             _ if self.rank() != root => Slot::Empty,
-            Some(data) => Slot::One(data),
+            Some(slot) => slot,
             None => Slot::Failed(RtsError::Internal("root must supply broadcast data".into())),
         };
-        self.exchange("broadcast", root, slot, |outcome| match &outcome[root] {
-            Slot::One(data) => Ok(data.clone()),
-            other => Err(failure(other, root)),
+        self.exchange("broadcast", root, slot, |outcome| {
+            read(&outcome[root]).ok_or_else(|| failure(&outcome[root], root))
         })
     }
 
@@ -153,30 +180,30 @@ impl Endpoint {
         })
     }
 
-    /// Gather into one frame at `root`, with no payload moving between
-    /// ranks: the root supplies `frame`, every rank (the root too) runs
-    /// `fill` on it to marshal its own blocks into its own slots, in
-    /// parallel, and the root gets the finished frame once every live
-    /// rank has filled and arrived. The frame is shared through the
-    /// domain's rendezvous; waiting spins, yields, then parks.
-    ///
-    /// Returns `Some(frame)` at the root and `None` elsewhere, or the
-    /// same error on every live rank: the lowest-ranked failed fill's
-    /// ([`RtsError::Slot`], e.g. a block whose length differs from its
-    /// slot), [`RtsError::DeadRank`] naming a rank confirmed dead
-    /// before it filled a non-empty slot, or naming the root if it was
-    /// confirmed dead before it posted the frame or before the round
-    /// completed. A dead rank's empty
-    /// slot leaves nothing to fill, so the round completes without it.
-    pub fn gather_into(
-        &self,
-        root: usize,
-        frame: Option<SlottedBuf>,
-        fill: impl FnOnce(&SlottedBuf) -> Result<(), SlotError>,
-    ) -> RtsResult<Option<Bytes>> {
-        self.collective("gather", root, |rv| {
-            rv.gather_into(self.rank(), root, frame, fill, || self.dead_mask())
-        })
+    /// [`Endpoint::gather_bytes`] for frames of segments: the root gets
+    /// every rank's `frame` as it was deposited, its segments shared,
+    /// not copied. This is the centralized method's gather of the
+    /// blocks every computing thread lends. A rank confirmed dead
+    /// contributes an empty frame.
+    pub fn gather_frames(&self, root: usize, frame: Frame) -> RtsResult<Option<Vec<Frame>>> {
+        let rank = self.rank();
+        let shared = self.exchange("gather", root, Slot::Frame(Arc::new(frame)), |outcome| {
+            Ok((rank == root).then(|| {
+                outcome
+                    .iter()
+                    .map(|slot| match slot {
+                        Slot::Frame(frame) => Some(Arc::clone(frame)),
+                        _ => None,
+                    })
+                    .collect::<Vec<_>>()
+            }))
+        })?;
+        Ok(shared.map(|frames| {
+            frames
+                .into_iter()
+                .map(|f| f.map(Arc::unwrap_or_clone).unwrap_or_default())
+                .collect()
+        }))
     }
 
     /// Gather a distributed `f64` buffer at `root`, concatenated in rank

@@ -32,10 +32,6 @@ pub enum RtsError {
     /// participating) or the collective's root (its slot in the
     /// rendezvous round stays empty).
     DeadRank { rank: usize },
-    /// A rank's fill of a shared frame failed
-    /// ([`crate::Endpoint::gather_into`]): its block does not match its
-    /// slot, or the slot was filled already.
-    Slot(pardis_cdr::SlotError),
     /// An internal invariant failed (a bug in the RTS or its caller,
     /// surfaced as an error instead of a panic on library paths).
     Internal(String),
@@ -74,19 +70,12 @@ impl fmt::Display for RtsError {
                     "rank {rank} has been confirmed dead by the domain membership"
                 )
             }
-            RtsError::Slot(e) => write!(f, "frame slot: {e}"),
             RtsError::Internal(msg) => write!(f, "internal runtime error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for RtsError {}
-
-impl From<pardis_cdr::SlotError> for RtsError {
-    fn from(e: pardis_cdr::SlotError) -> RtsError {
-        RtsError::Slot(e)
-    }
-}
 
 #[cfg(test)]
 mod tests {

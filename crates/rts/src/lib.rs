@@ -25,12 +25,12 @@
 //!   rank order). No collective sends a message, so none is linear in
 //!   the number of ranks; Table 1's shape (gather/scatter cost growing
 //!   with thread count) is reproduced by `pardis-sim`,
-//! * [`Endpoint::gather_into`] is a round too: the root posts a frame
-//!   buffer (`pardis_cdr::SlottedBuf`) and every rank packs its own
-//!   block into its own slot of it, in place and in parallel. The
-//!   ORB's centralized method packs through it and relays the one
-//!   received frame with a broadcast, from which every thread reads
-//!   its own block.
+//! * [`Endpoint::gather_frames`] and [`Endpoint::broadcast_frame`]
+//!   move frames of segments (`pardis_cdr::Frame`) the same way. The
+//!   ORB's centralized method gathers the blocks every rank lends at
+//!   the root, which links them into the one frame it sends, and
+//!   relays the one received frame with a broadcast, from which every
+//!   thread reads its own block.
 //!
 //! Two features add analysis without adding messages. `analyze`
 //! compiles the collective-consistency verifier (`verify`), the

@@ -24,21 +24,13 @@
 //! ([`Rendezvous::wake`]), so they re-check against the smaller live
 //! set. A dead rank's slot is empty in the outcome, so a root confirmed
 //! dead leaves its readers nothing but [`RtsError::DeadRank`].
-//!
-//! A gather into one frame ([`Rendezvous::gather_into`]) is a round
-//! too, with one step before the arrivals: the root posts a
-//! [`SlottedBuf`], and every rank fills its own slots of it in place,
-//! outside the lock, before it arrives. The round does not complete
-//! while a rank is filling, and the rank that completes it finishes the
-//! frame into the root's slot. The payload never moves between ranks;
-//! only the buffer's `Arc` does.
 
 use crate::collectives::live;
 use crate::error::{RtsError, RtsResult};
 use crate::reduce::ReduceOp;
 use bytes::Bytes;
-use pardis_cdr::{SlotError, SlottedBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use pardis_cdr::Frame;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Polls of the generation (with `spin_loop`) before a waiter starts
@@ -56,24 +48,27 @@ pub(crate) const YIELDS: u32 = 8;
 /// What a rank deposits in a round, and what the outcome holds for it.
 #[derive(Debug, Default)]
 pub(crate) enum Slot {
-    /// Nothing: a barrier, a broadcast or scatter off the root, a gather
-    /// into a frame, or a rank that did not arrive or is dead.
+    /// Nothing: a barrier, a broadcast or scatter off the root, or a
+    /// rank that did not arrive or is dead.
     #[default]
     Empty,
     /// An allreduce contribution and its operator. In the outcome, the
     /// lowest-ranked one holds the fold of them all.
     Words(Words, ReduceOp),
-    /// One buffer: a broadcast root's payload, a gather or allgather
-    /// contribution, or the finished frame of a gather into one.
+    /// One buffer: a broadcast root's payload, or a gather or allgather
+    /// contribution.
     One(Bytes),
+    /// A frame of segments: a broadcast root's, or a gather
+    /// contribution. Shared, so that a reader takes it under the lock
+    /// with one reference count and copies its segment list outside.
+    Frame(Arc<Frame>),
     /// One buffer per rank, in rank order: a scatter root's chunks, or
     /// a rank's all-to-all row.
     Many(Vec<Bytes>),
     /// A collective-verify fingerprint and its sequence number.
     #[cfg(feature = "analyze")]
     Print(crate::verify::Fingerprint, u64),
-    /// An error every reader returns: a root's bad arguments, or why a
-    /// frame could not be finished.
+    /// An error every reader returns: a root's bad arguments.
     Failed(RtsError),
 }
 
@@ -148,10 +143,6 @@ pub(crate) struct Rendezvous {
     /// value therefore also sees every rank's writes from before its
     /// arrival.
     gen: AtomicU64,
-    /// Whether the open round's frame is posted, for ranks spinning on
-    /// the post. A hint that publishes no data (`Relaxed`): a rank that
-    /// sees it set takes the lock and finds the frame there.
-    posted: AtomicBool,
 }
 
 #[derive(Debug)]
@@ -172,31 +163,17 @@ struct Round {
     /// complete before, so every rank that arrived gets the outcome,
     /// even one confirmed dead after it arrived.
     unread: usize,
-    /// The frame posted in the open round, with its root.
-    frame: Option<(usize, Arc<SlottedBuf>)>,
-    /// Ranks holding a reference to `frame` while they fill it. The
-    /// round does not complete while any does, so the frame is never
-    /// finished under a writer, not even a rank confirmed dead mid-fill.
-    filling: usize,
-    /// The lowest-ranked failed fill of the open round.
-    failed: Option<(usize, RtsError)>,
     /// Waiters blocked on `wakeup`.
     parked: usize,
 }
 
 impl Round {
-    /// Complete the open round if every live rank has arrived, nobody
-    /// is still filling the frame and the last round's outcome is read.
+    /// Complete the open round if every live rank has arrived and the
+    /// last round's outcome is read.
     fn try_complete(&mut self, dead: u64) -> bool {
         let size = self.arrived.len();
-        if self.filling > 0
-            || self.unread > 0
-            || !(0..size).all(|r| self.arrived[r] || !live(dead, r))
-        {
+        if self.unread > 0 || !(0..size).all(|r| self.arrived[r] || !live(dead, r)) {
             return false;
-        }
-        if let Some((root, frame)) = self.frame.take() {
-            self.slots[root] = self.finish(frame);
         }
         for r in 0..size {
             let slot = std::mem::take(&mut self.slots[r]);
@@ -207,23 +184,6 @@ impl Round {
         self.unread = std::mem::take(&mut self.readers);
         self.gen += 1;
         true
-    }
-
-    /// The posted frame, finished, or why it cannot be: the
-    /// lowest-ranked failed fill, or a rank that never arrived because
-    /// it was confirmed dead first, if that left a hole in the frame.
-    fn finish(&mut self, frame: Arc<SlottedBuf>) -> Slot {
-        let missing = (0..self.arrived.len()).find(|&r| !self.arrived[r]);
-        if let Some((_, e)) = self.failed.take() {
-            return Slot::Failed(e);
-        }
-        match (SlottedBuf::try_into_bytes(frame), missing) {
-            (Ok(bytes), _) => Slot::One(bytes),
-            (Err(SlotError::Unfilled { .. }), Some(rank)) => {
-                Slot::Failed(RtsError::DeadRank { rank })
-            }
-            (Err(e), _) => Slot::Failed(e.into()),
-        }
     }
 }
 
@@ -239,14 +199,10 @@ impl Rendezvous {
                 readers: 0,
                 outcome: empty(),
                 unread: 0,
-                frame: None,
-                filling: 0,
-                failed: None,
                 parked: 0,
             }),
             wakeup: Condvar::new(),
             gen: AtomicU64::new(0),
-            posted: AtomicBool::new(false),
         }
     }
 
@@ -259,7 +215,6 @@ impl Rendezvous {
     /// Publish a completed round: mirror the generation and wake the
     /// parked waiters.
     fn publish(&self, round: &Round) {
-        self.posted.store(false, Ordering::Relaxed);
         self.gen.store(round.gen, Ordering::Release);
         if round.parked > 0 {
             self.wakeup.notify_all();
@@ -371,95 +326,6 @@ impl Rendezvous {
         round = self.wakeup.wait(round).unwrap_or_else(|e| e.into_inner());
         round.parked -= 1;
         round
-    }
-
-    /// One round that gathers into one frame, for `rank`. The root
-    /// posts `frame`; every rank waits for the post, runs `fill` on the
-    /// shared frame (its own slots, in parallel with the others) and
-    /// arrives; the rank that completes the round finishes the frame.
-    /// `dead` reads the current dead mask. Returns the finished frame
-    /// at the root and `None` elsewhere, or the same error on every
-    /// live rank:
-    ///
-    /// - the lowest-ranked failed fill's error;
-    /// - [`RtsError::DeadRank`] naming a rank confirmed dead before it
-    ///   filled, if that left a slot unfilled;
-    /// - [`RtsError::DeadRank`] naming the root, if it was confirmed
-    ///   dead before it posted, or before the round completed.
-    ///
-    /// A rank that was confirmed dead itself gets
-    /// [`RtsError::DeadRank`] naming itself.
-    pub(crate) fn gather_into(
-        &self,
-        rank: usize,
-        root: usize,
-        frame: Option<SlottedBuf>,
-        fill: impl FnOnce(&SlottedBuf) -> Result<(), SlotError>,
-        dead: impl Fn() -> u64,
-    ) -> RtsResult<Option<Bytes>> {
-        let mut round = self.lock();
-        let gen = round.gen;
-        if rank == root {
-            let frame =
-                frame.ok_or_else(|| RtsError::Internal("root must supply the frame".into()))?;
-            // Checked under the lock: a root seen dead here never
-            // posts, so the ranks that gave up on it (below) agree.
-            if !live(dead(), rank) {
-                return Err(RtsError::DeadRank { rank });
-            }
-            round.frame = Some((root, Arc::new(frame)));
-            self.posted.store(true, Ordering::Relaxed);
-            if round.parked > 0 {
-                self.wakeup.notify_all();
-            }
-        } else if round.frame.is_none() {
-            drop(round);
-            self.spin_then_yield(|| self.posted.load(Ordering::Relaxed) || !live(dead(), root));
-            round = self.lock();
-            while round.frame.is_none() && round.gen == gen {
-                let mask = dead();
-                if !live(mask, rank) {
-                    return Err(RtsError::DeadRank { rank });
-                }
-                if !live(mask, root) {
-                    return Err(RtsError::DeadRank { rank: root });
-                }
-                round = self.park(round);
-            }
-        }
-        if round.gen != gen || !live(dead(), rank) {
-            return Err(RtsError::DeadRank { rank });
-        }
-        let shared = match &round.frame {
-            Some((posted_by, frame)) if *posted_by == root => frame.clone(),
-            // The frame is another root's: this rank waited for a root
-            // that died and the survivors moved on to a new one.
-            Some((posted_by, _)) if live(dead(), root) => {
-                return Err(RtsError::Internal(format!(
-                    "gather at root {root} met a frame posted by root {posted_by}"
-                )))
-            }
-            _ => return Err(RtsError::DeadRank { rank: root }),
-        };
-        round.filling += 1;
-        drop(round);
-
-        let filled = fill(&shared);
-        drop(shared);
-
-        let mut round = self.lock();
-        round.filling -= 1;
-        if let Err(e) = filled {
-            if round.failed.as_ref().is_none_or(|(r, _)| rank < *r) {
-                round.failed = Some((rank, e.into()));
-            }
-        }
-        let round = self.arrive(round, gen, rank, Slot::Empty, &dead, true);
-        self.collect(round, |outcome| match &outcome[root] {
-            Slot::One(frame) => Ok((rank == root).then(|| frame.clone())),
-            Slot::Failed(e) => Err(e.clone()),
-            _ => Err(RtsError::DeadRank { rank: root }),
-        })
     }
 
     /// Wake every parked waiter so it re-checks the round against the
@@ -645,160 +511,6 @@ mod tests {
         assert_eq!(results, vec![Ok(6.0); 4]);
     }
 
-    /// A frame of a 16-byte head (the root's) and one slot per rank,
-    /// rank `r` owning `r * 8` bytes.
-    fn frame_for(size: usize) -> SlottedBuf {
-        let mut at = 16;
-        let blocks: Vec<_> = (0..size)
-            .map(|r| {
-                at += r * 8;
-                at - r * 8..at
-            })
-            .collect();
-        SlottedBuf::new(at, std::iter::once(0..16).chain(blocks)).unwrap()
-    }
-
-    /// Rank `r`'s block: `r * 8` bytes of `r`.
-    fn block(r: usize) -> Vec<u8> {
-        vec![r as u8; r * 8]
-    }
-
-    /// Rank `rank`'s part of a gather into [`frame_for`] at root 0.
-    fn gather_blocks(ep: &Endpoint, block: &[u8]) -> RtsResult<Option<Bytes>> {
-        let frame = (ep.rank() == 0).then(|| {
-            let f = frame_for(ep.size());
-            f.fill(0, &[0xAB; 16]).unwrap();
-            f
-        });
-        ep.gather_into(0, frame, |f| f.fill(1 + ep.rank(), block))
-    }
-
-    fn expected_frame(size: usize) -> Vec<u8> {
-        let mut want = vec![0xAB; 16];
-        (0..size).for_each(|r| want.extend(block(r)));
-        want
-    }
-
-    #[test]
-    fn rendezvous_gather_into_fills_every_slot() {
-        const ROUNDS: usize = 2_000;
-        for size in [1, 2, 4] {
-            let results = run_bounded(size, Duration::from_secs(60), |ep| {
-                let mut frames = Vec::new();
-                for _ in 0..ROUNDS {
-                    let got = gather_blocks(&ep, &block(ep.rank())).unwrap();
-                    assert_eq!(got.is_some(), ep.rank() == 0);
-                    frames.extend(got);
-                    // Interleave with the other rendezvous rounds.
-                    ep.barrier();
-                }
-                (frames, ep.collectives_completed())
-            });
-            let want = expected_frame(size);
-            assert_eq!(results[0].0.len(), ROUNDS);
-            assert!(results[0].0.iter().all(|f| f[..] == want[..]));
-            assert!(results.iter().all(|(_, n)| *n == 2 * ROUNDS as u64));
-        }
-    }
-
-    #[test]
-    fn rendezvous_gather_into_rank_dead_before_its_fill() {
-        // Rank 3 never fills: ranks 0–2 fill and park, then rank 3 is
-        // confirmed dead. Its slot stays a hole, so every live rank gets
-        // the same typed error; a later round whose frame gives the dead
-        // rank no bytes completes.
-        let results = run_bounded(4, Duration::from_secs(30), |ep| {
-            if ep.rank() == 3 {
-                wait_until_parked(&ep, 3);
-                ep.membership().mark_dead(3);
-                return None;
-            }
-            let first = gather_blocks(&ep, &block(ep.rank()));
-            let frame = (ep.rank() == 0).then(|| {
-                let f = SlottedBuf::new(24, [0..8, 8..16, 16..24, 24..24]).unwrap();
-                f.fill(0, b"survivor").unwrap();
-                f
-            });
-            let second = ep.gather_into(0, frame, |f| {
-                if ep.rank() > 0 {
-                    f.fill(ep.rank(), &[ep.rank() as u8; 8])
-                } else {
-                    Ok(())
-                }
-            });
-            Some((first, second.map(|f| f.map(|b| b.to_vec()))))
-        });
-        for (rank, r) in results.iter().enumerate().take(3) {
-            let (first, second) = r.clone().unwrap();
-            assert_eq!(first, Err(RtsError::DeadRank { rank: 3 }), "rank {rank}");
-            let want = (rank == 0).then(|| {
-                let mut v = b"survivor".to_vec();
-                v.extend([1; 8]);
-                v.extend([2; 8]);
-                v
-            });
-            assert_eq!(second, Ok(want), "rank {rank}");
-        }
-        assert!(results[3].is_none());
-    }
-
-    #[test]
-    fn rendezvous_gather_into_dead_root() {
-        // Ranks 1 and 2 wait for a post that never comes: confirming
-        // the root dead releases both with the same error, and the
-        // survivors can gather at another root afterwards.
-        let results = run_bounded(3, Duration::from_secs(30), |ep| {
-            if ep.rank() == 0 {
-                wait_until_parked(&ep, 2);
-                ep.membership().mark_dead(0);
-                return None;
-            }
-            let lost = ep.gather_into(0, None, |f| f.fill(1 + ep.rank(), &block(ep.rank())));
-            // At entry, a dead root is refused the same way.
-            let refused = ep.gather_into(0, None, |_| Ok(()));
-            let frame = (ep.rank() == 1).then(|| SlottedBuf::new(2, [0..1, 1..2]).unwrap());
-            let again = ep.gather_into(1, frame, |f| f.fill(ep.rank() - 1, &[ep.rank() as u8]));
-            Some((lost, refused, again))
-        });
-        for (rank, r) in results.iter().enumerate().skip(1) {
-            let (lost, refused, again) = r.clone().unwrap();
-            assert_eq!(lost, Err(RtsError::DeadRank { rank: 0 }), "rank {rank}");
-            assert_eq!(refused, Err(RtsError::DeadRank { rank: 0 }), "rank {rank}");
-            let want = (rank == 1).then(|| Bytes::from(vec![1u8, 2]));
-            assert_eq!(again, Ok(want), "rank {rank}");
-        }
-    }
-
-    #[test]
-    fn rendezvous_gather_into_length_mismatch_is_typed_on_every_rank() {
-        // Rank 1 brings one byte too many for its 8-byte slot.
-        let results = run_bounded(3, Duration::from_secs(30), |ep| {
-            let mut mine = block(ep.rank());
-            if ep.rank() == 1 {
-                mine.push(0);
-            }
-            let first = gather_blocks(&ep, &mine);
-            // The domain stays usable after the failed round.
-            let after = gather_blocks(&ep, &block(ep.rank()));
-            (first, after)
-        });
-        for (rank, (first, after)) in results.into_iter().enumerate() {
-            assert_eq!(
-                first,
-                Err(RtsError::Slot(SlotError::Length {
-                    slot: 2,
-                    expected: 8,
-                    got: 9
-                })),
-                "rank {rank}"
-            );
-            assert_eq!(
-                after.unwrap().map(|f| f.to_vec()),
-                (rank == 0).then(|| expected_frame(3))
-            );
-        }
-    }
-
     #[test]
     fn rendezvous_broadcast_dead_root_releases_survivors() {
         // Ranks 1 and 2 park waiting for root 0's payload, which never
@@ -846,6 +558,54 @@ mod tests {
         ]);
         assert_eq!(results[0], Some((Ok(want.clone()), Ok(want))));
         assert_eq!(results[1], Some((Ok(None), Ok(None))));
+        assert!(results[2].is_none());
+    }
+
+    #[test]
+    fn rendezvous_gather_frames_shares_segments_and_survives_a_dead_peer() {
+        // Every rank lends two segments; the root gets them as they were
+        // (the same storage) and relays the joined frame, by refcount.
+        // Rank 2 then dies while the others wait for its frame: the
+        // gather completes over the survivors with an empty frame for it.
+        let results = run_bounded(3, Duration::from_secs(30), |ep| {
+            let rank = ep.rank() as u8;
+            let mine: Frame = [vec![rank; 4], vec![rank + 10; 2]]
+                .into_iter()
+                .map(Bytes::from)
+                .collect();
+            let ptrs: Vec<usize> = mine.segments().map(|s| s.as_ptr() as usize).collect();
+            let gathered = ep.gather_frames(0, mine).unwrap();
+            let joined = gathered.as_ref().map(|frames| {
+                let mut all = Frame::new();
+                frames.iter().for_each(|f| all.extend(f));
+                all
+            });
+            let relayed = ep.broadcast_frame(0, joined).unwrap();
+            let lent = relayed
+                .segments()
+                .skip(2 * ep.rank())
+                .take(2)
+                .map(|s| s.as_ptr() as usize)
+                .collect::<Vec<_>>();
+            assert_eq!(lent, ptrs, "rank {rank}'s segments were copied");
+            if ep.rank() == 2 {
+                wait_until_parked(&ep, 2);
+                ep.membership().mark_dead(2);
+                return None;
+            }
+            let after = ep.gather_frames(0, Frame::from(vec![rank; 3])).unwrap();
+            Some((relayed.to_vec(), after))
+        });
+        let want: Vec<u8> = (0..3u8)
+            .flat_map(|r| [vec![r; 4], vec![r + 10; 2]].concat())
+            .collect();
+        let after = vec![
+            Frame::from(vec![0u8; 3]),
+            Frame::from(vec![1u8; 3]),
+            Frame::new(),
+        ];
+        assert_eq!(results[0], Some((want.clone(), Some(after))));
+        assert_eq!(results[1], Some((want, None)));
         assert!(results[2].is_none());
     }
 

@@ -20,14 +20,23 @@ pub struct Bytes {
 
 impl Default for Bytes {
     fn default() -> Bytes {
-        Bytes::from(Vec::new())
+        Bytes::new()
     }
 }
 
 impl Bytes {
-    /// An empty byte slice.
+    /// An empty byte slice. Like the real crate's, it allocates nothing:
+    /// the empty `Bytes` a thread makes share one storage per thread, so
+    /// threads do not contend on one reference count either.
     pub fn new() -> Bytes {
-        Bytes::default()
+        thread_local! {
+            static EMPTY: Arc<dyn AsRef<[u8]> + Send + Sync> = Arc::new(&[] as &'static [u8]);
+        }
+        Bytes {
+            data: EMPTY.with(Arc::clone),
+            start: 0,
+            end: 0,
+        }
     }
 
     /// Take `owner` over as the storage of a new `Bytes`, without
@@ -217,6 +226,14 @@ mod tests {
         assert_eq!(s.slice(..2), Bytes::copy_from_slice(&[2, 3]));
         assert_eq!(b.len(), 5);
         assert!(Bytes::new().is_empty());
+    }
+
+    #[test]
+    fn empty_bytes_share_their_storage() {
+        let (a, b) = (Bytes::new(), Bytes::default());
+        assert!(Arc::ptr_eq(&a.data, &b.data));
+        assert!(a.is_empty() && b.is_empty());
+        assert_eq!(a, Bytes::from(Vec::new()));
     }
 
     #[test]

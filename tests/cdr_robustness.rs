@@ -31,12 +31,12 @@ use pardis_core::request::{DistArgMeta, ReplyBody, RequestBody};
 use pardis_net::fault::PER_MILLION;
 use pardis_net::giop::{GiopMessage, ReplyHeader, ReplyStatus, RequestHeader, TransferHeader};
 use pardis_net::ior::ObjectRef;
-use pardis_net::{Fabric, FaultPlan, HostId};
+use pardis_net::{Fabric, FaultPlan, Frame, HostId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-fn sample_request(endian: Endian) -> Bytes {
+fn sample_request(endian: Endian) -> Frame {
     let body = RequestBody {
         nondist: Bytes::from_static(b"\x01\x02\x03\x04"),
         dist: vec![],
@@ -58,10 +58,10 @@ fn sample_request(endian: Endian) -> Bytes {
         .unwrap()
 }
 
-fn sample_reply(endian: Endian) -> Bytes {
+fn sample_reply(endian: Endian) -> Frame {
     let body = ReplyBody {
         nondist: Bytes::from_static(b"\x09\x08"),
-        dist_out: vec![(0, 128, Some(Bytes::from(vec![0xAB; 64])))],
+        dist_out: vec![(0, 128, Some(Frame::from(vec![0xAB; 64])))],
     };
     GiopMessage::Reply(
         ReplyHeader {
@@ -74,7 +74,7 @@ fn sample_reply(endian: Endian) -> Bytes {
     .unwrap()
 }
 
-fn sample_transfer(endian: Endian) -> Bytes {
+fn sample_transfer(endian: Endian) -> Frame {
     GiopMessage::DataTransfer(
         TransferHeader {
             request_id: 7,
@@ -92,20 +92,56 @@ fn sample_transfer(endian: Endian) -> Bytes {
     .unwrap()
 }
 
-/// Try the full decode pipeline on one buffer: frame decode, then the
-/// matching body decode. Returns whether everything decoded. The point
-/// of calling it on damaged buffers is that it must return, not panic.
-fn decode_pipeline(buf: &Bytes) -> bool {
-    let endian = match GiopMessage::body_endian(buf) {
-        Ok(e) => e,
-        Err(_) => return false,
+/// What the full decode pipeline makes of one buffer: the frame, then
+/// the matching body, or the first error, as text.
+type Decoded = Result<(GiopMessage<Frame>, Option<RequestBody>, Option<ReplyBody>), String>;
+
+fn decoded(buf: &Frame) -> Decoded {
+    let endian = GiopMessage::body_endian(buf).map_err(|e| format!("{e:?}"))?;
+    let msg = GiopMessage::decode(buf).map_err(|e| format!("{e:?}"))?;
+    let (request, reply) = match &msg {
+        GiopMessage::Request(_, body) => (Some(RequestBody::decode(body, endian)), None),
+        GiopMessage::Reply(_, body) => (None, Some(ReplyBody::decode(body, endian))),
+        _ => (None, None),
     };
-    match GiopMessage::decode(buf) {
-        Ok(GiopMessage::Request(_, body)) => RequestBody::decode(&body, endian).is_ok(),
-        Ok(GiopMessage::Reply(_, body)) => ReplyBody::decode(&body, endian).is_ok(),
-        Ok(_) => true,
-        Err(_) => false,
+    let request = request.transpose().map_err(|e| format!("{e:?}"))?;
+    let reply = reply.transpose().map_err(|e| format!("{e:?}"))?;
+    Ok((msg, request, reply))
+}
+
+/// Try the full decode pipeline on one buffer. Returns whether
+/// everything decoded. The point of calling it on damaged buffers is
+/// that it must return, not panic.
+fn decode_pipeline(buf: &Frame) -> bool {
+    decoded(buf).is_ok()
+}
+
+/// `buf` cut into two segments at `at`.
+fn cut(buf: &[u8], at: usize) -> Frame {
+    [&buf[..at], &buf[at..]]
+        .into_iter()
+        .map(Bytes::copy_from_slice)
+        .collect()
+}
+
+/// Every damaged buffer the tests above feed the pipeline, from `wire`:
+/// each truncation, each single-byte flip and each misalignment.
+fn damaged(wire: &Frame) -> Vec<Vec<u8>> {
+    let whole = wire.to_vec();
+    let mut out: Vec<Vec<u8>> = (0..whole.len()).map(|len| whole[..len].to_vec()).collect();
+    for pos in 0..whole.len() {
+        for flip in [0x01u8, 0x80, 0xFF] {
+            let mut d = whole.clone();
+            d[pos] ^= flip;
+            out.push(d);
+        }
     }
+    for pad in 1..8usize {
+        let mut shifted = vec![0xEEu8; pad];
+        shifted.extend_from_slice(&whole);
+        out.push(shifted);
+    }
+    out
 }
 
 #[test]
@@ -117,7 +153,7 @@ fn every_truncation_errs_never_panics() {
             sample_transfer(endian),
         ] {
             for len in 0..wire.len() {
-                let cut = wire.slice(..len);
+                let cut = wire.slice(0..len);
                 assert!(
                     !decode_pipeline(&cut) || len == wire.len(),
                     "truncated buffer ({len}/{} bytes) decoded Ok",
@@ -146,7 +182,7 @@ fn every_single_byte_flip_is_survived() {
                     // byte is undetectable); what matters is that the
                     // decoder returns instead of panicking or
                     // over-allocating on a wild length field.
-                    let _ = decode_pipeline(&Bytes::from(damaged));
+                    let _ = decode_pipeline(&Frame::from(damaged));
                 }
             }
         }
@@ -160,17 +196,42 @@ fn misaligned_buffers_err() {
         // Leading garbage shifts every length field off its slot.
         for pad in 1..8usize {
             let mut shifted = vec![0xEEu8; pad];
-            shifted.extend_from_slice(&wire);
+            shifted.extend_from_slice(&wire.to_vec());
             assert!(
-                !decode_pipeline(&Bytes::from(shifted)),
+                !decode_pipeline(&Frame::from(shifted)),
                 "misaligned buffer (pad {pad}) decoded Ok"
             );
         }
         // Tail garbage after a valid frame must not be silently eaten.
         let mut padded = wire.to_vec();
         padded.extend_from_slice(&[0xEE; 7]);
-        let _ = decode_pipeline(&Bytes::from(padded));
+        let _ = decode_pipeline(&Frame::from(padded));
     }
+}
+
+#[test]
+fn every_damaged_frame_decodes_the_same_however_it_is_cut() {
+    // A receiver reads a frame as the segments it arrived in. Every
+    // damaged buffer above, cut into two segments at every offset,
+    // must reach the verdict the contiguous buffer reaches: the same
+    // message, or the same typed error.
+    let mut checked = 0;
+    for endian in [Endian::Big, Endian::Little] {
+        for wire in [
+            sample_request(endian),
+            sample_reply(endian),
+            sample_transfer(endian),
+        ] {
+            for buf in damaged(&wire).into_iter().chain([wire.to_vec()]) {
+                let want = decoded(&Frame::from(buf.clone()));
+                for at in 0..=buf.len() {
+                    assert_eq!(decoded(&cut(&buf, at)), want, "cut at {at} of {buf:02x?}");
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 100_000, "{checked}");
 }
 
 #[test]
@@ -181,7 +242,7 @@ fn body_decoders_survive_garbage() {
         let garbage: Vec<u8> = (0..97u8)
             .map(|i| i.wrapping_mul(31).wrapping_add(seed))
             .collect();
-        let b = Bytes::from(garbage);
+        let b = Frame::from(garbage);
         for endian in [Endian::Big, Endian::Little] {
             let _ = RequestBody::decode(&b, endian);
             let _ = ReplyBody::decode(&b, endian);
@@ -276,12 +337,12 @@ fn overflowing_lengths_are_typed_errors() {
     for endian in [Endian::Big, Endian::Little] {
         for meta in overflowing_metas() {
             // Inline data (centralized) and none (multi-port).
-            for inline in [Some(Bytes::from(vec![0u8; 64])), None] {
+            for inline in [Some(Frame::from(vec![0u8; 64])), None] {
                 let body = RequestBody {
                     nondist: Bytes::new(),
                     dist: vec![(meta.clone(), inline)],
                 };
-                let err = RequestBody::decode(&body.to_bytes(endian), endian).unwrap_err();
+                let err = RequestBody::decode(&body.to_bytes(endian).into(), endian).unwrap_err();
                 assert!(
                     matches!(err, PardisError::BadDistArg(_)),
                     "{meta:?} decoded to {err:?}"
@@ -337,7 +398,7 @@ fn server_survives_overflowing_frames() {
             sent,
             TransferMode::Centralized,
             meta.clone(),
-            Some(Bytes::from(vec![0u8; 64])),
+            Some(Frame::from(vec![0u8; 64])),
         );
         request(sent + 1, TransferMode::MultiPort, meta, None);
         sent += 2;
@@ -440,7 +501,7 @@ fn centralized_server_agrees_on_a_bad_inline_section() {
 
     // 56 bytes for 8 doubles, and no inline section at all: each thread
     // holds the whole frame, so both threads refuse the argument.
-    for (request_id, inline) in [(1, Some(Bytes::from(vec![0u8; 56]))), (2, None)] {
+    for (request_id, inline) in [(1, Some(Frame::from(vec![0u8; 56]))), (2, None)] {
         let header = RequestHeader {
             request_id,
             object_name: "heat".into(),
@@ -533,7 +594,7 @@ fn centralized_server_threads_reach_one_verdict() {
         .unwrap();
     let endian = Endian::native();
     let halves: Vec<u8> = (0..8).flat_map(|_| 1.5f64.to_ne_bytes()).collect();
-    let call = |request_id: u64, meta: DistArgMeta, inline: Option<Bytes>| {
+    let call = |request_id: u64, meta: DistArgMeta, inline: Option<Frame>| {
         let header = RequestHeader {
             request_id,
             object_name: "heat".into(),
@@ -589,13 +650,13 @@ fn centralized_server_threads_reach_one_verdict() {
         (
             1,
             doubles(ArgDir::In, vec![4, 4]),
-            Some(Bytes::from(halves.clone())),
+            Some(Frame::from(halves.clone())),
             "bad distributed argument",
         ),
         (
             2,
             doubles(ArgDir::In, vec![3, 3, 2]),
-            Some(Bytes::from(halves[8..].to_vec())),
+            Some(Frame::from(halves[8..].to_vec())),
             "bad distributed argument",
         ),
         (
@@ -618,7 +679,7 @@ fn centralized_server_threads_reach_one_verdict() {
     let status = call(
         4,
         doubles(ArgDir::In, vec![3, 3, 2]),
-        Some(Bytes::from(halves)),
+        Some(Frame::from(halves)),
     );
     assert_eq!(status, ReplyStatus::NoException);
     assert_eq!(entered.load(Ordering::SeqCst), THREADS as u64);
@@ -659,15 +720,15 @@ fn centralized_client_threads_agree_on_a_bad_reply() {
 
     let endian = Endian::native();
     let full: Vec<u8> = (0..LEN).flat_map(|i| (i as f64).to_ne_bytes()).collect();
-    let replies: [Vec<(u32, usize, Option<Bytes>)>; 4] = [
+    let replies: [Vec<(u32, usize, Option<Frame>)>; 4] = [
         // `diffusion`: an inline section one double short.
-        vec![(0, LEN, Some(Bytes::from(full[8..].to_vec())))],
+        vec![(0, LEN, Some(Frame::from(full[8..].to_vec())))],
         // `diffusion`: data for an argument the request does not have.
-        vec![(1, LEN, Some(Bytes::from(full.clone())))],
+        vec![(1, LEN, Some(Frame::from(full.clone())))],
         // `total_heat`: data for its `in` argument.
-        vec![(0, LEN, Some(Bytes::from(full.clone())))],
+        vec![(0, LEN, Some(Frame::from(full.clone())))],
         // `diffusion`: well formed.
-        vec![(0, LEN, Some(Bytes::from(full.clone())))],
+        vec![(0, LEN, Some(Frame::from(full.clone())))],
     ];
     for (i, dist_out) in replies.into_iter().enumerate() {
         let dg = request_port

@@ -3,8 +3,11 @@
 //! A sequence passed to an invocation lends its storage to the outgoing
 //! frame, and a sequence built from a received argument views the frame
 //! in place. Neither may leak a mutation: the request carries the
-//! values at the call, and a servant thread that mutates its view
-//! leaves every other view of the same frame as it arrived.
+//! values at the call, a servant that keeps its view past the call
+//! keeps those values, and a servant thread that mutates its view
+//! leaves every other view of the same frame as it arrived. And no
+//! view may outlive a blocking call unless a servant keeps it: the
+//! client's next mutation then finds its storage its own again.
 
 use pardis::apps::diffusion::DiffusionServant;
 use pardis::prelude::*;
@@ -149,4 +152,145 @@ fn servant_mutation_leaves_other_views_of_the_frame_alone() {
     });
     client.join();
     server.join();
+}
+
+const KEEPER: &str = "IDL:keeper:1.0";
+
+/// Keeps its thread's view of each call's `in` sequence until the next
+/// call, and reports, summed over its threads, what the view kept from
+/// the previous call reads now (NaN on the first call) and what the new
+/// one reads.
+#[derive(Default)]
+struct Keeper {
+    kept: Option<DSequence<f64>>,
+}
+
+impl Servant for Keeper {
+    fn type_id(&self) -> &str {
+        KEEPER
+    }
+
+    fn dispatch(&mut self, req: &mut ServerRequest<'_>) -> PardisResult<()> {
+        let seq: DSequence<f64> = req.dist_seq(0)?;
+        let sum = |s: &DSequence<f64>| s.local_data().iter().sum::<f64>();
+        let old = self.kept.as_ref().map_or(f64::NAN, sum);
+        let sums = req
+            .ctx()
+            .rts()
+            .allreduce_f64(&[old, sum(&seq)], pardis_rts::ReduceOp::Sum)?;
+        self.kept = Some(seq);
+        req.set_result(|w| {
+            w.put_f64_slice(&sums);
+            Ok(())
+        })
+    }
+}
+
+#[test]
+fn a_kept_in_sequence_keeps_the_values_of_its_call() {
+    const LEN: usize = 4096;
+    let world = World::new(LinkSpec::unlimited());
+    let server = world.spawn_machine("server", 2, |ctx| {
+        ctx.register("keeper", Box::<Keeper>::default(), vec![])
+            .unwrap();
+        ctx.serve_forever().unwrap();
+    });
+    let client = world.spawn_machine("client", 2, |ctx| {
+        let proxy = ctx.spmd_bind("keeper", None, Some(KEEPER)).unwrap();
+        let mut seq = DSequence::<f64>::new(ctx.rts(), LEN, None).unwrap();
+        let off = seq.local_range().start;
+        let call = |seq: &DSequence<f64>, mode| {
+            let mut spec = RequestSpec::simple("keep");
+            spec.dist_args = vec![proxy.dist_arg("keep", 0, ArgDir::In, seq).unwrap()];
+            let reply = proxy.invoke_with_mode(&ctx, spec, mode).unwrap();
+            let mut r = pardis_cdr::CdrReader::new(&reply.nondist_body, ctx.endian());
+            let mut sums = Vec::new();
+            r.get_f64_slice(2, &mut sums).unwrap();
+            (sums[0], sums[1])
+        };
+        // Failures are collected, not asserted here, so that the
+        // server is shut down either way.
+        let mut wrong = Vec::new();
+        let mut previous = None;
+        for mode in [TransferMode::Centralized, TransferMode::MultiPort] {
+            for round in 0..3 {
+                // Mutate the sequence the servant still views, then send
+                // it again.
+                for (j, x) in seq.local_data_mut().iter_mut().enumerate() {
+                    *x = value(off + j) * (round + 1) as f64;
+                }
+                let sent: f64 = (0..LEN).map(value).sum::<f64>() * (round + 1) as f64;
+                let (old, new) = call(&seq, mode);
+                if new != sent {
+                    wrong.push(format!(
+                        "{mode:?} round {round}: sent {sent}, servant read {new}"
+                    ));
+                }
+                match previous {
+                    None if !old.is_nan() => wrong.push(format!("first call kept {old}")),
+                    Some(was) if old != was => wrong.push(format!(
+                        "{mode:?} round {round}: the kept view changed from {was} to {old}"
+                    )),
+                    _ => {}
+                }
+                previous = Some(sent);
+            }
+        }
+        if ctx.is_comm_thread() {
+            ctx.send_shutdown(proxy.objref()).unwrap();
+        }
+        wrong
+    });
+    let wrong = client.join();
+    server.join();
+    assert!(wrong.iter().all(Vec::is_empty), "{wrong:?}");
+}
+
+#[test]
+fn a_blocking_call_hands_the_storage_back_unshared() {
+    const LEN: usize = 4096;
+    const CALLS: usize = 200;
+    let world = World::new(LinkSpec::unlimited());
+    let server = world.spawn_machine("server", 2, |ctx| {
+        diff_objectSkeleton::register(&ctx, "unshared", DiffusionServant::new(), vec![])
+            .expect("register");
+        ctx.serve_forever().expect("serve");
+    });
+    let client = world.spawn_machine("client", 2, |ctx| {
+        let mut diff = diff_objectProxy::_spmd_bind(&ctx, "unshared", None).unwrap();
+        let mut arr = DSequence::<f64>::new(ctx.rts(), LEN, None).unwrap();
+        let off = arr.local_range().start;
+        for (j, x) in arr.local_data_mut().iter_mut().enumerate() {
+            *x = value(off + j);
+        }
+        let mut storage = arr.local_data().as_ptr();
+        let want: f64 = (0..LEN).map(value).sum();
+        // Copies are counted, not asserted here, so that the server is
+        // shut down either way.
+        let mut copied = Vec::new();
+        for mode in [TransferMode::Centralized, TransferMode::MultiPort] {
+            diff._set_transfer_mode(mode).unwrap();
+            for call in 0..CALLS {
+                assert_eq!(diff.total_heat(&ctx, &arr).unwrap(), want);
+                // Mutating right after the call copies nothing: every
+                // view the invocation took of the storage is gone.
+                let data = arr.local_data_mut();
+                if data.as_ptr() != storage {
+                    copied.push((mode, call));
+                    storage = data.as_ptr();
+                }
+                data[0] += 0.0;
+            }
+        }
+        if ctx.is_comm_thread() {
+            ctx.send_shutdown(diff.proxy.objref()).unwrap();
+        }
+        copied
+    });
+    let copied = client.join();
+    server.join();
+    assert!(
+        copied.iter().all(Vec::is_empty),
+        "calls that copied: {copied:?}"
+    );
 }

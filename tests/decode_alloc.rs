@@ -12,9 +12,9 @@
 
 use bytes::Bytes;
 use pardis::pardis_cdr::{CdrReader, CdrWriter, Decode, Encode, Endian};
-use pardis::pardis_core::request::RequestBody;
-use pardis::pardis_net::giop::{RequestHeader, TransferMode};
-use pardis::pardis_net::{HostId, ObjectRef};
+use pardis::pardis_core::request::{ReplyBody, RequestBody};
+use pardis::pardis_net::giop::{GiopMessage, RequestHeader, TransferMode};
+use pardis::pardis_net::{Frame, HostId, ObjectRef};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -137,12 +137,12 @@ fn allocated_by(decode: impl FnOnce() -> bool) -> (bool, u64) {
 /// A request body whose argument count equals the number of bytes that
 /// follow it: an empty non-distributed section, then `TAIL` bytes of
 /// `0xFF`.
-fn hostile_body() -> Bytes {
+fn hostile_body() -> Frame {
     let mut w = CdrWriter::new(Endian::Little);
     w.put_u32(TAIL as u32 + 4);
     w.put_u32(0); // non-distributed section
     w.put_bytes(&[0xFF; TAIL]);
-    Bytes::from(w.into_bytes())
+    Frame::from(w.into_bytes())
 }
 
 /// A request header whose `client_data_ports` count (`ports`) or, with
@@ -193,4 +193,71 @@ fn hostile_request_frames_allocate_no_more_than_the_input() {
             input.len()
         );
     }
+}
+
+/// The recorded frames of `tests/data/wire_golden.txt`.
+fn golden_frames() -> Vec<Vec<u8>> {
+    include_str!("data/wire_golden.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.split_once(' '))
+        .map(|(_, hex)| {
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect()
+        })
+        .collect()
+}
+
+/// Decode `frame` as a receiver does, header and body; whether it
+/// failed.
+fn decode_frame(frame: &Frame) -> bool {
+    let Ok(endian) = GiopMessage::body_endian(frame) else {
+        return true;
+    };
+    match GiopMessage::decode(frame) {
+        Ok(GiopMessage::Request(_, body)) => RequestBody::decode(&body, endian).is_err(),
+        Ok(GiopMessage::Reply(_, body)) => ReplyBody::decode(&body, endian).is_err(),
+        Ok(_) => false,
+        Err(_) => true,
+    }
+}
+
+/// What a decoded frame may hold beyond its input: headers' strings
+/// and vectors, argument templates, and the segment lists of the views
+/// into the frame.
+const DECODED: u64 = 1024;
+
+#[test]
+fn segmented_frames_allocate_no_more_than_the_input() {
+    let frames = golden_frames();
+    assert!(frames.len() >= 48);
+    let mut most = 0;
+    for whole in &frames {
+        // Every cut of the frame into two segments, and every byte of
+        // it flipped, cut in the middle.
+        let mut inputs: Vec<(Vec<u8>, usize)> =
+            (0..=whole.len()).map(|at| (whole.clone(), at)).collect();
+        for pos in 0..whole.len() {
+            let mut d = whole.clone();
+            d[pos] ^= 0xFF;
+            inputs.push((d, whole.len() / 2));
+        }
+        for (bytes, at) in inputs {
+            let frame: Frame = [&bytes[..at], &bytes[at..]]
+                .into_iter()
+                .map(Bytes::copy_from_slice)
+                .collect();
+            let (_, allocated) = allocated_by(|| decode_frame(&frame));
+            let over = allocated.saturating_sub(bytes.len() as u64);
+            most = most.max(over);
+            assert!(
+                over <= DECODED,
+                "decoding {} bytes cut at {at} allocated {allocated}",
+                bytes.len()
+            );
+        }
+    }
+    eprintln!("most allocated beyond the input: {most} B");
 }

@@ -249,7 +249,7 @@ fn marshal_span_times_the_request_frame() {
     assert_eq!(marshal.len(), 1, "{marshal:?}");
     let body = pardis_core::request::RequestBody {
         nondist: bytes::Bytes::new(),
-        dist: vec![(meta, Some(bytes::Bytes::from(vec![0u8; BIG * 8])))],
+        dist: vec![(meta, Some(pardis_net::Frame::from(vec![0u8; BIG * 8])))],
     };
     assert_eq!(
         marshal[0].bytes,

@@ -1,11 +1,11 @@
 //! Copy budget of the distributed-argument payload path.
 //!
 //! With no data translation, matching client and server thread counts
-//! and block templates, each direction of an invocation allocates the
-//! payload once: the frame the sender marshals it into
-//! (`transfer::pack`). The sender lends its sequence's storage to that
-//! copy and the receiver's sequence views the frame in place. With
-//! translation on, the receiver's byte-swapped copy is a second one.
+//! and block templates, no direction of an invocation copies the
+//! payload: the sender lends its sequence's storage to the frame as a
+//! segment, and the receiver's sequence views that segment in place.
+//! With translation on, the sender's and the receiver's byte-swapped
+//! copies are two.
 //! Everything else (headers, collectives, control messages) has to fit
 //! in a small fixed allowance. A counting global allocator measures the
 //! bytes the whole process allocates during one invocation, both
@@ -92,9 +92,14 @@ struct Measured {
     mut_again: u64,
 }
 
+/// Taken for the whole of [`measure`]: the allocator counts the whole
+/// process, so two measurements must not overlap.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Run the invocations against a 2-thread server with `translate` set
 /// on both machines.
 fn measure(translate: bool) -> Vec<Measured> {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let opts = OrbOptions {
         translate,
         ..Default::default()
@@ -221,5 +226,24 @@ fn payload_is_allocated_once_per_direction() {
                 "{mode:?} mutation after a further `in` copied ({report:?})"
             );
         }
+    }
+}
+
+#[test]
+fn native_payload_is_lent_not_copied() {
+    let measured = measure(false);
+    for m in &measured {
+        assert!(
+            m.in_bytes < SLACK,
+            "{:?} `in` invocation allocated {} of payload",
+            m.mode,
+            ratio(m.in_bytes)
+        );
+        assert!(
+            m.inout_bytes < 2 * SLACK,
+            "{:?} `inout` invocation allocated {} of payload",
+            m.mode,
+            ratio(m.inout_bytes)
+        );
     }
 }

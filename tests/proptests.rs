@@ -70,7 +70,7 @@ proptest! {
         let _ = Vec::<String>::decode(&mut r);
         let mut r = CdrReader::new(&bytes, Endian::native());
         let _ = pardis_cdr::TypeCode::decode(&mut r);
-        let _ = GiopMessage::decode(&Bytes::from(bytes));
+        let _ = GiopMessage::decode(&pardis_net::Frame::from(bytes));
     }
 
     #[test]
@@ -237,7 +237,7 @@ proptest! {
         };
         let msg = GiopMessage::Request(h, Bytes::from(vec![1, 2, 3]));
         let wire = msg.encode(endian).unwrap();
-        prop_assert_eq!(GiopMessage::decode(&wire).unwrap(), msg);
+        prop_assert_eq!(GiopMessage::decode(&wire).unwrap().to_contiguous(), msg);
     }
 
     #[test]

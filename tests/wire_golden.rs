@@ -15,13 +15,18 @@
 //!
 //! With the `obs` feature the client's Request frames carry a tracing
 //! service context; those frames have their own `+obs` entries.
+//!
+//! A frame travels as segments (its header, the blocks its threads
+//! lend); the recorded bytes are their concatenation. A receiver
+//! decodes every recorded frame the same wherever it is cut.
 
 use bytes::Bytes;
 use pardis_cdr::{CdrWriter, Endian};
 use pardis_core::prelude::*;
-use pardis_core::request::{DistArgMeta, RequestBody};
+use pardis_core::request::{DistArgMeta, ReplyBody, RequestBody};
 use pardis_net::giop::{GiopMessage, RequestHeader, TransferHeader};
 use pardis_net::ior::ObjectRef;
+use pardis_net::Frame;
 use std::time::Duration;
 
 const TYPE: &str = "IDL:golden:1.0";
@@ -67,7 +72,7 @@ fn hex(b: &[u8]) -> String {
 }
 
 /// Every frame of one (byte order, translation) combination, named.
-fn capture(endian: Endian, translate: bool) -> Vec<(String, Bytes)> {
+fn capture(endian: Endian, translate: bool) -> Vec<(String, Frame)> {
     let opts = OrbOptions {
         endian,
         translate,
@@ -94,7 +99,7 @@ fn capture(endian: Endian, translate: bool) -> Vec<(String, Bytes)> {
     });
 
     let mut frames = Vec::new();
-    let mut keep = |name: &str, payload: Bytes| frames.push((name.to_string(), payload));
+    let mut keep = |name: &str, payload: Frame| frames.push((name.to_string(), payload));
 
     // The tap as the object: one oneway `in` invocation per mode.
     let client = world.spawn_machine_with("client", 2, opts, |ctx| {
@@ -167,7 +172,7 @@ fn capture(endian: Endian, translate: bool) -> Vec<(String, Bytes)> {
             },
             service_context: vec![],
         };
-        let inline = (!multiport).then(|| Bytes::from(data.clone()));
+        let inline = (!multiport).then(|| Frame::from(data.clone()));
         let body = RequestBody {
             nondist: nondist(endian),
             dist: vec![(meta.clone(), inline)],
@@ -261,7 +266,7 @@ fn frames_match_the_recorded_wire_format() {
     for endian in [Endian::Big, Endian::Little] {
         for translate in [false, true] {
             for (name, payload) in capture(endian, translate) {
-                let got = hex(&payload);
+                let got = hex(&payload.to_vec());
                 checked += 1;
                 if golden(&name) != Some(got.as_str()) {
                     mismatches.push(format!("{name} {got}"));
@@ -276,4 +281,47 @@ fn frames_match_the_recorded_wire_format() {
         mismatches.len(),
         mismatches.join("\n")
     );
+}
+
+/// What a receiver decodes from `frame`: the message, then its body
+/// (a Request's or a Reply's), or the first error, as text.
+type Decoded = Result<(GiopMessage<Frame>, Option<RequestBody>, Option<ReplyBody>), String>;
+
+fn decoded(frame: &Frame) -> Decoded {
+    let endian = GiopMessage::body_endian(frame).map_err(|e| e.to_string())?;
+    let msg = GiopMessage::decode(frame).map_err(|e| e.to_string())?;
+    let (request, reply) = match &msg {
+        GiopMessage::Request(_, body) => (Some(RequestBody::decode(body, endian)), None),
+        GiopMessage::Reply(_, body) => (None, Some(ReplyBody::decode(body, endian))),
+        _ => (None, None),
+    };
+    let request = request.transpose().map_err(|e| e.to_string())?;
+    let reply = reply.transpose().map_err(|e| e.to_string())?;
+    Ok((msg, request, reply))
+}
+
+#[test]
+fn every_recorded_frame_decodes_the_same_however_it_is_cut() {
+    let mut frames = 0;
+    for line in GOLDEN.lines().filter(|l| !l.starts_with('#')) {
+        let (name, hex) = line.split_once(' ').unwrap();
+        if name.ends_with("+obs") {
+            continue;
+        }
+        frames += 1;
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        let want = decoded(&Frame::from(bytes.clone()));
+        assert!(want.is_ok(), "{name}: {want:?}");
+        for at in 0..=bytes.len() {
+            let cut: Frame = [&bytes[..at], &bytes[at..]]
+                .into_iter()
+                .map(Bytes::copy_from_slice)
+                .collect();
+            assert_eq!(decoded(&cut), want, "{name} cut at {at}");
+        }
+    }
+    assert_eq!(frames, 48);
 }
